@@ -103,7 +103,10 @@ def cmd_faces(args):
         )
     report = {"command": "faces", "input_digest": digest, "faces": face_rows}
     if args.star is not None:
-        coords = tuple(int(c) for c in parse_point(args.star))
+        point = parse_point(args.star)
+        if any(c.denominator != 1 for c in point):
+            raise InputError(f"--star needs integer vertex coordinates, got {args.star!r}")
+        coords = tuple(int(c) for c in point)
         try:
             vid = poly.vertices.index(coords)
         except ValueError:
@@ -158,6 +161,8 @@ def cmd_classify(args):
 
 
 def cmd_ehrhart(args):
+    if args.kmax is not None and args.kmax < 1:
+        raise InputError(f"--kmax must be at least 1, got {args.kmax}")
     poly, digest = load_polytope(args.input)
     n = poly.dim
     kmax = args.kmax if args.kmax is not None else n + 2

@@ -3,13 +3,20 @@
 Vectors are plain tuples of ints or :class:`fractions.Fraction`, matrices are
 immutable :class:`IntMatrix` values. All arithmetic is arbitrary precision;
 nothing in this package ever touches floating point.
+
+Ranks over Q and Z/p, determinant signs, solves and kernel lines all come
+from one fraction-free integer elimination (``_eliminate``, in the style of
+Bareiss 1968): rational input rows are scaled to integer rows once, and no
+``Fraction`` arithmetic runs inside the elimination. Integer ranks and
+torsion come from the Smith normal form, a separate algorithm, so the Z and
+the field answers are computed independently of each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
@@ -53,10 +60,8 @@ def fractions_to_integer_vector(v: Sequence) -> tuple[int, ...]:
     """Scale a rational vector by a positive factor to a primitive integer vector."""
     scale = 1
     for x in v:
-        d = Fraction(x).denominator
-        scale = scale * d // gcd(scale, d)
-    ints = [int(x * scale) for x in v]
-    return primitive_vector(ints)
+        scale = lcm(scale, x.denominator)
+    return primitive_vector([int(x * scale) for x in v])
 
 
 # ---------------------------------------------------------------------------
@@ -104,14 +109,13 @@ class IntMatrix:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
         rows = []
-        for i in range(self.nrows):
-            left = self.entries[i]
-            rows.append(
-                tuple(
-                    sum(left[k] * other.entries[k][j] for k in range(self.ncols))
-                    for j in range(other.ncols)
-                )
-            )
+        for left in self.entries:
+            # coboundary matrices are sparse: a zero entry skips a whole right row
+            acc = [0] * other.ncols
+            for a, right in zip(left, other.entries):
+                if a:
+                    acc = [x + a * y for x, y in zip(acc, right)]
+            rows.append(tuple(acc))
         return IntMatrix(self.nrows, other.ncols, tuple(rows))
 
     def is_zero(self) -> bool:
@@ -155,52 +159,61 @@ def normalize_ring(ring: str) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Gaussian elimination over Q and Z/p
+# fraction-free elimination over Q and Z/p
 
 
-def _rank_fraction(rows: list[list[Fraction]]) -> int:
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    r = 0
+def _eliminate(rows: Sequence[Sequence], ncols: int, p: int | None = None, reduced: bool = False):
+    """Fraction-free row echelon form of a matrix over Q or Z/p.
+
+    This is the one elimination behind every field rank, determinant sign,
+    solve and kernel in this module; the Smith normal form is separate. Each
+    step replaces row_i by pv*row_i - f*row_r for the rows with f != 0 in the
+    pivot column: the rows below the pivot, or all other rows when
+    ``reduced``. Over Q (``p`` is None) the int/Fraction input rows are first
+    scaled by positive factors to integers, and each new row is divided by
+    its content; over Z/p the integer entries are reduced mod p.
+
+    Returns the echelon rows, the pivot columns and the sign of the
+    determinant over Q (0 unless the matrix is square and invertible).
+    """
+    if p is None:
+        rows = [fractions_to_integer_vector(row) for row in rows]
+    else:
+        rows = [[x % p for x in row] for row in rows]
+    nrows = len(rows)
+    pivots: list[int] = []
+    sign = 1
     for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = Fraction(1, 1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        rank += 1
-        if r == len(rows):
-            break
-    return rank
-
-
-def _rank_mod_p(rows: list[list[int]], p: int) -> int:
-    rows = [[x % p for x in row] for row in rows]
-    rank = 0
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        r += 1
-        rank += 1
-        if r == len(rows):
-            break
-    return rank
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        top = rows[r]
+        pv = top[c]
+        for i in range(0 if reduced else r + 1, nrows):
+            f = rows[i][c]
+            if f == 0 or i == r:
+                continue
+            if p is None:
+                new = [pv * x - f * y for x, y in zip(rows[i], top)]
+                g = gcd(*new)
+                rows[i] = [x // g for x in new] if g > 1 else new
+            else:
+                rows[i] = [(pv * x - f * y) % p for x, y in zip(rows[i], top)]
+            if pv < 0:
+                sign = -sign
+        pivots.append(c)
+    if not len(pivots) == nrows == ncols:
+        return rows, pivots, 0
+    for r, c in enumerate(pivots):
+        if rows[r][c] < 0:
+            sign = -sign
+    return rows, pivots, sign
 
 
 def rank_over_field(m: IntMatrix, ring: str) -> int:
@@ -208,111 +221,57 @@ def rank_over_field(m: IntMatrix, ring: str) -> int:
     kind = normalize_ring(ring)
     if kind[0] == "Z":
         raise ValueError("rank needs a field; use 'Q' or 'Z/p'")
-    if m.nrows == 0 or m.ncols == 0:
-        return 0
-    if kind[0] == "Q":
-        return _rank_fraction([[Fraction(x) for x in row] for row in m.entries])
-    return _rank_mod_p([list(row) for row in m.entries], kind[1])
+    p = kind[1] if kind[0] == "Zp" else None
+    return len(_eliminate(m.entries, m.ncols, p)[1])
 
 
 def rank_rational(vectors: Sequence[Sequence]) -> int:
     """Rank over Q of a list of int/Fraction row vectors."""
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    if not rows:
+    if not vectors:
         return 0
-    return _rank_fraction(rows)
+    return len(_eliminate(vectors, len(vectors[0]))[1])
 
 
 def det_sign(rows: Sequence[Sequence]) -> int:
     """Sign (-1, 0, +1) of the determinant of a square rational matrix."""
-    a = [[Fraction(x) for x in row] for row in rows]
-    n = len(a)
-    if any(len(row) != n for row in a):
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("determinant of a non-square matrix")
-    sign = 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            sign = -sign
-        if a[c][c] < 0:
-            sign = -sign
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c] / a[c][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return sign
+    return _eliminate(rows, n)[2]
 
 
 def coordinates_in_basis(basis: Sequence[Sequence], target: Sequence) -> tuple[Fraction, ...] | None:
-    """Coefficients c with sum(c_i * basis_i) == target, or None if unsolvable."""
+    """Coefficients c with sum(c_i * basis_i) == target, or None if unsolvable.
+
+    Coefficients of basis vectors that depend on earlier ones are 0.
+    """
     k = len(basis)
-    if k == 0:
-        return () if all(Fraction(x) == 0 for x in target) else None
-    n = len(basis[0])
-    # augmented n x (k+1) system: columns are the basis vectors
-    a = [[Fraction(basis[j][i]) for j in range(k)] + [Fraction(target[i])] for i in range(n)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(k):
-        piv = next((i for i in range(r, n) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = Fraction(1, 1) / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(n):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append((r, c))
-        r += 1
-    for i in range(r, n):
-        if a[i][k] != 0:
-            return None
+    # augmented system: one equation per coordinate, the basis vectors as columns
+    system = [[b[i] for b in basis] + [t] for i, t in enumerate(target)]
+    echelon, pivots, _ = _eliminate(system, k + 1, reduced=True)
+    if pivots and pivots[-1] == k:
+        return None
     coords = [Fraction(0)] * k
-    for row, col in pivots:
-        coords[col] = a[row][k]
+    for row, c in zip(echelon, pivots):
+        coords[c] = Fraction(row[k], row[c])
     return tuple(coords)
 
 
-def rational_nullspace(rows: Sequence[Sequence], dim: int) -> list[tuple[Fraction, ...]]:
-    """Basis of the right kernel of the given row vectors inside Q^dim."""
-    a = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(dim):
-        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = Fraction(1, 1) / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(dim) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * dim
-        v[fc] = Fraction(1)
-        for row, pc in zip(range(len(pivots)), pivots):
-            v[pc] = -a[row][fc]
-        basis.append(tuple(v))
-    return basis
-
-
 def kernel_line(rows: Sequence[Sequence], dim: int) -> tuple[int, ...] | None:
-    """Primitive integer spanning vector of a one-dimensional kernel, else None."""
-    basis = rational_nullspace(rows, dim)
-    if len(basis) != 1:
+    """Primitive integer spanning vector of a one-dimensional kernel, else None.
+
+    The entry at the non-pivot column is positive.
+    """
+    echelon, pivots, _ = _eliminate(rows, dim, reduced=True)
+    if len(pivots) != dim - 1:
         return None
-    return fractions_to_integer_vector(basis[0])
+    free = next(c for c in range(dim) if c not in pivots)
+    scale = lcm(*(row[c] for row, c in zip(echelon, pivots)))
+    v = [0] * dim
+    v[free] = scale
+    for row, c in zip(echelon, pivots):
+        v[c] = -row[free] * (scale // row[c])
+    return primitive_vector(v)
 
 
 def integer_row_basis(vectors: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:

@@ -61,7 +61,7 @@ def _check_integer_point(p: Sequence, dim: int | None) -> tuple[int, ...]:
             if x.denominator != 1:
                 raise ValueError(f"non-integral coordinate {x}")
             x = x.numerator
-        if not isinstance(x, int):
+        if isinstance(x, bool) or not isinstance(x, int):
             raise ValueError(f"non-integer coordinate {x!r}")
         out.append(x)
     return tuple(out)

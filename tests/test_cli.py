@@ -67,6 +67,22 @@ def test_missing_vertex_for_star_exits_2(capsys, sq_file):
     assert code == 2
 
 
+def test_fractional_star_vertex_exits_2(capsys, sq_file):
+    # "1/2,0" must not be truncated to the vertex (0,0)
+    code, out, err = run_main(capsys, "faces", "--input", sq_file, "--star", "1/2,0")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "integer" in err
+
+
+def test_boolean_coordinate_exits_2(capsys, tmp_path):
+    flagged = tmp_path / "bool.json"
+    flagged.write_text('{"vertices": [[0,0],[true,0],[0,1]]}')
+    code, _, err = run_main(capsys, "faces", "--input", str(flagged))
+    assert code == 2
+    assert err.count("\n") == 1 and "non-integer coordinate True" in err
+
+
 def test_classify_command(capsys, sq_file):
     code, out, _ = run_main(
         capsys, "classify", "--input", sq_file, "--kind", "vis", "--x", "2,2"
@@ -99,6 +115,14 @@ def test_ehrhart_command(capsys, tri_file):
     assert report["integral_roots"] == [-2, -1]
     assert report["splitting_index"] == 2
     assert report["reciprocity_ok"] is True
+
+
+@pytest.mark.parametrize("kmax", ["0", "-3"])
+def test_ehrhart_nonpositive_kmax_exits_2(capsys, tri_file, kmax):
+    code, out, err = run_main(capsys, "ehrhart", "--input", tri_file, "--kmax", kmax)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "--kmax" in err
 
 
 def test_cohomology_command(capsys, sq_file):

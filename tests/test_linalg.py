@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -195,3 +196,131 @@ def test_matrix_shapes_and_product():
     assert z.nrows == 0 and z.ncols == 3
     with pytest.raises(ValueError):
         IntMatrix.from_rows([[1, 2], [1]])
+
+
+# ---------------------------------------------------------------------------
+# reference oracle for the fraction-free elimination
+
+
+def _gauss_jordan(rows, ncols, p=None):
+    """Reduced row echelon form with unit pivots, in Fraction (Q) or mod p.
+
+    Returns the rows, the pivot columns and the determinant (square input).
+    """
+    if p is None:
+        a = [[Fraction(x) for x in row] for row in rows]
+        inv, norm = (lambda x: 1 / x), (lambda x: x)
+    else:
+        a = [[x % p for x in row] for row in rows]
+        inv, norm = (lambda x: pow(x, -1, p)), (lambda x: x % p)
+    pivots, det = [], Fraction(1)
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            det = -det
+        det *= a[r][c]
+        s = inv(a[r][c])
+        a[r] = [norm(x * s) for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [norm(x - f * y) for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    if len(pivots) < len(a):
+        det = Fraction(0)
+    return a, pivots, det
+
+
+def _oracle_kernel_line(rows, dim):
+    a, pivots, _ = _gauss_jordan(rows, dim)
+    if dim - len(pivots) != 1:
+        return None
+    free = next(c for c in range(dim) if c not in pivots)
+    v = [Fraction(0)] * dim
+    v[free] = Fraction(1)
+    for row, c in zip(a, pivots):
+        v[c] = -row[free]
+    scale = 1
+    for x in v:
+        scale = scale * x.denominator // gcd(scale, x.denominator)
+    ints = [int(x * scale) for x in v]
+    g = 0
+    for x in ints:
+        g = gcd(g, x)
+    return tuple(x // g for x in ints)
+
+
+def _oracle_coordinates(basis, target):
+    system = [[b[i] for b in basis] + [t] for i, t in enumerate(target)]
+    a, pivots, _ = _gauss_jordan(system, len(basis) + 1)
+    if len(basis) in pivots:
+        return None
+    coords = [Fraction(0)] * len(basis)
+    for row, c in zip(a, pivots):
+        coords[c] = row[-1]
+    return tuple(coords)
+
+
+def _random_matrix(rng, nr, nc, fractions):
+    def entry():
+        if fractions and rng.random() < 0.3:
+            return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        return rng.choice((0, 0, 1, -1, rng.randint(-5, 5)))
+
+    rows = [[entry() for _ in range(nc)] for _ in range(nr)]
+    if nr > 1 and rng.random() < 0.4:
+        # rank deficient: one row is a combination of two others
+        i, j, k = (rng.randrange(nr) for _ in range(3))
+        c = rng.randint(-2, 2)
+        rows[i] = [c * x + y for x, y in zip(rows[j], rows[k])]
+    return rows
+
+
+def _shapes(rng):
+    yield from ((0, 0), (0, 3), (3, 0), (1, 1), (1, 1))
+    for _ in range(300):
+        yield rng.randint(1, 5), rng.randint(1, 5)
+
+
+def test_elimination_matches_fraction_gauss_jordan():
+    rng = random.Random(2024)
+    seen = {"deficient": 0, "solvable": 0, "unsolvable": 0, "line": 0, "no line": 0}
+    for trial, (nr, nc) in enumerate(_shapes(rng)):
+        rows = _random_matrix(rng, nr, nc, fractions=trial % 2 == 1)
+        _, pivots, _ = _gauss_jordan(rows, nc)
+        if len(pivots) < min(nr, nc):
+            seen["deficient"] += 1
+        if nr and nc:
+            assert rank_rational(rows) == len(pivots), rows
+        if all(isinstance(x, int) for row in rows for x in row):
+            m = M(rows, ncols=nc)
+            assert rank_over_field(m, "Q") == len(pivots), rows
+            for p in (2, 3):
+                assert rank_over_field(m, f"Z/{p}") == len(_gauss_jordan(rows, nc, p)[1]), rows
+        if nr == nc:
+            det = _gauss_jordan(rows, nc)[2]
+            assert det_sign(rows) == (det > 0) - (det < 0), rows
+
+        # kernel line, up to sign; None unless the kernel is a line
+        expected = _oracle_kernel_line(rows, nc) if nc else None
+        got = kernel_line(rows, nc) if nc else None
+        if expected is None:
+            assert got is None, rows
+            seen["no line"] += 1
+        else:
+            assert got in (expected, tuple(-x for x in expected)), rows
+            seen["line"] += 1
+
+        # solve with the rows as basis vectors, for a reachable and a random target
+        coefs = [rng.randint(-2, 2) for _ in rows]
+        reachable = [sum((c * row[i] for c, row in zip(coefs, rows)), 0) for i in range(nc)]
+        for target in (reachable, [rng.randint(-3, 3) for _ in range(nc)]):
+            expected = _oracle_coordinates(rows, target)
+            assert coordinates_in_basis(rows, target) == expected, (rows, target)
+            seen["unsolvable" if expected is None else "solvable"] += 1
+    # the seeded draw exercises every branch
+    assert all(seen.values()), seen

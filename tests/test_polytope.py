@@ -41,6 +41,14 @@ def test_degenerate_input_rejected():
         build_polytope([[0, 0], [1, Fraction(1, 2)], [0, 1]])
 
 
+def test_boolean_coordinates_rejected():
+    # JSON true/false must not pass as the coordinates 1/0
+    with pytest.raises(ValueError, match="non-integer coordinate"):
+        build_polytope([[0, 0], [True, 0], [0, 1]])
+    with pytest.raises(ValueError, match="non-integer coordinate"):
+        build_polytope([[0, 0], [1, 0], [False, 1]])
+
+
 def test_non_vertices_discarded():
     poly = build_polytope([[0, 0], [2, 0], [0, 2], [1, 0], [1, 1]])
     assert poly.vertices == ((0, 0), (0, 2), (2, 0))
