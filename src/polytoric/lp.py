@@ -1,5 +1,7 @@
-"""Exact linear feasibility via Fourier-Motzkin elimination, and polyhedral
-cone membership tests built on top of it.
+"""Exact linear feasibility via Fourier-Motzkin elimination, polyhedral
+cone membership tests built on top of it, and the extreme rays of dual cones
+by exact double description (the one polyhedral kernel behind hull facets
+and barrier-cone rays).
 
 A constraint is a triple ``(a, b, rel)`` meaning ``<a, x> rel b`` where
 ``rel`` is one of ``">="``, ``">"``, ``"="``. Coefficients may be ints or
@@ -10,7 +12,6 @@ no perturbation is ever needed.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import gcd
 
 from .linalg import dot, kernel_line, primitive_vector, rank_rational, vec_neg
@@ -130,27 +131,49 @@ def cone_contains(generators, target) -> bool:
 
 
 def dual_cone_rays(generators, dim: int) -> tuple[tuple[int, ...], ...]:
-    """Generating rays of the dual cone {v : <g, v> >= 0 for all g}.
+    """Primitive extreme rays of the dual cone {v : <g, v> >= 0 for all g}, sorted.
 
-    Requires the generators to span R^dim (so the dual cone is pointed and is
-    generated by its extreme rays). Every extreme ray is the kernel line of
-    dim-1 generators, so brute-force subset enumeration is complete; feasible
-    non-extreme candidates are harmless.
+    Requires the generators to span R^dim, so the dual cone is pointed and is
+    generated by these rays (none when it is {0}). Exact integer double
+    description (Fukuda-Prodon, 1996): start from the simplicial cone of dim
+    independent generators, whose rays are kernel lines, then cut by the
+    other generators one at a time. Each ray keeps the set of generators it
+    is tight on; a ray on the positive side of a cut is combined with one on
+    the negative side only when the two are adjacent, that is when no third
+    ray is tight on every generator both are tight on.
     """
     gens = sorted({primitive_vector(g) for g in generators if any(g)})
-    if rank_rational(gens) < dim:
+    basis: list[tuple[int, ...]] = []
+    rest = []
+    for g in gens:
+        if len(basis) < dim and rank_rational(basis + [g]) > len(basis):
+            basis.append(g)
+        else:
+            rest.append(g)
+    if len(basis) < dim:
         raise ValueError("generators do not span the ambient space")
-    rays = set()
-    if dim == 1:
-        candidates = [(1,), (-1,)]
-    else:
-        candidates = []
-        for subset in combinations(gens, dim - 1):
-            line = kernel_line(subset, dim)
-            if line is not None:
-                candidates.append(line)
-                candidates.append(vec_neg(line))
-    for v in candidates:
-        if all(dot(g, v) >= 0 for g in gens):
-            rays.add(v)
-    return tuple(sorted(rays))
+    # (ray, bitmask of the tight generators, numbered basis first)
+    rays = []
+    for j, g in enumerate(basis):
+        r = kernel_line(basis[:j] + basis[j + 1:], dim)
+        rays.append((r if dot(g, r) > 0 else vec_neg(r), (1 << dim) - 1 - (1 << j)))
+    for i, g in enumerate(rest, start=dim):
+        bit = 1 << i
+        values = [dot(g, r) for r, _ in rays]
+        tight = [z for _, z in rays]
+        cut = [(r, z | bit if s == 0 else z) for (r, z), s in zip(rays, values) if s >= 0]
+        negative = [m for m, s in enumerate(values) if s < 0]
+        for p, sp in enumerate(values):
+            if sp <= 0:
+                continue
+            for m in negative:
+                sm = values[m]
+                common = tight[p] & tight[m]
+                if common.bit_count() < dim - 2 or any(
+                    z & common == common for t, z in enumerate(tight) if t != p and t != m
+                ):
+                    continue
+                combo = [sp * a - sm * b for a, b in zip(rays[m][0], rays[p][0])]
+                cut.append((primitive_vector(combo), common | bit))
+        rays = cut
+    return tuple(sorted(r for r, _ in rays))

@@ -1,19 +1,19 @@
 """Full-dimensional lattice polytopes: facet inequalities and the face lattice.
 
-A polytope is built from its integer vertices; facets are found by brute
-force over point subsets spanning supporting hyperplanes, which is fine at
-the intended scale (few dozen vertices, ambient dimension <= 4). Faces are
-the intersections of facet vertex sets, graded by affine dimension.
+A polytope is built from its integer vertices; its facets are the extreme
+rays of the dual of the cone over the homogenized points (1, p), computed by
+the exact double description in ``lp.dual_cone_rays``. Faces are the
+intersections of facet vertex sets, graded by affine dimension.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Sequence
 
-from .linalg import dot, kernel_line, rank_rational, vec_neg, vec_sub
+from .linalg import dot, rank_rational, vec_neg, vec_sub
+from .lp import dual_cone_rays
 
 
 @dataclass(frozen=True)
@@ -67,26 +67,6 @@ def _check_integer_point(p: Sequence, dim: int | None) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _enumerate_facets(points: list[tuple[int, ...]], n: int) -> list[Facet]:
-    found = {}
-    for subset in combinations(points, n):
-        base = subset[0]
-        diffs = [vec_sub(q, base) for q in subset[1:]]
-        normal = kernel_line(diffs, n)
-        if normal is None:
-            continue
-        level = dot(base, normal)
-        sides = [dot(p, normal) - level for p in points]
-        if all(s >= 0 for s in sides):
-            inward = normal
-        elif all(s <= 0 for s in sides):
-            inward = vec_neg(normal)
-        else:
-            continue
-        found[(inward, -dot(base, inward))] = None
-    return [Facet(nrm, off) for nrm, off in sorted(found)]
-
-
 def build_polytope(points: Iterable[Sequence[int]]) -> LatticePolytope:
     """Convex hull of integer points; the hull must be full-dimensional.
 
@@ -110,7 +90,9 @@ def build_polytope(points: Iterable[Sequence[int]]) -> LatticePolytope:
     if rank_rational([vec_sub(p, base) for p in dedup[1:]]) < dim:
         raise ValueError("degenerate polytope: points do not affinely span the space")
 
-    facets = _enumerate_facets(dedup, dim)
+    # facets are the rays (offset, normal) of the dual of the cone over {(1, p)}
+    rays = dual_cone_rays([(1,) + p for p in dedup], dim + 1)
+    facets = [Facet(nrm, off) for nrm, off in sorted((r[1:], r[0]) for r in rays)]
     vertices = []
     discarded = []
     for p in dedup:
@@ -160,8 +142,9 @@ class FaceLattice:
     """All non-empty faces of a polytope, graded by dimension.
 
     Faces are indexed in a fixed order (by dimension, then by vertex set), so
-    face ids form a linear extension of the partial order. The join table is
-    total: the join of two faces is the face cut out by their common facets.
+    face ids form a linear extension of the partial order. The join of two
+    faces is the face whose facet set is the intersection of theirs; the top
+    face has the empty facet set.
     """
 
     def __init__(self, polytope: LatticePolytope):
@@ -201,6 +184,7 @@ class FaceLattice:
         self.top_id = len(self.faces) - 1
         self.facet_members = tuple(facet_members)
         self._by_vertex_set = {f.vertex_set: f.id for f in self.faces}
+        self._by_facet_set = {f.facet_set: f.id for f in self.faces}
         self._above = tuple(
             frozenset(g.id for g in self.faces if f.vertex_set <= g.vertex_set)
             for f in self.faces
@@ -215,16 +199,6 @@ class FaceLattice:
             for g in self.faces
             if f.dim + 1 == g.dim and f.vertex_set < g.vertex_set
         )
-        self._join = {}
-        for f in self.faces:
-            for g in self.faces:
-                common = f.facet_set & g.facet_set
-                if common:
-                    vs = frozenset.intersection(*(facet_members[c] for c in common))
-                    jid = self._by_vertex_set[vs]
-                else:
-                    jid = self.top_id
-                self._join[(f.id, g.id)] = jid
         self._cache: dict = {}
 
     # -- basic queries ------------------------------------------------------
@@ -247,9 +221,7 @@ class FaceLattice:
         return self._below[fid]
 
     def join(self, a: int, b: int) -> int:
-        self.face(a)
-        self.face(b)
-        return self._join[(a, b)]
+        return self._by_facet_set[self.face(a).facet_set & self.face(b).facet_set]
 
     def proper_ids(self) -> frozenset[int]:
         return frozenset(range(self.top_id))

@@ -7,8 +7,10 @@ complex. Its cohomology is the x-graded piece of H^*(X; F(k)); summing over a
 certified box of lattice points gives the global answer.
 
 Membership is decided two ways: by facet inequalities (fast formula) and by
-an LP oracle on the barrier-cone generators (independent of the facet data),
-so the formula is testable against the oracle.
+an oracle on the barrier-cone generators, so the formula is testable against
+the oracle. The oracle's dual-cone rays come from the same double-description
+kernel as the facets; its Fourier-Motzkin route (``use_rays=False``) shares
+no code with either.
 """
 
 from __future__ import annotations
@@ -225,14 +227,19 @@ def _class_complexes(lattice: FaceLattice, k: int) -> dict:
     return lattice._cache.setdefault(("twist_classes", k), {})
 
 
-def _graded_result(lattice, k, x, ring, class_cache) -> CohomologyResult:
-    sig = _signature(lattice.polytope, k, x)
+def _class_entry(lattice, sig, class_cache) -> dict:
+    """The cached entry of a facet-sign class, or a fresh one (not stored)."""
     entry = class_cache.get(sig)
     if entry is None:
         members = _face_set_from_signature(lattice, sig)
         complex_ = restrict_cochain_complex(face_cochain_complex(lattice), members)
         entry = {"complex": complex_, "results": {}}
-        class_cache[sig] = entry
+    return entry
+
+
+def _graded_result(lattice, k, x, ring, class_cache) -> CohomologyResult:
+    sig = _signature(lattice.polytope, k, x)
+    entry = class_cache[sig] = _class_entry(lattice, sig, class_cache)
     results = entry["results"]
     if ring not in results:
         results[ring] = cohomology(entry["complex"], ring)
@@ -259,11 +266,7 @@ def _prefill_classes(lattice, k, ring, points, class_cache) -> None:
             todo.append(sig)
 
     def build(sig):
-        entry = class_cache.get(sig)
-        if entry is None:
-            members = _face_set_from_signature(lattice, sig)
-            complex_ = restrict_cochain_complex(face_cochain_complex(lattice), members)
-            entry = {"complex": complex_, "results": {}}
+        entry = _class_entry(lattice, sig, class_cache)
         return sig, entry, cohomology(entry["complex"], ring)
 
     for sig, entry, result in parallel_map(build, todo):

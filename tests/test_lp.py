@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
+from polytoric import sheaf as sh
+from polytoric.linalg import dot, kernel_line, primitive_vector, rank_rational, vec_neg
 from polytoric.lp import cone_contains, dual_cone_rays, lp_feasible
 
 
@@ -120,3 +122,47 @@ def test_dual_cone_rays_match_direct_test():
         for x in product(range(-3, 4), repeat=dim):
             by_rays = all(sum(r * xi for r, xi in zip(ray, x)) >= 0 for ray in rays)
             assert by_rays == cone_contains(gens, x)
+
+
+def _brute_force_dual_rays(generators, dim):
+    """Reference oracle: the feasible kernel lines of all (dim - 1)-subsets."""
+    gens = sorted({primitive_vector(g) for g in generators if any(g)})
+    if rank_rational(gens) < dim:
+        raise ValueError("generators do not span the ambient space")
+    lines = filter(None, (kernel_line(s, dim) for s in combinations(gens, dim - 1)))
+    rays = {v for line in lines for v in (line, vec_neg(line))}
+    return tuple(sorted(v for v in rays if all(dot(g, v) >= 0 for g in gens)))
+
+
+def test_dual_cone_rays_match_brute_force():
+    rng = random.Random(11)
+    drawn = set()
+    for _ in range(500):
+        dim = rng.randint(1, 4)
+        gens = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(0, dim + 4))]
+        extra = rng.choice(("none", "opposite", "whole space"))
+        if extra == "opposite" and gens:
+            gens.append(vec_neg(gens[0]))
+        elif extra == "whole space":
+            gens += [tuple(s * (i == j) for j in range(dim)) for i in range(dim) for s in (1, -1)]
+        try:
+            expected = _brute_force_dual_rays(gens, dim)
+        except ValueError:
+            with pytest.raises(ValueError):
+                dual_cone_rays(gens, dim)
+            drawn.add("not spanning")
+            continue
+        assert dual_cone_rays(gens, dim) == expected, (dim, gens)
+        rank = rank_rational(expected) if expected else 0
+        drawn.add((dim, "dual is {0}" if not rank else "lineality" if rank < dim else "pointed"))
+    for dim in (2, 3, 4):
+        assert {(dim, "dual is {0}"), (dim, "lineality"), (dim, "pointed")} <= drawn
+    assert {(1, "dual is {0}"), (1, "pointed"), "not spanning"} <= drawn
+
+
+def test_barrier_cone_rays_match_brute_force(lattices):
+    # every face of the corpus: the top face (dual {0}), edges (lineality), vertices
+    for lat in lattices.values():
+        for f in lat.faces:
+            gens, rays = sh._barrier_cone_rays(lat, f.id)
+            assert rays == _brute_force_dual_rays(gens, lat.polytope.dim)

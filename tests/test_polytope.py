@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
 
 import pytest
 
 from polytoric import build_polytope
+from polytoric.linalg import dot, kernel_line, vec_neg, vec_sub
 from conftest import face_id
 
 
@@ -30,6 +32,42 @@ def test_sq_facets(corpus):
         ((-1, 0), 1),
         ((0, -1), 1),
     }
+
+
+def _brute_force_facets(points, n):
+    """Reference oracle: supporting hyperplanes through every n-subset of the points."""
+    found = set()
+    for subset in combinations(points, n):
+        normal = kernel_line([vec_sub(q, subset[0]) for q in subset[1:]], n)
+        for inward in (normal, vec_neg(normal)) if normal else ():
+            offset = -dot(subset[0], inward)
+            if all(dot(p, inward) + offset >= 0 for p in points):
+                found.add((inward, offset))
+    return sorted(found)
+
+
+def test_facets_match_brute_force_hull():
+    rng = random.Random(21)
+    permuto3 = sorted({p[:3] for p in permutations((0, 1, 2, 3))})
+    clouds = [(permuto3, None)]
+    for n in (1, 2, 3, 4):
+        for _ in range(15):
+            pts = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(n + 1, n + 6))]
+            # a repeated point q, made the midpoint of p and 2q - p
+            p, q = pts[0], pts[-1]
+            clouds.append((pts + [q, tuple(2 * b - a for a, b in zip(p, q))], q if p != q else None))
+    built = {1: 0, 2: 0, 3: 0, 4: 0}
+    for pts, midpoint in clouds:
+        n = len(pts[0])
+        try:
+            poly = build_polytope(pts)
+        except ValueError:
+            continue
+        built[n] += 1
+        facets = [(f.normal, f.offset) for f in poly.facets]
+        assert facets == _brute_force_facets(sorted(set(pts)), n), pts
+        assert midpoint is None or midpoint in poly.discarded
+    assert min(built.values()) >= 5, built
 
 
 def test_degenerate_input_rejected():

@@ -42,6 +42,19 @@ def test_formula_equals_oracle_on_declared_grid(lattices, name):
                 ), (name, k, x, f.id)
 
 
+@pytest.mark.parametrize("name", ["SEG", "TRI", "SQ"])
+def test_formula_equals_fm_route_on_declared_grid(lattices, name):
+    # the facets and the ray oracle share the double-description kernel;
+    # the Fourier-Motzkin route shares nothing with the formula
+    lat = lattices[name]
+    for k in range(-2, 3):
+        for x in product(range(-3, 5), repeat=lat.polytope.dim):
+            for f in lat.faces:
+                assert sh.twist_membership(lat, k, f.id, x) == sh.membership_oracle(
+                    lat, k, f.id, x, use_rays=False
+                ), (name, k, x, f.id)
+
+
 def test_oracle_fm_route_agrees_on_small_sample(tri):
     for k in (-1, 0, 1):
         for x in product(range(-2, 3), repeat=2):

@@ -2,6 +2,7 @@ import pytest
 
 from polytoric import verify as vf
 from polytoric.polytope import Facet, FaceLattice, LatticePolytope
+from conftest import face_id
 
 
 def test_all_suites_pass_on_small_corpus(lattices):
@@ -26,6 +27,17 @@ def test_corrupted_facet_list_fails_irredundancy(corpus):
     results = vf.combinatorics_suite(lat)
     by_name = {r.name: r.passed for r in results}
     assert by_name["facet irredundancy"] is False
+
+
+def test_one_wrong_join_value_fails_semilattice_check(corpus):
+    # negative control: an upper bound that is not the least one, for one pair
+    lat = FaceLattice(corpus["SQ"])
+    a, b = face_id(lat, (0, 0)), face_id(lat, (1, 0))
+    assert lat.join(a, b) != lat.top_id
+    right = lat.join
+    lat.join = lambda x, y: lat.top_id if (x, y) == (a, b) else right(x, y)
+    by_name = {r.name: r.passed for r in vf.combinatorics_suite(lat)}
+    assert by_name["join is a semilattice operation"] is False
 
 
 def test_results_are_deterministic(tri):
