@@ -3,22 +3,27 @@
 Two sources of complexes: the face cochain complex of a polytope (one basis
 element per face, coboundaries given by incidence numbers) and simplicial
 complexes of nerves. Integer matrices are interpreted over the requested
-ring only when cohomology is computed; over Z the answer carries torsion,
-read off the Smith normal form of the incoming coboundary.
+ring only when cohomology is computed, and one kernel answers every ring:
+the Smith normal form of each coboundary, computed once per complex. Ranks
+over Q and Z/p follow from its elementary divisors by universal
+coefficients, and over Z the torsion is the incoming coboundary's divisors
+above 1. The field elimination ``linalg.rank_over_field`` is not used here;
+the tests keep it as an independent route to the field answers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .boundary import NerveComplex
 from .linalg import (
     IntMatrix,
+    SmithForm,
     coordinates_in_basis,
     det_sign,
     integer_row_basis,
     normalize_ring,
-    rank_over_field,
     smith_normal_form,
     vec_sub,
 )
@@ -48,24 +53,11 @@ class IntegerChainComplex:
             if not self.maps[i + 1].mul(self.maps[i]).is_zero():
                 raise ValueError("orientation bug: d∘d != 0")
 
-    @property
-    def degrees(self) -> range:
-        return range(self.start_degree, self.start_degree + len(self.basis_labels))
-
-    def rank_in_degree(self, degree: int) -> int:
-        i = degree - self.start_degree
-        if 0 <= i < len(self.basis_labels):
-            return len(self.basis_labels[i])
-        return 0
-
-    def map_out_of(self, degree: int) -> IntMatrix | None:
-        i = degree - self.start_degree
-        if 0 <= i < len(self.maps):
-            return self.maps[i]
-        return None
-
-    def map_into(self, degree: int) -> IntMatrix | None:
-        return self.map_out_of(degree - 1)
+    @cached_property
+    def smith_forms(self) -> tuple[SmithForm, ...]:
+        """Smith normal form of each map, computed once per complex; every
+        coefficient ring is read from it."""
+        return tuple(smith_normal_form(m) for m in self.maps)
 
 
 @dataclass(frozen=True)
@@ -104,44 +96,26 @@ class CohomologyResult:
 
 
 def cohomology(complex_: IntegerChainComplex, ring: str = "Z") -> CohomologyResult:
-    """Cohomology of the complex over Z, Q or Z/p.
+    """Cohomology of the complex over Z, Q or Z/p, read off the Smith forms.
 
-    Over Z the free rank in degree j is dim ker(d_j) - rank(d_{j-1}) with
-    ranks from Smith normal form, and the torsion divisors come from the
-    incoming map. Over a field both numbers reduce to field ranks.
+    The free rank in degree j is n_j - rank(d_j) - rank(d_{j-1}). By
+    universal coefficients, the rank of a map over Q is its number of
+    elementary divisors, and over Z/p the number of divisors that p does not
+    divide. Over Z the torsion is the incoming map's divisors above 1.
     """
     kind = normalize_ring(ring)
-    snf_cache: dict[int, object] = {}
-
-    def zrank(m: IntMatrix | None) -> int:
-        if m is None or m.nrows == 0 or m.ncols == 0:
-            return 0
-        key = id(m)
-        if key not in snf_cache:
-            snf_cache[key] = smith_normal_form(m)
-        return snf_cache[key].rank
-
-    def frank(m: IntMatrix | None) -> int:
-        if m is None or m.nrows == 0 or m.ncols == 0:
-            return 0
-        return rank_over_field(m, ring)
-
-    free = []
-    torsion = []
-    for degree in complex_.degrees:
-        n = complex_.rank_in_degree(degree)
-        inc = complex_.map_into(degree)
-        out = complex_.map_out_of(degree)
-        if kind[0] == "Z":
-            free.append(n - zrank(out) - zrank(inc))
-            if inc is None or inc.nrows == 0 or inc.ncols == 0:
-                torsion.append(())
-            else:
-                torsion.append(snf_cache[id(inc)].torsion())
-        else:
-            free.append(n - frank(out) - frank(inc))
-            torsion.append(())
-    return CohomologyResult(ring, complex_.start_degree, tuple(free), tuple(torsion))
+    p = kind[1] if kind[0] == "Zp" else None
+    forms = complex_.smith_forms
+    # ranks[i] is the rank of the map into degree start + i (0 at both ends)
+    ranks = [0] + [sum(1 for d in s.elementary_divisors if p is None or d % p) for s in forms]
+    ranks.append(0)
+    free = tuple(
+        len(layer) - ranks[i] - ranks[i + 1] for i, layer in enumerate(complex_.basis_labels)
+    )
+    torsion = [()] * len(free)
+    if kind[0] == "Z":
+        torsion[1:] = [s.torsion() for s in forms]
+    return CohomologyResult(ring, complex_.start_degree, free, tuple(torsion))
 
 
 # ---------------------------------------------------------------------------
@@ -198,14 +172,12 @@ def incidence(lattice: FaceLattice, fid: int, gid: int, orientations=None) -> in
     return sign
 
 
-def face_cochain_complex(lattice: FaceLattice, ring: str = "Z") -> IntegerChainComplex:
+def face_cochain_complex(lattice: FaceLattice) -> IntegerChainComplex:
     """Cochain complex with degree-j basis the j-faces (including the top face).
 
-    The matrices are integer incidence numbers whatever the ring; the ring
-    argument only records the intended coefficient interpretation and is
-    validated here.
+    The matrices are integer incidence numbers; the coefficient ring enters
+    only when cohomology is computed.
     """
-    normalize_ring(ring)
     cached = lattice._cache.get("face_cochain")
     if cached is not None:
         return cached

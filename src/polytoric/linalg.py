@@ -7,9 +7,12 @@ nothing in this package ever touches floating point.
 Ranks over Q and Z/p, determinant signs, solves and kernel lines all come
 from one fraction-free integer elimination (``_eliminate``, in the style of
 Bareiss 1968): rational input rows are scaled to integer rows once, and no
-``Fraction`` arithmetic runs inside the elimination. Integer ranks and
-torsion come from the Smith normal form, a separate algorithm, so the Z and
-the field answers are computed independently of each other.
+``Fraction`` arithmetic runs inside the elimination. The Smith normal form
+is a separate algorithm, and it is the one cohomology kernel: ``homology``
+reads the answers over Z, Q and Z/p from its elementary divisors. The field
+rank of the elimination, ``rank_over_field``, answers no cohomology question;
+it stays public as an independent route to the field ranks, which the tests
+compare with the Smith form.
 """
 
 from __future__ import annotations

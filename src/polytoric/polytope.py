@@ -84,6 +84,8 @@ def build_polytope(points: Iterable[Sequence[int]]) -> LatticePolytope:
             dedup.append(tp)
     if dim is None:
         raise ValueError("no points given")
+    if dim == 0:
+        raise ValueError("points need at least one coordinate")
     if len(dedup) < dim + 1:
         raise ValueError(f"need at least {dim + 1} distinct points in dimension {dim}")
     base = dedup[0]

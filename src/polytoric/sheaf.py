@@ -4,7 +4,11 @@ cohomology on the toric variety of a polytope.
 For a twist k and a lattice point x, the faces F with x in C_F + kF (barrier
 cone translated by the dilated face) select a subcomplex of the face cochain
 complex. Its cohomology is the x-graded piece of H^*(X; F(k)); summing over a
-certified box of lattice points gives the global answer.
+certified box of lattice points gives the global answer. The subcomplex
+depends only on the signs of the facet functionals at x, so one restricted
+complex is kept per facet-sign class, for every twist and ring. Its
+cohomology over Z, Q and Z/p is read from its one set of Smith forms
+(``homology.cohomology``).
 
 Membership is decided two ways: by facet inequalities (fast formula) and by
 an oracle on the barrier-cone generators, so the formula is testable against
@@ -18,6 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 
 from .classify import classify_front_back, classify_lower_upper, classify_visibility
 from .ehrhart import dilate_contains
@@ -35,6 +40,8 @@ from .polytope import FaceLattice, face_lattice, negate_polytope
 
 DISTANT_POINT_COUNT = 32
 DISTANT_COORD_BOUND = 50
+# most points global_cohomology enumerates; a 3D box of edge 100 fits
+MAX_SCAN_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -223,55 +230,24 @@ def _face_set_from_signature(lattice: FaceLattice, sig) -> frozenset[int]:
     )
 
 
-def _class_complexes(lattice: FaceLattice, k: int) -> dict:
-    return lattice._cache.setdefault(("twist_classes", k), {})
+def _class_results(lattice: FaceLattice, sigs, ring: str) -> list[CohomologyResult]:
+    """Cohomology of each facet-sign class over the ring.
 
-
-def _class_entry(lattice, sig, class_cache) -> dict:
-    """The cached entry of a facet-sign class, or a fresh one (not stored)."""
-    entry = class_cache.get(sig)
-    if entry is None:
-        members = _face_set_from_signature(lattice, sig)
-        complex_ = restrict_cochain_complex(face_cochain_complex(lattice), members)
-        entry = {"complex": complex_, "results": {}}
-    return entry
-
-
-def _graded_result(lattice, k, x, ring, class_cache) -> CohomologyResult:
-    sig = _signature(lattice.polytope, k, x)
-    entry = class_cache[sig] = _class_entry(lattice, sig, class_cache)
-    results = entry["results"]
-    if ring not in results:
-        results[ring] = cohomology(entry["complex"], ring)
-    return results[ring]
-
-
-def _prefill_classes(lattice, k, ring, points, class_cache) -> None:
-    """Evaluate all missing facet-sign classes, possibly on a thread pool.
-
-    Workers touch disjoint signatures and the merge is ordered, so reports
-    are identical for every degree of parallelism.
+    The restricted complex of a class depends only on its signature, so it is
+    cached once per lattice, for every twist and ring, and carries its own
+    Smith forms. Missing classes are built on the thread pool; workers touch
+    disjoint signatures and the merge is ordered, so reports are identical
+    for every degree of parallelism.
     """
-    poly = lattice.polytope
-    face_cochain_complex(lattice)  # materialise the shared ambient complex first
-    todo = []
-    seen = set()
-    for x in points:
-        sig = _signature(poly, k, x)
-        if sig in seen:
-            continue
-        seen.add(sig)
-        entry = class_cache.get(sig)
-        if entry is None or ring not in entry["results"]:
-            todo.append(sig)
+    cache = lattice._cache.setdefault("sign_classes", {})
+    ambient = face_cochain_complex(lattice)
+    todo = [sig for sig in sigs if sig not in cache]
 
     def build(sig):
-        entry = _class_entry(lattice, sig, class_cache)
-        return sig, entry, cohomology(entry["complex"], ring)
+        return restrict_cochain_complex(ambient, _face_set_from_signature(lattice, sig))
 
-    for sig, entry, result in parallel_map(build, todo):
-        entry["results"][ring] = result
-        class_cache[sig] = entry
+    cache.update(zip(todo, parallel_map(build, todo)))
+    return [cohomology(cache[sig], ring) for sig in sigs]
 
 
 def global_cohomology(
@@ -281,23 +257,43 @@ def global_cohomology(
 
     The scan covers the inflated bounding box of kP; every point on the
     outermost shell, and a fixed set of pseudo-random distant points, must be
-    acyclic, which certifies that no contributor was missed.
+    acyclic, which certifies that no contributor was missed. A box of more
+    than ``MAX_SCAN_POINTS`` points is refused before it is enumerated.
     """
     if margin < 1:
         raise ValueError("margin must be at least 1")
     poly = lattice.polytope
     n = poly.dim
     box = scan_box(poly, k, margin)
-    class_cache = _class_complexes(lattice, k)
-    box_points = list(product(*(range(lo, hi + 1) for lo, hi in box)))
-    _prefill_classes(lattice, k, ring, box_points, class_cache)
+    size = prod(hi - lo + 1 for lo, hi in box)
+    if size > MAX_SCAN_POINTS:
+        raise ValueError(f"scan box has {size} points, more than the {MAX_SCAN_POINTS} allowed")
+    rng = random.Random(f"distant:{k}:{poly.vertices}")
+    distant = []
+    while len(distant) < DISTANT_POINT_COUNT:
+        x = tuple(
+            rng.randint(-DISTANT_COORD_BOUND, DISTANT_COORD_BOUND) for _ in range(n)
+        )
+        if not all(lo <= xi <= hi for xi, (lo, hi) in zip(x, box)):
+            distant.append(x)
+
+    def box_points():
+        return product(*(range(lo, hi + 1) for lo, hi in box))
+
+    # one signature per point, stored as the index of its class
+    classes: dict[tuple[bool, ...], int] = {}
+    box_ids = [classes.setdefault(_signature(poly, k, x), len(classes)) for x in box_points()]
+    distant_ids = [classes.setdefault(_signature(poly, k, x), len(classes)) for x in distant]
+    results = _class_results(lattice, list(classes), ring)
+
     free = [0] * (n + 1)
     torsion: list[list[int]] = [[] for _ in range(n + 1)]
     contributors = []
-    for x in box_points:
-        res = _graded_result(lattice, k, x, ring, class_cache)
-        on_shell = any(xi in (lo, hi) for xi, (lo, hi) in zip(x, box))
-        if on_shell and not res.is_trivial():
+    for x, i in zip(box_points(), box_ids):
+        res = results[i]
+        if res.is_trivial():
+            continue
+        if any(xi in (lo, hi) for xi, (lo, hi) in zip(x, box)):
             raise RuntimeError("margin too small: scan shell is not acyclic")
         for d in range(n + 1):
             fr = res.free_rank(d)
@@ -306,17 +302,8 @@ def global_cohomology(
                 free[d] += fr
                 torsion[d].extend(tor)
                 contributors.append((x, d))
-    rng = random.Random(f"distant:{k}:{poly.vertices}")
-    checked = 0
-    while checked < DISTANT_POINT_COUNT:
-        x = tuple(
-            rng.randint(-DISTANT_COORD_BOUND, DISTANT_COORD_BOUND) for _ in range(n)
-        )
-        if all(lo <= xi <= hi for xi, (lo, hi) in zip(x, box)):
-            continue
-        if not _graded_result(lattice, k, x, ring, class_cache).is_trivial():
-            raise RuntimeError("distant lattice point is not acyclic")
-        checked += 1
+    if not all(results[i].is_trivial() for i in distant_ids):
+        raise RuntimeError("distant lattice point is not acyclic")
     return GlobalCohomology(
         k,
         ring,

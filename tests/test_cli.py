@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from polytoric import sheaf as sh
 from polytoric.cli import canonical_json, main, parse_point
 
 SQ_JSON = '{"vertices": [[0,0],[1,0],[0,1],[1,1]]}'
@@ -60,6 +61,14 @@ def test_degenerate_polytope_exits_2(capsys, tmp_path):
     code, _, err = run_main(capsys, "faces", "--input", str(flat))
     assert code == 2
     assert "degenerate" in err
+
+
+def test_zero_dimensional_input_exits_2(capsys, tmp_path):
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"vertices": [[]]}')
+    code, out, err = run_main(capsys, "faces", "--input", str(empty))
+    assert code == 2 and out == ""
+    assert err == "error: points need at least one coordinate\n"
 
 
 def test_missing_vertex_for_star_exits_2(capsys, sq_file):
@@ -151,6 +160,18 @@ def test_cohomology_zp_ring(capsys, sq_file):
     )
     assert code == 0
     assert json.loads(out)["ring"] == "Z/3"
+
+
+def test_cohomology_over_work_budget_exits_2(capsys, tri_file, monkeypatch):
+    # a twist of 100000 asks for a box of about 10^10 points; it must be
+    # refused before a single point is enumerated
+    def no_enumeration(*args):
+        raise AssertionError("box enumerated despite the budget")
+
+    monkeypatch.setattr(sh, "_signature", no_enumeration)
+    code, out, err = run_main(capsys, "cohomology", "--input", tri_file, "--twist", "100000")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "10001000025 points" in err
 
 
 def test_cohomology_bad_ring(capsys, sq_file):

@@ -1,8 +1,11 @@
+from itertools import product
+
 import pytest
 
 from polytoric import boundary as bd
 from polytoric import homology as hm
-from polytoric.linalg import IntMatrix
+from polytoric import sheaf as sh
+from polytoric.linalg import IntMatrix, rank_over_field
 from conftest import face_id
 
 
@@ -161,3 +164,63 @@ def test_restriction_keeps_ambient_incidences(sq):
     col = sub.basis_labels[0].index(v00)
     row = sub.basis_labels[1].index(bottom)
     assert sub.maps[0].entries[row][col] == hm.incidence(sq, v00, bottom)
+
+
+# ---------------------------------------------------------------------------
+# the field route: an oracle independent of the Smith form
+
+FIELDS = ("Q", "Z/2", "Z/3", "Z/5")
+
+
+def _field_free_ranks(complex_, ring):
+    """Free ranks n - r_out - r_in with ranks from the field elimination."""
+    ranks = [0] + [rank_over_field(m, ring) for m in complex_.maps] + [0]
+    return tuple(
+        len(layer) - ranks[i] - ranks[i + 1] for i, layer in enumerate(complex_.basis_labels)
+    )
+
+
+def _oracle_complexes(lattices):
+    """Face complexes, twist class complexes of SQ and CUBE for k in -2..2,
+    boundary nerves (reduced and not) and the projective plane."""
+    out = {}
+    for name, lat in lattices.items():
+        out[f"{name} faces"] = hm.face_cochain_complex(lat)
+        nerve = bd.nerve(bd.boundary_complex(lat))
+        out[f"{name} nerve"] = hm.simplicial_chain_complex(nerve)
+        out[f"{name} reduced nerve"] = hm.simplicial_chain_complex(nerve, reduced=True)
+    for name in ("SQ", "CUBE"):
+        lat = lattices[name]
+        for k in range(-2, 3):
+            for x in product(*(range(lo, hi + 1) for lo, hi in sh.scan_box(lat.polytope, k, 2))):
+                piece = sh.graded_piece(lat, k, x)
+                out.setdefault(f"{name} class {sorted(piece.base.members)}", piece.complex)
+    rp2 = _projective_plane_nerve()
+    out["RP2"] = hm.simplicial_chain_complex(rp2, reduced=True)
+    return out
+
+
+def test_smith_readout_matches_field_elimination(lattices):
+    complexes = _oracle_complexes(lattices)
+    assert sum(" class " in name for name in complexes) >= 20
+    nontrivial = set()
+    for name, c in complexes.items():
+        for ring in FIELDS:
+            res = hm.cohomology(c, ring)
+            assert res.free == _field_free_ranks(c, ring), (name, ring)
+            assert not res.has_torsion(), (name, ring)
+            if any(res.free):
+                nontrivial.add(ring)
+    # Z/2 sees the projective plane's torsion, the other fields do not
+    assert hm.cohomology(complexes["RP2"], "Z/2").free != hm.cohomology(complexes["RP2"], "Q").free
+    assert nontrivial == set(FIELDS)
+
+
+def test_every_ring_reads_one_smith_form_per_map(cube, monkeypatch):
+    calls = []
+    original = hm.smith_normal_form
+    monkeypatch.setattr(hm, "smith_normal_form", lambda m: calls.append(m) or original(m))
+    c = hm.restrict_cochain_complex(hm.face_cochain_complex(cube), frozenset(cube.above(0)))
+    for ring in ("Z",) + FIELDS:
+        hm.cohomology(c, ring)
+    assert len(calls) == len(c.maps)

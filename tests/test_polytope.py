@@ -79,6 +79,13 @@ def test_degenerate_input_rejected():
         build_polytope([[0, 0], [1, Fraction(1, 2)], [0, 1]])
 
 
+def test_zero_dimensional_input_rejected():
+    with pytest.raises(ValueError, match="points need at least one coordinate"):
+        build_polytope([[]])
+    with pytest.raises(ValueError, match="points need at least one coordinate"):
+        build_polytope([[], []])
+
+
 def test_boolean_coordinates_rejected():
     # JSON true/false must not pass as the coordinates 1/0
     with pytest.raises(ValueError, match="non-integer coordinate"):

@@ -4,8 +4,9 @@ import pytest
 
 from polytoric import ehrhart as eh
 from polytoric import homology as hm
+from polytoric import build_polytope, face_lattice
 from polytoric import sheaf as sh
-from conftest import face_id
+from conftest import CORPUS_VERTICES, face_id
 
 
 def test_twist_membership_top_face_always(sq):
@@ -163,6 +164,35 @@ def test_global_cohomology_examples(sq, tri, seg):
 def test_global_cohomology_margin_validation(sq):
     with pytest.raises(ValueError):
         sh.global_cohomology(sq, 1, "Z", margin=0)
+
+
+def test_scan_box_over_budget_is_refused_before_enumeration(sq, monkeypatch):
+    # SQ at k = 1 with margin 2 scans the 6 x 6 box [-2, 3]^2
+    monkeypatch.setattr(sh, "MAX_SCAN_POINTS", 36)
+    assert sh.global_cohomology(sq, 1, "Z").free == (4, 0, 0)
+    monkeypatch.setattr(sh, "MAX_SCAN_POINTS", 35)
+
+    def no_enumeration(*args):
+        raise AssertionError("box enumerated despite the budget")
+
+    monkeypatch.setattr(sh, "_signature", no_enumeration)
+    with pytest.raises(ValueError, match="36 points"):
+        sh.global_cohomology(sq, 1, "Z")
+
+
+def test_class_complexes_are_shared_by_rings_and_twists(monkeypatch):
+    cube = face_lattice(build_polytope(CORPUS_VERTICES["CUBE"]))  # a cold cache
+    built = []
+    original = sh.restrict_cochain_complex
+    monkeypatch.setattr(sh, "restrict_cochain_complex", lambda *a: built.append(a) or original(*a))
+    sh.global_cohomology(cube, 1, "Z")
+    assert len(built) == len(cube._cache["sign_classes"]) > 1
+    built.clear()
+    for ring in ("Q", "Z/2", "Z/3"):
+        sh.global_cohomology(cube, 1, ring)
+    # k = 2 meets no facet-sign class that k = 1 did not
+    sh.global_cohomology(cube, 2, "Z")
+    assert built == []
 
 
 def test_global_matches_ehrhart_closed_form(lattices):
