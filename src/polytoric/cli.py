@@ -169,7 +169,10 @@ def cmd_ehrhart(args):
     ehr = eh.ehrhart_polynomial(poly)
     roots = ehr.integral_roots()
     index = eh.splitting_index(poly)
-    recip = eh.reciprocity_check(poly, kmax)
+    try:
+        recip = eh.reciprocity_check(poly, kmax)
+    except ValueError as err:
+        raise InputError(str(err)) from None
     lines = [
         "Ehrhart coefficients (low degree first): "
         + ", ".join(str(c) for c in ehr.coefficients),

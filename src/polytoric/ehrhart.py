@@ -1,9 +1,11 @@
 """Lattice-point counting, Ehrhart polynomials, reciprocity, splitting index.
 
-Counting is plain box enumeration with exact facet tests. The counting
-function accepts any integer dilation factor, including negative ones, which
-is what reciprocity is about: (-1)^n E(-k) equals the number of interior
-lattice points of -kP, with the dilate taken literally.
+Every lattice-point question goes through one line sweep, ``lattice_points``:
+the first n-1 coordinates run over a box and the last one over the exact
+integer interval the inequalities leave it. The counting function accepts
+any integer dilation factor, including negative ones, which is what
+reciprocity is about: (-1)^n E(-k) equals the number of interior lattice
+points of -kP, with the dilate taken literally.
 """
 
 from __future__ import annotations
@@ -11,39 +13,54 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 from .polytope import LatticePolytope
 
-
-def _dilate_box(poly: LatticePolytope, k: int) -> list[range]:
-    ranges = []
-    for lo, hi in poly.bounding_box():
-        a, b = sorted((k * lo, k * hi))
-        ranges.append(range(a, b + 1))
-    return ranges
+# most dilate box points reciprocity_check may face; a 3D box of edge 460
+MAX_RECIPROCITY_POINTS = 10**8
 
 
-def dilate_contains(poly: LatticePolytope, k: int, x, strict: bool = False) -> bool:
-    """Whether x lies in kP (strict: in the interior of kP), any integer k.
+def lattice_points(inequalities, box):
+    """Integer points x of the box with <x, a> + b >= 0 for every (a, b).
 
-    Scaling by a negative k reverses every facet inequality, so membership
-    in the literal dilate means all facet values <= 0 in that case.
+    ``box`` is one inclusive (lo, hi) pair per coordinate. Points come in the
+    lexicographic order of ``itertools.product``; with no inequalities the
+    whole box is enumerated.
+    """
+    *head, (lo, hi) = box
+    rows = [(a[:-1], a[-1], b) for a, b in inequalities]
+    for prefix in product(*(range(l, h + 1) for l, h in head)):
+        first, last = lo, hi
+        for a, c, b in rows:
+            # s + c*t >= 0 for the last coordinate t
+            s = sum(p * q for p, q in zip(prefix, a)) + b
+            if c > 0:
+                first = max(first, -(s // c))
+            elif c < 0:
+                last = min(last, s // -c)
+            elif s < 0:
+                last = first - 1
+        for t in range(first, last + 1):
+            yield prefix + (t,)
+
+
+def dilate_points(poly: LatticePolytope, k: int, strict: bool = False):
+    """Lattice points of the literal dilate kP (strict: its interior), any integer k.
+
+    Scaling by a negative k reverses every facet inequality. On integer
+    points a facet value v > 0 is v - 1 >= 0, so the interior is exact too.
     """
     sign = 1 if k >= 0 else -1
-    for f in poly.facets:
-        v = sign * (sum(c * nc for c, nc in zip(x, f.normal)) + k * f.offset)
-        if v < 0 or (strict and v == 0):
-            return False
-    return True
+    rows = [
+        (tuple(sign * c for c in f.normal), sign * k * f.offset - int(strict)) for f in poly.facets
+    ]
+    return lattice_points(rows, [sorted((k * lo, k * hi)) for lo, hi in poly.bounding_box()])
 
 
 def dilate_count(poly: LatticePolytope, k: int, strict: bool = False) -> int:
     """Lattice points of the literal dilate kP, boundary included or not."""
-    count = 0
-    for x in product(*_dilate_box(poly, k)):
-        if dilate_contains(poly, k, x, strict):
-            count += 1
-    return count
+    return sum(1 for _ in dilate_points(poly, k, strict))
 
 
 def count_points(poly: LatticePolytope, k: int, interior: bool = False) -> int:
@@ -114,9 +131,23 @@ def ehrhart_polynomial(poly: LatticePolytope) -> EhrhartPolynomial:
 
 
 def reciprocity_check(poly: LatticePolytope, kmax: int) -> bool:
-    """(-1)^n E(-j) equals the interior lattice-point count of -jP, j = 1..kmax."""
+    """(-1)^n E(-j) equals the interior lattice-point count of -jP, j = 1..kmax.
+
+    Refused before any counting when the boxes of those dilates hold more
+    than ``MAX_RECIPROCITY_POINTS`` points in total.
+    """
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
+    widths = [hi - lo for lo, hi in poly.bounding_box()]
+    total = 0
+    for j in range(1, kmax + 1):
+        # each box holds at least j points, so this ends within 15000 steps
+        total += prod(j * w + 1 for w in widths)
+        if total > MAX_RECIPROCITY_POINTS:
+            raise ValueError(
+                f"reciprocity up to {kmax} scans more than the "
+                f"{MAX_RECIPROCITY_POINTS} box points allowed"
+            )
     n = poly.dim
     ehr = ehrhart_polynomial(poly)
     sign = (-1) ** n

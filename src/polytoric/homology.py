@@ -249,12 +249,6 @@ def nerve_reduced_cohomology(nerve: NerveComplex, ring: str = "Z") -> Cohomology
     return cohomology(simplicial_chain_complex(nerve, reduced=True), ring)
 
 
-def reduced_betti_numbers(nerve: NerveComplex, ring: str = "Q") -> tuple[int, ...]:
-    """Reduced Betti numbers b~_0 .. b~_top of a nerve over a field."""
-    res = nerve_reduced_cohomology(nerve, ring)
-    return tuple(res.free_rank(d) for d in range(nerve.top_dim() + 1))
-
-
 def is_reduced_acyclic(nerve: NerveComplex) -> bool:
     """All reduced homology trivial over Z (free ranks and torsion)."""
     return nerve_reduced_cohomology(nerve, "Z").is_trivial()

@@ -33,20 +33,12 @@ def dot(u: Sequence, v: Sequence):
     return sum(a * b for a, b in zip(u, v))
 
 
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
 def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
 def vec_neg(u):
     return tuple(-a for a in u)
-
-
-def vec_scale(c, u):
-    return tuple(c * a for a in u)
 
 
 def primitive_vector(v: Sequence[int]) -> tuple[int, ...]:
@@ -100,13 +92,6 @@ class IntMatrix:
     @staticmethod
     def identity(n: int) -> "IntMatrix":
         return IntMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.ncols,
-            self.nrows,
-            tuple(tuple(self.entries[i][j] for i in range(self.nrows)) for j in range(self.ncols)),
-        )
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:

@@ -195,12 +195,6 @@ class FaceLattice:
             frozenset(g.id for g in self.faces if g.vertex_set <= f.vertex_set)
             for f in self.faces
         )
-        self.hasse = tuple(
-            (f.id, g.id)
-            for f in self.faces
-            for g in self.faces
-            if f.dim + 1 == g.dim and f.vertex_set < g.vertex_set
-        )
         self._cache: dict = {}
 
     # -- basic queries ------------------------------------------------------

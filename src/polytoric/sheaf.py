@@ -6,26 +6,26 @@ cone translated by the dilated face) select a subcomplex of the face cochain
 complex. Its cohomology is the x-graded piece of H^*(X; F(k)); summing over a
 certified box of lattice points gives the global answer. The subcomplex
 depends only on the signs of the facet functionals at x, so one restricted
-complex is kept per facet-sign class, for every twist and ring. Its
-cohomology over Z, Q and Z/p is read from its one set of Smith forms
-(``homology.cohomology``).
+complex is kept per facet-sign class, for every twist, ring and graded
+piece. Its cohomology over Z, Q and Z/p is read from its one set of Smith
+forms (``homology.cohomology``). Box scans and the closed-form contributors
+use the lattice-point sweep of ``ehrhart``.
 
 Membership is decided two ways: by facet inequalities (fast formula) and by
 an oracle on the barrier-cone generators, so the formula is testable against
 the oracle. The oracle's dual-cone rays come from the same double-description
-kernel as the facets; its Fourier-Motzkin route (``use_rays=False``) shares
-no code with either.
+kernel as the facets; the tests check both against Fourier-Motzkin
+feasibility (``lp.cone_contains``), which shares no code with either.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
 from math import prod
 
 from .classify import classify_front_back, classify_lower_upper, classify_visibility
-from .ehrhart import dilate_contains
+from .ehrhart import dilate_points, lattice_points
 from .homology import (
     CohomologyResult,
     IntegerChainComplex,
@@ -34,7 +34,7 @@ from .homology import (
     restrict_cochain_complex,
 )
 from .linalg import dot, vec_neg, vec_sub
-from .lp import cone_contains, dual_cone_rays
+from .lp import dual_cone_rays
 from .parallel import parallel_map
 from .polytope import FaceLattice, face_lattice, negate_polytope
 
@@ -106,26 +106,21 @@ def _barrier_cone_rays(lattice: FaceLattice, fid: int):
         fverts = lattice.vertex_coords(fid)
         gens = {vec_sub(p, f) for p in poly.vertices for f in fverts}
         gens.discard(tuple(0 for _ in range(poly.dim)))
-        rays[fid] = (tuple(sorted(gens)), dual_cone_rays(gens, poly.dim))
+        rays[fid] = dual_cone_rays(gens, poly.dim)
     return rays[fid]
 
 
-def membership_oracle(lattice: FaceLattice, k: int, fid: int, x, use_rays: bool = True) -> bool:
+def membership_oracle(lattice: FaceLattice, k: int, fid: int, x) -> bool:
     """Whether x lies in C_F + kF, via the generator description of C_F.
 
     C_F is the cone spanned by all vertex differences P - F, and kF + C_F
     equals k*v + C_F for any vertex v of F (F - F lies in C_F). Membership of
-    x - k*v in the cone is decided by Farkas duality: either through the
-    cached extreme rays of the dual cone, or through a fresh Fourier-Motzkin
-    feasibility run.
+    x - k*v in the cone is decided by Farkas duality, through the cached
+    extreme rays of the dual cone.
     """
-    poly = lattice.polytope
     v0 = lattice.lex_min_vertex(fid)
     y = tuple(xi - k * vi for xi, vi in zip(x, v0))
-    gens, rays = _barrier_cone_rays(lattice, fid)
-    if use_rays:
-        return all(dot(y, r) >= 0 for r in rays)
-    return cone_contains(gens, y)
+    return all(dot(y, r) >= 0 for r in _barrier_cone_rays(lattice, fid))
 
 
 def twist_face_set(lattice: FaceLattice, k: int, x) -> TwistFaceSet:
@@ -144,10 +139,14 @@ def _check_upward_closed(lattice: FaceLattice, ts: TwistFaceSet) -> None:
 
 
 def graded_piece(lattice: FaceLattice, k: int, x) -> GradedPiece:
-    """Subcomplex of the face cochain complex spanned by the faces seeing x."""
+    """Subcomplex of the face cochain complex spanned by the faces seeing x.
+
+    The complex is the one cached for the facet-sign class of x, shared with
+    ``global_cohomology``.
+    """
     base = twist_face_set(lattice, k, x)
-    ambient = face_cochain_complex(lattice)
-    return GradedPiece(base, restrict_cochain_complex(ambient, base.members))
+    (complex_,) = _class_complexes(lattice, [_signature(lattice.polytope, k, x)])
+    return GradedPiece(base, complex_)
 
 
 def graded_cohomology(lattice: FaceLattice, k: int, x, ring: str = "Z") -> CohomologyResult:
@@ -230,14 +229,14 @@ def _face_set_from_signature(lattice: FaceLattice, sig) -> frozenset[int]:
     )
 
 
-def _class_results(lattice: FaceLattice, sigs, ring: str) -> list[CohomologyResult]:
-    """Cohomology of each facet-sign class over the ring.
+def _class_complexes(lattice: FaceLattice, sigs) -> list[IntegerChainComplex]:
+    """Restricted complex of each facet-sign class, built once per lattice.
 
-    The restricted complex of a class depends only on its signature, so it is
-    cached once per lattice, for every twist and ring, and carries its own
-    Smith forms. Missing classes are built on the thread pool; workers touch
-    disjoint signatures and the merge is ordered, so reports are identical
-    for every degree of parallelism.
+    Signature entry i says whether facet i's face is a member; the complex
+    depends on nothing else, so it is shared by every twist, ring and graded
+    piece, and carries its own Smith forms. Missing classes are built on the
+    thread pool; workers touch disjoint signatures and the merge is ordered,
+    so reports are identical for every degree of parallelism.
     """
     cache = lattice._cache.setdefault("sign_classes", {})
     ambient = face_cochain_complex(lattice)
@@ -247,7 +246,7 @@ def _class_results(lattice: FaceLattice, sigs, ring: str) -> list[CohomologyResu
         return restrict_cochain_complex(ambient, _face_set_from_signature(lattice, sig))
 
     cache.update(zip(todo, parallel_map(build, todo)))
-    return [cohomology(cache[sig], ring) for sig in sigs]
+    return [cache[sig] for sig in sigs]
 
 
 def global_cohomology(
@@ -277,19 +276,18 @@ def global_cohomology(
         if not all(lo <= xi <= hi for xi, (lo, hi) in zip(x, box)):
             distant.append(x)
 
-    def box_points():
-        return product(*(range(lo, hi + 1) for lo, hi in box))
-
     # one signature per point, stored as the index of its class
     classes: dict[tuple[bool, ...], int] = {}
-    box_ids = [classes.setdefault(_signature(poly, k, x), len(classes)) for x in box_points()]
+    box_ids = [
+        classes.setdefault(_signature(poly, k, x), len(classes)) for x in lattice_points((), box)
+    ]
     distant_ids = [classes.setdefault(_signature(poly, k, x), len(classes)) for x in distant]
-    results = _class_results(lattice, list(classes), ring)
+    results = [cohomology(c, ring) for c in _class_complexes(lattice, list(classes))]
 
     free = [0] * (n + 1)
     torsion: list[list[int]] = [[] for _ in range(n + 1)]
     contributors = []
-    for x, i in zip(box_points(), box_ids):
+    for x, i in zip(lattice_points((), box), box_ids):
         res = results[i]
         if res.is_trivial():
             continue
@@ -318,14 +316,5 @@ def global_cohomology(
 def expected_contributors(lattice: FaceLattice, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Contributors the closed form predicts: kP points in degree 0 for k >= 0,
     interior points of kP in degree n for k < 0."""
-    poly = lattice.polytope
-    n = poly.dim
-    box = scan_box(poly, k, 1)
-    out = []
-    for x in product(*(range(lo, hi + 1) for lo, hi in box)):
-        if k >= 0:
-            if dilate_contains(poly, k, x):
-                out.append((x, 0))
-        elif dilate_contains(poly, k, x, strict=True):
-            out.append((x, n))
-    return tuple(sorted(out))
+    degree = 0 if k >= 0 else lattice.polytope.dim
+    return tuple(sorted((x, degree) for x in dilate_points(lattice.polytope, k, k < 0)))

@@ -7,7 +7,6 @@ deterministic for a fixed seed and independent of the degree of parallelism.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from . import boundary as bd
 from . import classify as cl
@@ -40,23 +39,18 @@ def combinatorics_suite(lattice: FaceLattice) -> list[CheckResult]:
     poly = lattice.polytope
     n = poly.dim
 
-    # facet irredundancy on a box around the polytope
-    box = [
-        range(-3, max(hi for _, hi in poly.bounding_box()) + 4)
-        for _ in range(n)
-    ]
-    irredundant = True
-    full = {
-        x for x in product(*box) if all(f.value(x) >= 0 for f in poly.facets)
-    }
-    for skip in range(len(poly.facets)):
-        relaxed = {
-            x
-            for x in product(*box)
-            if all(f.value(x) >= 0 for i, f in enumerate(poly.facets) if i != skip)
-        }
-        if relaxed == full:
-            irredundant = False
+    # facet irredundancy on a box around the polytope: leaving any one facet
+    # out must admit more of the box's points
+    box = [(-3, max(hi for _, hi in poly.bounding_box()) + 3)] * n
+    rows = [(f.normal, f.offset) for f in poly.facets]
+
+    def count(rows):
+        return sum(1 for _ in eh.lattice_points(rows, box))
+
+    full = count(rows)
+    irredundant = all(
+        count(rows[:skip] + rows[skip + 1 :]) > full for skip in range(len(rows))
+    )
     _check(out, "facet irredundancy", irredundant)
 
     euler = sum((-1) ** lattice.face(f).dim for f in lattice.proper_ids())
@@ -235,9 +229,8 @@ def cohomology_suite(lattice: FaceLattice, seed: int = 0) -> list[CheckResult]:
     ehr = eh.ehrhart_polynomial(poly)
 
     grid_ok = True
-    box = [range(-3, 5) for _ in range(n)]
     for k in range(-2, 3):
-        for x in product(*box):
+        for x in eh.lattice_points((), [(-3, 4)] * n):
             for f in lattice.faces:
                 if sh.twist_membership(lattice, k, f.id, x) != sh.membership_oracle(
                     lattice, k, f.id, x
@@ -271,8 +264,7 @@ def cohomology_suite(lattice: FaceLattice, seed: int = 0) -> list[CheckResult]:
     cross_ok = True
     neg_poly = sh.negate_polytope(poly)
     for k in (1, 0, -1):
-        box_k = sh.scan_box(poly, k, 2)
-        for x in product(*(range(lo, hi + 1) for lo, hi in box_k)):
+        for x in eh.lattice_points((), sh.scan_box(poly, k, 2)):
             if k == 1 and poly.contains(x):
                 continue
             if k == 0 and all(c == 0 for c in x):
@@ -286,7 +278,7 @@ def cohomology_suite(lattice: FaceLattice, seed: int = 0) -> list[CheckResult]:
     dedup_ok = True
     monotone_ok = True
     seen: dict[tuple, frozenset] = {}
-    for x in product(*(range(lo, hi + 1) for lo, hi in sh.scan_box(poly, 1, 2))):
+    for x in eh.lattice_points((), sh.scan_box(poly, 1, 2)):
         ts = sh.twist_face_set(lattice, 1, x)
         sig = tuple(
             0 if v == 0 else (1 if v > 0 else -1)

@@ -134,6 +134,13 @@ def test_ehrhart_nonpositive_kmax_exits_2(capsys, tri_file, kmax):
     assert err.count("\n") == 1 and "--kmax" in err
 
 
+def test_ehrhart_over_work_budget_exits_2(capsys, tri_file):
+    # the reciprocity table up to 100000 would count about 10^14 points
+    code, out, err = run_main(capsys, "ehrhart", "--input", tri_file, "--kmax", "100000")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "100000000 box points" in err
+
+
 def test_cohomology_command(capsys, sq_file):
     code, out, _ = run_main(
         capsys,

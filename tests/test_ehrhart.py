@@ -1,9 +1,95 @@
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from polytoric import build_polytope
 from polytoric import ehrhart as eh
+
+
+# ---------------------------------------------------------------------------
+# box-scan oracle for the line sweep
+
+
+def dilate_contains(poly, k, x, strict=False):
+    """Whether x lies in kP (strict: in the interior of kP), any integer k.
+
+    Scaling by a negative k reverses every facet inequality, so membership
+    in the literal dilate means all facet values <= 0 in that case.
+    """
+    sign = 1 if k >= 0 else -1
+    for f in poly.facets:
+        v = sign * (sum(c * nc for c, nc in zip(x, f.normal)) + k * f.offset)
+        if v < 0 or (strict and v == 0):
+            return False
+    return True
+
+
+def box_scan(box):
+    return product(*(range(lo, hi + 1) for lo, hi in box))
+
+
+def box_filter(rows, box):
+    """Every point of the box, kept when <x, a> + b >= 0 for all rows."""
+    return [
+        x for x in box_scan(box) if all(sum(p * q for p, q in zip(x, a)) + b >= 0 for a, b in rows)
+    ]
+
+
+def test_lattice_points_match_box_filter():
+    rng = random.Random(20)
+    drawn = set()
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        span = (6, 4, 2, 1)[n - 1]
+        try:
+            poly = build_polytope(
+                [[rng.randint(0, span) for _ in range(n)] for _ in range(n + 1 + rng.randint(0, 3))]
+            )
+        except ValueError:
+            continue
+        k = rng.randint(-4, 4)
+        strict = rng.random() < 0.5
+        box = [tuple(sorted((k * lo, k * hi))) for lo, hi in poly.bounding_box()]
+        expected = [x for x in box_scan(box) if dilate_contains(poly, k, x, strict)]
+        assert list(eh.dilate_points(poly, k, strict)) == expected, (poly.vertices, k, strict)
+
+        sign = 1 if k >= 0 else -1
+        rows = [
+            (tuple(sign * c for c in f.normal), sign * k * f.offset - strict) for f in poly.facets
+        ]
+        case = rng.choice(("dilate", "facet left out", "zero last coefficient", "one-point box"))
+        if case == "facet left out":
+            # the set is unbounded; only the (wider) box bounds it
+            rows.pop(rng.randrange(len(rows)))
+            box = [(lo - 2, hi + 2) for lo, hi in box]
+        elif case == "zero last coefficient":
+            head = tuple(rng.randint(-2, 2) for _ in range(n - 1))
+            rows.append((head + (0,), rng.randint(-3, 3)))
+        elif case == "one-point box":
+            box = [(c, c) for c in (rng.randint(lo - 1, hi + 1) for lo, hi in box)]
+        got = list(eh.lattice_points(rows, box))
+        assert got == box_filter(rows, box), (rows, box)
+        drawn |= {("dim", n), ("k", (k > 0) - (k < 0)), ("strict", strict), case}
+        drawn.add("empty" if not got else "non-empty")
+        drawn |= {"last > 0" if a[-1] > 0 else "last < 0" if a[-1] < 0 else "last = 0" for a, _ in rows}
+    assert list(eh.lattice_points((), [(0, 1), (-1, 0)])) == [(0, -1), (0, 0), (1, -1), (1, 0)]
+    assert drawn == {
+        *(("dim", n) for n in (1, 2, 3, 4)),
+        *(("k", s) for s in (-1, 0, 1)),
+        ("strict", True),
+        ("strict", False),
+        "dilate",
+        "facet left out",
+        "zero last coefficient",
+        "one-point box",
+        "empty",
+        "non-empty",
+        "last > 0",
+        "last < 0",
+        "last = 0",
+    }
 
 
 def test_count_points_examples(corpus):
@@ -20,7 +106,7 @@ def test_count_points_triangle_listing(corpus):
         (x, y)
         for x in range(0, 3)
         for y in range(0, 3)
-        if eh.dilate_contains(corpus["TRI"], 2, (x, y))
+        if dilate_contains(corpus["TRI"], 2, (x, y))
     }
     assert found == pts
 
@@ -59,7 +145,7 @@ def test_reciprocity_values(corpus):
     assert [ehr.value_at_integer(-j) for j in (1, 2, 3)] == [0, 0, 1]
     assert eh.dilate_count(tri, -3, strict=True) == 1
     # the interior point of -3*TRI is (-1,-1)
-    assert eh.dilate_contains(tri, -3, (-1, -1), strict=True)
+    assert dilate_contains(tri, -3, (-1, -1), strict=True)
     assert eh.reciprocity_check(tri, 3)
 
     seg = corpus["SEG"]
@@ -68,13 +154,29 @@ def test_reciprocity_values(corpus):
 
     sq2 = corpus["SQ2"]
     assert eh.ehrhart_polynomial(sq2).value_at_integer(-1) == 1
-    assert eh.dilate_contains(sq2, -1, (-1, -1), strict=True)
+    assert dilate_contains(sq2, -1, (-1, -1), strict=True)
     assert eh.reciprocity_check(sq2, 1)
 
 
 def test_reciprocity_on_whole_corpus(corpus):
     for poly in corpus.values():
         assert eh.reciprocity_check(poly, poly.dim + 2)
+
+
+def test_reciprocity_over_budget_is_refused_before_counting(corpus, monkeypatch):
+    # the boxes of -1*TRI .. -3*TRI hold 4 + 9 + 16 points
+    tri = corpus["TRI"]
+    monkeypatch.setattr(eh, "MAX_RECIPROCITY_POINTS", 29)
+    assert eh.reciprocity_check(tri, 3)
+    monkeypatch.setattr(eh, "MAX_RECIPROCITY_POINTS", 28)
+
+    def no_counting(*args):
+        raise AssertionError("dilate counted despite the budget")
+
+    monkeypatch.setattr(eh, "dilate_count", no_counting)
+    monkeypatch.setattr(eh, "ehrhart_polynomial", no_counting)
+    with pytest.raises(ValueError, match="28 box points"):
+        eh.reciprocity_check(tri, 3)
 
 
 def test_splitting_indices(corpus):

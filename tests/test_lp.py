@@ -5,7 +5,7 @@ from itertools import combinations, product
 import pytest
 
 from polytoric import sheaf as sh
-from polytoric.linalg import dot, kernel_line, primitive_vector, rank_rational, vec_neg
+from polytoric.linalg import dot, kernel_line, primitive_vector, rank_rational, vec_neg, vec_sub
 from polytoric.lp import cone_contains, dual_cone_rays, lp_feasible
 
 
@@ -164,5 +164,7 @@ def test_barrier_cone_rays_match_brute_force(lattices):
     # every face of the corpus: the top face (dual {0}), edges (lineality), vertices
     for lat in lattices.values():
         for f in lat.faces:
-            gens, rays = sh._barrier_cone_rays(lat, f.id)
-            assert rays == _brute_force_dual_rays(gens, lat.polytope.dim)
+            # C_F is spanned by the vertex differences P - F
+            verts = lat.polytope.vertices
+            gens = [vec_sub(p, q) for p in verts for q in lat.vertex_coords(f.id)]
+            assert sh._barrier_cone_rays(lat, f.id) == _brute_force_dual_rays(gens, lat.polytope.dim)

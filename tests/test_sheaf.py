@@ -6,7 +6,20 @@ from polytoric import ehrhart as eh
 from polytoric import homology as hm
 from polytoric import build_polytope, face_lattice
 from polytoric import sheaf as sh
+from polytoric.linalg import vec_sub
+from polytoric.lp import cone_contains
 from conftest import CORPUS_VERTICES, face_id
+from test_ehrhart import dilate_contains
+
+
+def fm_membership(lattice, k, fid, x):
+    """x in C_F + kF by Fourier-Motzkin feasibility on the generators P - F
+    of C_F, translated by k times the lex-min vertex of F."""
+    poly = lattice.polytope
+    gens = {vec_sub(p, f) for p in poly.vertices for f in lattice.vertex_coords(fid)}
+    gens.discard(tuple(0 for _ in range(poly.dim)))
+    v0 = lattice.lex_min_vertex(fid)
+    return cone_contains(tuple(sorted(gens)), tuple(xi - k * vi for xi, vi in zip(x, v0)))
 
 
 def test_twist_membership_top_face_always(sq):
@@ -27,8 +40,8 @@ def test_membership_oracle_segment(seg):
     v0 = face_id(seg, (0,))
     assert sh.membership_oracle(seg, 0, v0, (3,))
     assert not sh.membership_oracle(seg, 0, v0, (-1,))
-    assert sh.membership_oracle(seg, 0, v0, (3,), use_rays=False)
-    assert not sh.membership_oracle(seg, 0, v0, (-1,), use_rays=False)
+    assert fm_membership(seg, 0, v0, (3,))
+    assert not fm_membership(seg, 0, v0, (-1,))
 
 
 @pytest.mark.parametrize("name", ["SEG", "TRI", "SQ", "CUBE"])
@@ -51,8 +64,8 @@ def test_formula_equals_fm_route_on_declared_grid(lattices, name):
     for k in range(-2, 3):
         for x in product(range(-3, 5), repeat=lat.polytope.dim):
             for f in lat.faces:
-                assert sh.twist_membership(lat, k, f.id, x) == sh.membership_oracle(
-                    lat, k, f.id, x, use_rays=False
+                assert sh.twist_membership(lat, k, f.id, x) == fm_membership(
+                    lat, k, f.id, x
                 ), (name, k, x, f.id)
 
 
@@ -60,9 +73,7 @@ def test_oracle_fm_route_agrees_on_small_sample(tri):
     for k in (-1, 0, 1):
         for x in product(range(-2, 3), repeat=2):
             for f in tri.faces:
-                assert sh.membership_oracle(tri, k, f.id, x) == sh.membership_oracle(
-                    tri, k, f.id, x, use_rays=False
-                )
+                assert sh.membership_oracle(tri, k, f.id, x) == fm_membership(tri, k, f.id, x)
 
 
 def test_graded_piece_full_and_top_only(sq, seg):
@@ -195,6 +206,24 @@ def test_class_complexes_are_shared_by_rings_and_twists(monkeypatch):
     assert built == []
 
 
+def test_graded_pieces_reuse_the_scan_class_complexes(monkeypatch):
+    cube = face_lattice(build_polytope(CORPUS_VERTICES["CUBE"]))  # a cold cache
+    poly = cube.polytope
+    for k in (-1, 1):
+        sh.global_cohomology(cube, k, "Z")
+    cached = cube._cache["sign_classes"]
+    built = []
+    original = sh.restrict_cochain_complex
+    monkeypatch.setattr(sh, "restrict_cochain_complex", lambda *a: built.append(a) or original(*a))
+    for k in (-1, 1):
+        for x in product(*(range(lo, hi + 1) for lo, hi in sh.scan_box(poly, k, 2))):
+            piece = sh.graded_piece(cube, k, x)
+            assert piece.complex is cached[sh._signature(poly, k, x)], (k, x)
+            kept = {f for layer in piece.complex.basis_labels for f in layer}
+            assert kept == piece.base.members, (k, x)
+    assert built == []
+
+
 def test_global_matches_ehrhart_closed_form(lattices):
     for name, lat in lattices.items():
         poly = lat.polytope
@@ -219,10 +248,10 @@ def test_contributors_are_dilate_points(lattices):
             assert g.contributors == sh.expected_contributors(lat, k), (name, k)
             for x, d in g.contributors:
                 if k >= 0:
-                    assert d == 0 and eh.dilate_contains(lat.polytope, k, x)
+                    assert d == 0 and dilate_contains(lat.polytope, k, x)
                 else:
                     assert d == lat.polytope.dim
-                    assert eh.dilate_contains(lat.polytope, k, x, strict=True)
+                    assert dilate_contains(lat.polytope, k, x, strict=True)
 
 
 def test_sign_vector_dedup_soundness(sq):
