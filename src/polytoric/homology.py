@@ -87,13 +87,6 @@ class CohomologyResult:
     def is_trivial(self) -> bool:
         return not any(self.free) and not self.has_torsion()
 
-    def nonzero_degrees(self) -> tuple[int, ...]:
-        return tuple(
-            d
-            for d in range(self.start_degree, self.start_degree + len(self.free))
-            if self.free_rank(d) or self.torsion_at(d)
-        )
-
 
 def cohomology(complex_: IntegerChainComplex, ring: str = "Z") -> CohomologyResult:
     """Cohomology of the complex over Z, Q or Z/p, read off the Smith forms.

@@ -387,10 +387,12 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
             break
         piv = a[t][t]
         offender = None
-        for i in range(t + 1, nr):
-            if any(a[i][j] % piv for j in range(t + 1, nc)):
-                offender = i
-                break
+        # every entry is a multiple of a unit pivot: no scan needed
+        if abs(piv) != 1:
+            for i in range(t + 1, nr):
+                if any(a[i][j] % piv for j in range(t + 1, nc)):
+                    offender = i
+                    break
         if offender is not None:
             a[t] = [x + y for x, y in zip(a[t], a[offender])]
             continue

@@ -12,10 +12,13 @@ forms (``homology.cohomology``). Box scans and the closed-form contributors
 use the lattice-point sweep of ``ehrhart``.
 
 Membership is decided two ways: by facet inequalities (fast formula) and by
-an oracle on the barrier-cone generators, so the formula is testable against
-the oracle. The oracle's dual-cone rays come from the same double-description
-kernel as the facets; the tests check both against Fourier-Motzkin
-feasibility (``lp.cone_contains``), which shares no code with either.
+an oracle on the barrier-cone generators. ``membership_certificate`` proves
+the two equal for every x and k with one comparison per face: the dual rays
+of C_F must be the primitive normals of the facets through F, each tight at
+F's lex-min vertex. The oracle's dual-cone rays come from the same
+double-description kernel as the facets; the tests compare formula and
+oracle point by point and check both against Fourier-Motzkin feasibility
+(``lp.cone_contains``), which shares no code with either.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .homology import (
     face_cochain_complex,
     restrict_cochain_complex,
 )
-from .linalg import dot, vec_neg, vec_sub
+from .linalg import dot, primitive_vector, vec_neg, vec_sub
 from .lp import dual_cone_rays
 from .parallel import parallel_map
 from .polytope import FaceLattice, face_lattice, negate_polytope
@@ -77,12 +80,6 @@ class GlobalCohomology:
     def has_torsion(self) -> bool:
         return any(self.torsion)
 
-    def total_rank(self) -> int:
-        return sum(self.free)
-
-    def nonzero_degrees(self) -> tuple[int, ...]:
-        return tuple(d for d in range(len(self.free)) if self.free[d] or self.torsion[d])
-
 
 def twist_membership(lattice: FaceLattice, k: int, fid: int, x) -> bool:
     """Whether x lies in C_F + kF, via the facet inequalities through F.
@@ -121,6 +118,26 @@ def membership_oracle(lattice: FaceLattice, k: int, fid: int, x) -> bool:
     v0 = lattice.lex_min_vertex(fid)
     y = tuple(xi - k * vi for xi, vi in zip(x, v0))
     return all(dot(y, r) >= 0 for r in _barrier_cone_rays(lattice, fid))
+
+
+def membership_certificate(lattice: FaceLattice) -> bool:
+    """Whether ``twist_membership`` equals ``membership_oracle`` for all x and k.
+
+    Per face F: the dual rays of C_F are exactly the primitive normals of the
+    facets through F, one ray per facet, and each of those facets vanishes at
+    the lex-min vertex v0. Then <x - k*v0, r> >= 0 is <x, n_i> + k*c_i >= 0
+    scaled by 1/gcd(n_i), ray by ray. The top face has no facets and no rays.
+    """
+    facets = lattice.polytope.facets
+    for face in lattice.faces:
+        rays = _barrier_cone_rays(lattice, face.id)
+        normals = {primitive_vector(facets[i].normal) for i in face.facet_set}
+        if len(rays) != len(face.facet_set) or set(rays) != normals:
+            return False
+        v0 = lattice.lex_min_vertex(face.id)
+        if any(facets[i].value(v0) != 0 for i in face.facet_set):
+            return False
+    return True
 
 
 def twist_face_set(lattice: FaceLattice, k: int, x) -> TwistFaceSet:

@@ -1,11 +1,18 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from polytoric import boundary as bd
+from polytoric import build_polytope, face_lattice
 from polytoric import classify as cl
 from polytoric import homology as hm
-from conftest import face_id
+from polytoric.linalg import dot
+from polytoric.lp import lp_feasible
+from conftest import CORPUS_VERTICES, face_id
+
+LAMBDA_GRID = (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(8))
 
 
 def labels(lattice, subset):
@@ -190,3 +197,57 @@ def test_definitional_check_detects_misclassification(sq):
     c2 = cl.classify_visibility(sq, (-2, Fraction(1, 2)))
     assert right in c2.filter_side.members
     assert cl.definitional_check(sq, "visibility", (-2, Fraction(1, 2)), right)
+
+
+def fm_ray_meets(poly, p, d):
+    """Whether p + lam*d lies in P for some lam > 0, by Fourier-Motzkin."""
+    system = [((dot(d, f.normal),), -f.value(p), ">=") for f in poly.facets]
+    system.append(((1,), 0, ">"))
+    return lp_feasible(system, 1)
+
+
+def test_ray_parameter_interval_matches_grid_and_exact_oracles(lattices):
+    # rays from sampled points of each face (as definitional_check draws
+    # them) and from points just outside P, in seeded rational directions
+    rng = random.Random(17)
+    drawn = Counter()
+    for lat in lattices.values():
+        poly = lat.polytope
+        n = poly.dim
+        for fid in lat.proper_ids():
+            starts = cl._sample_points(lat, fid, 2, rng)
+            starts += [tuple(c + Fraction(rng.randint(-2, 2), 3) for c in p) for p in starts]
+            for p in starts:
+                for _ in range(4):
+                    d = tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(n))
+                    if not any(d):
+                        continue
+                    hit = cl._ray_parameter_interval(poly, p, d)
+                    assert hit == fm_ray_meets(poly, p, d), (p, d)
+                    if any(
+                        poly.contains(tuple(pi + lam * di for pi, di in zip(p, d)))
+                        for lam in LAMBDA_GRID
+                    ):
+                        assert hit, (p, d)
+                        drawn["grid witness"] += 1
+                    on_boundary = poly.contains(p) and not poly.contains(p, strict=True)
+                    if on_boundary:
+                        drawn["re-enters" if hit else "leaves at once"] += 1
+                    if any(dot(d, f.normal) == 0 for f in poly.facets):
+                        outside = any(f.value(p) < 0 for f in poly.facets if dot(d, f.normal) == 0)
+                        drawn["parallel, outside" if outside else "parallel"] += 1
+    assert set(drawn) == {
+        "grid witness", "re-enters", "leaves at once", "parallel", "parallel, outside"
+    }, drawn
+
+
+def test_definitional_check_classifies_once_per_viewpoint(monkeypatch):
+    lat = face_lattice(build_polytope(CORPUS_VERTICES["SQ"]))  # a cold cache
+    calls = []
+    original = cl.classify
+    monkeypatch.setattr(cl, "classify", lambda *a: calls.append(a[1:]) or original(*a))
+    for kind in cl.KINDS:
+        for x in cl.sample_viewpoints(lat.polytope, kind, count=2, seed=0):
+            for fid in lat.proper_ids():
+                assert cl.definitional_check(lat, kind, x, fid, samples=2)
+    assert len(calls) == len(set(calls)) == 6

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -6,7 +7,9 @@ from polytoric import ehrhart as eh
 from polytoric import homology as hm
 from polytoric import build_polytope, face_lattice
 from polytoric import sheaf as sh
-from polytoric.linalg import vec_sub
+from polytoric import verify as vf
+from polytoric.linalg import primitive_vector, vec_neg, vec_sub
+from polytoric.polytope import Facet, FaceLattice
 from polytoric.lp import cone_contains
 from conftest import CORPUS_VERTICES, face_id
 from test_ehrhart import dilate_contains
@@ -67,6 +70,70 @@ def test_formula_equals_fm_route_on_declared_grid(lattices, name):
                 assert sh.twist_membership(lat, k, f.id, x) == fm_membership(
                     lat, k, f.id, x
                 ), (name, k, x, f.id)
+
+
+def test_membership_certificate_holds_on_corpus(lattices):
+    for name, lat in lattices.items():
+        assert sh.membership_certificate(lat), name
+
+
+def corrupted(poly, i, facet):
+    """A lattice of poly whose polytope carries a wrong facet i; the faces,
+    their facet sets and the barrier cones stay those of poly."""
+    lat = FaceLattice(poly)
+    facets = list(poly.facets)
+    facets[i] = facet
+    lat.polytope = replace(poly, facets=tuple(facets))
+    return lat
+
+
+def grid_mismatch(lat):
+    n = lat.polytope.dim
+    return any(
+        sh.twist_membership(lat, k, f.id, x) != sh.membership_oracle(lat, k, f.id, x)
+        for k in range(-2, 3)
+        for x in product(range(-3, 5), repeat=n)
+        for f in lat.faces
+    )
+
+
+@pytest.mark.parametrize("name", ["TRI", "SQ", "CUBE", "TRI2"])
+def test_membership_certificate_rejects_a_shifted_offset(corpus, name):
+    poly = corpus[name]
+    for i, f in enumerate(poly.facets):
+        for shift in (1, -1):
+            lat = corrupted(poly, i, Facet(f.normal, f.offset + shift))
+            assert not sh.membership_certificate(lat), (name, i, shift)
+            assert grid_mismatch(lat), (name, i, shift)
+
+
+@pytest.mark.parametrize("name", ["TRI", "SQ", "CUBE", "TRI2"])
+def test_membership_certificate_rejects_a_perturbed_normal(corpus, name):
+    poly = corpus[name]
+    for i, f in enumerate(poly.facets):
+        # add 1 to the first coordinate that turns the normal's direction
+        for j in range(poly.dim):
+            normal = tuple(c + (j == t) for t, c in enumerate(f.normal))
+            if primitive_vector(normal) != f.normal:
+                break
+        # the outward normal of the same hyperplane is tight wherever the
+        # inward one is; only the ray comparison sees it
+        for facet in (Facet(normal, f.offset), Facet(vec_neg(f.normal), -f.offset)):
+            lat = corrupted(poly, i, facet)
+            assert not sh.membership_certificate(lat), (name, i, facet)
+            assert grid_mismatch(lat), (name, i, facet)
+
+
+def test_membership_certificate_rejects_a_wrong_ray_count(sq, monkeypatch):
+    # the primitive normals, but one of them listed twice for one face
+    original = sh._barrier_cone_rays
+    vertex = face_id(sq, (0, 0))
+    monkeypatch.setattr(
+        sh,
+        "_barrier_cone_rays",
+        lambda lat, fid: original(lat, fid) * (2 if fid == vertex else 1),
+    )
+    assert not sh.membership_certificate(sq)
 
 
 def test_oracle_fm_route_agrees_on_small_sample(tri):
@@ -157,6 +224,72 @@ def test_crosscheck_over_scan_boxes(lattices):
                 if k == -1 and neg.contains(x, strict=True):
                     continue
                 assert sh.classification_crosscheck(lat, k, x), (name, k, x)
+
+
+@pytest.mark.parametrize("name", ["SQ", "TRI", "CUBE"])
+def test_crosscheck_verdict_depends_only_on_the_signature(lattices, name, monkeypatch):
+    # verify checks one point per facet-sign class; the per-point verdicts
+    # must be constant on each class for that to equal the per-point check
+    lat = lattices[name]
+    poly = lat.polytope
+    neg = sh.negate_polytope(poly)
+    per_point = []
+    classes = {}
+    for k in (1, 0, -1):
+        by_class = classes[k] = {}
+        for x in product(*(range(lo, hi + 1) for lo, hi in sh.scan_box(poly, k, 2))):
+            if k == 1 and poly.contains(x):
+                continue
+            if k == 0 and all(c == 0 for c in x):
+                continue
+            if k == -1 and neg.contains(x, strict=True):
+                continue
+            verdict = sh.classification_crosscheck(lat, k, x)
+            per_point.append(verdict)
+            first = by_class.setdefault(sh._signature(poly, k, x), verdict)
+            assert verdict == first, (name, k, x)
+    calls = {k: [] for k in classes}
+    original = sh.classification_crosscheck
+
+    def record(lattice, k, x):
+        calls[k].append(sh._signature(poly, k, x))
+        return original(lattice, k, x)
+
+    monkeypatch.setattr(sh, "classification_crosscheck", record)
+    by_name = {r.name: r.passed for r in vf.cohomology_suite(lat)}
+    assert by_name["twist face sets match the classifications for k in {1,0,-1}"] == all(
+        per_point
+    )
+    # one call per realized class, and every class is called
+    for k, sigs in calls.items():
+        assert sorted(sigs) == sorted(classes[k]), (name, k)
+
+
+def test_per_class_crosscheck_detects_a_wrong_classification(monkeypatch):
+    # lower faces for +x in place of -x: wrong on every k = 0 class
+    lat = face_lattice(build_polytope(CORPUS_VERTICES["SQ"]))
+    original = sh.classify_lower_upper
+    monkeypatch.setattr(sh, "classify_lower_upper", lambda lat, x: original(lat, vec_neg(x)))
+    by_name = {r.name: r.passed for r in vf.cohomology_suite(lat)}
+    assert by_name["twist face sets match the classifications for k in {1,0,-1}"] is False
+
+
+def test_signature_dedup_check_detects_a_wrong_class_face_set(monkeypatch):
+    lat = face_lattice(build_polytope(CORPUS_VERTICES["SQ"]))  # a cold cache
+    name = "equal facet-sign vectors give equal twist face sets"
+    assert {r.name: r.passed for r in vf.cohomology_suite(lat)}[name] is True
+    # every class complex is cached now; a wrong signature-to-face-set map
+    # (the lowest face dropped) must be caught by the check alone
+    original = sh._face_set_from_signature
+
+    def wrong(lattice, sig):
+        members = original(lattice, sig)
+        return members - {min(members)}
+
+    monkeypatch.setattr(sh, "_face_set_from_signature", wrong)
+    by_name = {r.name: r.passed for r in vf.cohomology_suite(lat)}
+    assert by_name[name] is False
+    assert all(passed for check, passed in by_name.items() if check != name)
 
 
 def test_global_cohomology_examples(sq, tri, seg):
