@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 from .polytope import FaceLattice
 
-MODES = ("definitional", "combinatorial")
-
 
 @dataclass(frozen=True)
 class FaceSubset:
@@ -35,17 +33,8 @@ class FaceSubset:
     def __len__(self) -> int:
         return len(self.members)
 
-    def restrict(self, ids) -> "FaceSubset":
-        return FaceSubset(self.lattice, self.members & frozenset(ids))
-
-    def union(self, other: "FaceSubset") -> "FaceSubset":
-        return FaceSubset(self.lattice, self.members | other.members)
-
     def intersection(self, other: "FaceSubset") -> "FaceSubset":
         return FaceSubset(self.lattice, self.members & other.members)
-
-    def difference(self, other: "FaceSubset") -> "FaceSubset":
-        return FaceSubset(self.lattice, self.members - other.members)
 
     def complement(self) -> "FaceSubset":
         return FaceSubset(self.lattice, self.lattice.proper_ids() - self.members)

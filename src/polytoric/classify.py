@@ -3,11 +3,11 @@
 Three partitions of the proper faces: visible/invisible from an outside
 point, front/back with respect to a point off the interior, and lower/upper
 with respect to a nonzero direction. Each one is decided by exact facet sign
-tests; the ray-based definitions are kept as a cross-check oracle on sampled
-points of each face, each ray decided exactly. ``sheaf`` matches the twist
-face sets for k in {1, 0, -1} with these partitions, once per facet-sign
-class, and proves its membership formula by a per-face certificate rather
-than by sampling.
+tests; the ray-based definitions are kept as a cross-check oracle on the
+vertices and barycenter of each face, each ray decided exactly. ``sheaf``
+matches the twist face sets for k in {1, 0, -1} with these partitions, once
+per facet-sign class, and proves its membership formula by a per-face
+certificate rather than by sampling.
 """
 
 from __future__ import annotations
@@ -128,36 +128,24 @@ def _ray_parameter_interval(poly, p, d):
     return lo == hi and not lo_open and not hi_open
 
 
-def _sample_points(lattice, fid, samples, rng):
-    """Vertices, barycenter and random rational convex combinations of a face."""
-    coords = lattice.vertex_coords(fid)
-    pts = [tuple(Fraction(c) for c in v) for v in coords]
+def _sample_points(lattice, fid):
+    """The vertices and the barycenter of a face."""
+    pts = [tuple(Fraction(c) for c in v) for v in lattice.vertex_coords(fid)]
     pts.append(lattice.barycenter(fid))
-    n = lattice.polytope.dim
-    for _ in range(samples):
-        weights = [rng.randint(0, 6) for _ in coords]
-        if sum(weights) == 0:
-            weights = [1] * len(coords)
-        total = sum(weights)
-        pts.append(
-            tuple(
-                Fraction(sum(w * v[i] for w, v in zip(weights, coords)), total)
-                for i in range(n)
-            )
-        )
     return pts
 
 
-def definitional_check(
-    lattice: FaceLattice, kind: str, x, fid: int, samples: int = 4, seed: int = 0
-) -> bool:
+def definitional_check(lattice: FaceLattice, kind: str, x, fid: int) -> bool:
     """Consistency of the facet-sign classification with the ray definition.
 
-    Rays are sampled at the face's vertices, barycenter and random rational
-    convex combinations. Emptiness of each ray's rational parameter range is
-    decided exactly, so a face on the escaping side must never re-enter and a
-    face on the other side must exhibit a re-entry witness. The partition is
-    computed once per (kind, x) and kept on the lattice.
+    Rays start at the face's vertices and at its barycenter. A point in the
+    relative interior of a face G gets the same ray verdict as G (the facets
+    tight there are those of G), so points inside a face add nothing beyond
+    the verdicts of its subfaces, each of which is checked on its own.
+    Emptiness of each ray's rational parameter range is decided exactly: a
+    face on the escaping side must never re-enter, and a face on the other
+    side must exhibit a re-entry witness. The partition is computed once per
+    (kind, x) and kept on the lattice.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown classification kind {kind!r}")
@@ -168,10 +156,9 @@ def definitional_check(
     cls = cached[key]
     poly = lattice.polytope
     on_complex_side = fid in cls.complex_side
-    rng = random.Random(seed)
     xq = tuple(Fraction(c) for c in x)
     hits = []
-    for p in _sample_points(lattice, fid, samples, rng):
+    for p in _sample_points(lattice, fid):
         if kind == "visibility":
             d = vec_sub(xq, p)
         elif kind == "frontback":
@@ -180,7 +167,7 @@ def definitional_check(
             d = tuple(-c for c in xq)
         hits.append(_ray_parameter_interval(poly, p, d))
     if on_complex_side:
-        # visible / back / lower: every sampled ray must leave immediately
+        # visible / back / lower: every ray must leave immediately
         return not any(hits)
     return any(hits)
 

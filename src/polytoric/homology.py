@@ -4,7 +4,8 @@ Two sources of complexes: the face cochain complex of a polytope (one basis
 element per face, coboundaries given by incidence numbers) and simplicial
 complexes of nerves. Integer matrices are interpreted over the requested
 ring only when cohomology is computed, and one kernel answers every ring:
-the Smith normal form of each coboundary, computed once per complex. Ranks
+the Smith normal form of each coboundary, computed once per complex by a
+sparse Euclid that eliminates unit pivots first (``linalg``). Ranks
 over Q and Z/p follow from its elementary divisors by universal
 coefficients, and over Z the torsion is the incoming coboundary's divisors
 above 1. The field elimination ``linalg.rank_over_field`` is not used here;
@@ -118,8 +119,11 @@ def cohomology(complex_: IntegerChainComplex, ring: str = "Z") -> CohomologyResu
 def orient_faces(lattice: FaceLattice) -> dict[int, tuple[tuple[int, ...], ...]]:
     """A deterministic integer basis of each face's direction space.
 
-    The basis is the Hermite-style reduction of the difference vectors from
-    the face's lexicographically least vertex; vertices get the empty basis.
+    The basis is the nonzero echelon rows of ``_eliminate`` on the difference
+    vectors from the face's lexicographically least vertex; vertices get the
+    empty basis. Incidence numbers are determinant signs, so any other basis
+    changes the cochain complex by a +-1 diagonal change of basis and leaves
+    every Smith form unchanged.
     """
     cached = lattice._cache.get("orientations")
     if cached is not None:

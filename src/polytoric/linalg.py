@@ -4,14 +4,15 @@ Vectors are plain tuples of ints or :class:`fractions.Fraction`, matrices are
 immutable :class:`IntMatrix` values. All arithmetic is arbitrary precision;
 nothing in this package ever touches floating point.
 
-Ranks over Q and Z/p, determinant signs, solves and kernel lines all come
-from one fraction-free integer elimination (``_eliminate``, in the style of
-Bareiss 1968): rational input rows are scaled to integer rows once, and no
-``Fraction`` arithmetic runs inside the elimination. The Smith normal form
-is a separate algorithm, and it is the one cohomology kernel: ``homology``
-reads the answers over Z, Q and Z/p from its elementary divisors. The field
-rank of the elimination, ``rank_over_field``, answers no cohomology question;
-it stays public as an independent route to the field ranks, which the tests
+Ranks over Q and Z/p, determinant signs, solves, kernel lines and integer
+row bases all come from one fraction-free integer elimination
+(``_eliminate``, in the style of Bareiss 1968): rational input rows are
+scaled to integer rows once, and no ``Fraction`` arithmetic runs inside it.
+The one other reduction is the Smith normal form, a sparse Euclid on
+``{col: value}`` rows taking unit pivots first; it is the one cohomology
+kernel, and ``homology`` reads the answers over Z, Q and Z/p from its
+elementary divisors. ``rank_over_field`` answers no cohomology question; it
+stays public as an independent route to the field ranks, which the tests
 compare with the Smith form.
 """
 
@@ -85,14 +86,6 @@ class IntMatrix:
             raise ValueError("ncols is required for a matrix with no rows")
         return IntMatrix(len(rs), ncols, rs)
 
-    @staticmethod
-    def zero(nrows: int, ncols: int) -> "IntMatrix":
-        return IntMatrix(nrows, ncols, tuple(tuple(0 for _ in range(ncols)) for _ in range(nrows)))
-
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
@@ -154,10 +147,9 @@ def _eliminate(rows: Sequence[Sequence], ncols: int, p: int | None = None, reduc
     """Fraction-free row echelon form of a matrix over Q or Z/p.
 
     This is the one elimination behind every field rank, determinant sign,
-    solve and kernel in this module; the Smith normal form is separate. Each
-    step replaces row_i by pv*row_i - f*row_r for the rows with f != 0 in the
-    pivot column: the rows below the pivot, or all other rows when
-    ``reduced``. Over Q (``p`` is None) the int/Fraction input rows are first
+    solve, kernel and row basis in this module. Each step replaces row_i by
+    pv*row_i - f*row_r for the rows with f != 0 in the pivot column: the
+    rows below the pivot, or all other rows when ``reduced``. Over Q (``p`` is None) the int/Fraction input rows are first
     scaled by positive factors to integers, and each new row is divided by
     its content; over Z/p the integer entries are reduced mod p.
 
@@ -263,50 +255,12 @@ def kernel_line(rows: Sequence[Sequence], dim: int) -> tuple[int, ...] | None:
 
 
 def integer_row_basis(vectors: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """Deterministic integer basis of the row space (Hermite-style echelon rows).
-
-    Pivot entries are positive and entries above each pivot are reduced into
-    [0, pivot), so the result depends only on the row space and the input
-    dimension, not on the order of the generators.
-    """
+    """Integer basis of the row space over Q: the nonzero echelon rows of
+    ``_eliminate``."""
     if not vectors:
         return ()
-    dim = len(vectors[0])
-    pool = [list(v) for v in vectors if any(v)]
-    result: list[list[int]] = []
-    pivot_cols: list[int] = []
-    for c in range(dim):
-        active = [row for row in pool if row[c] != 0]
-        if not active:
-            continue
-        rest = [row for row in pool if row[c] == 0]
-        # Euclid on the c-entries until a single row survives
-        while len(active) > 1:
-            active.sort(key=lambda row: abs(row[c]))
-            base = active[0]
-            new_active = [base]
-            for row in active[1:]:
-                q = row[c] // base[c]
-                reduced = [x - q * y for x, y in zip(row, base)]
-                if reduced[c] != 0:
-                    new_active.append(reduced)
-                elif any(reduced):
-                    rest.append(reduced)
-            active = new_active
-        pivot = active[0]
-        if pivot[c] < 0:
-            pivot = [-x for x in pivot]
-        result.append(pivot)
-        pivot_cols.append(c)
-        pool = rest
-    # back-reduce entries above each pivot
-    for i in range(len(result)):
-        for j in range(i + 1, len(result)):
-            c = pivot_cols[j]
-            q = result[i][c] // result[j][c]
-            if q:
-                result[i] = [x - q * y for x, y in zip(result[i], result[j])]
-    return tuple(tuple(row) for row in result)
+    rows, pivots, _ = _eliminate(vectors, len(vectors[0]))
+    return tuple(tuple(row) for row in rows[: len(pivots)])
 
 
 # ---------------------------------------------------------------------------
@@ -327,75 +281,53 @@ class SmithForm:
         return tuple(d for d in self.elementary_divisors if d > 1)
 
 
-def _min_abs_nonzero(a: list[list[int]], t: int, nr: int, nc: int) -> tuple[int, int] | None:
-    best = None
-    best_val = None
-    for i in range(t, nr):
-        row = a[i]
-        for j in range(t, nc):
-            x = row[j]
-            if x != 0 and (best_val is None or abs(x) < best_val):
-                best = (i, j)
-                best_val = abs(x)
-                if best_val == 1:
-                    return best
-    return best
-
-
 def smith_normal_form(m: IntMatrix) -> SmithForm:
-    """Smith normal form by elementary row/column operations.
+    """Elementary divisors by sparse Euclid on ``{col: value}`` rows.
 
-    Pivots are chosen by minimal absolute value; the divisibility chain is
-    enforced by folding offending rows into the pivot row.
+    The pivot is the first entry of absolute value 1, else one of least
+    absolute value; row operations reduce its column to remainders. Once the
+    column is clear, column operations touch only the pivot row, so it is
+    reduced modulo the pivot and split off as a divisor if nothing else is
+    left; otherwise its remainders stay and the least absolute value drops.
+    A gcd/lcm exchange then puts the non-unit divisors in divisibility order
+    (Kaczynski-Mischaikow-Mrozek, *Computational Homology*, 2004).
     """
-    a = [list(row) for row in m.entries]
-    nr, nc = m.nrows, m.ncols
+    rows = [{j: x for j, x in enumerate(row) if x} for row in m.entries]
+    rows = [row for row in rows if row]
     divisors: list[int] = []
-    t = 0
-    while t < min(nr, nc):
-        pos = _min_abs_nonzero(a, t, nr, nc)
-        if pos is None:
-            break
-        pi, pj = pos
-        if pi != t:
-            a[t], a[pi] = a[pi], a[t]
-        if pj != t:
-            for row in a:
-                row[t], row[pj] = row[pj], row[t]
-        while True:
-            piv = a[t][t]
-            for i in range(t + 1, nr):
-                q = a[i][t] // piv
-                if q:
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-            left = [i for i in range(t + 1, nr) if a[i][t] != 0]
-            if left:
-                i = min(left, key=lambda i: abs(a[i][t]))
-                a[t], a[i] = a[i], a[t]
+    while rows:
+        top, c, pv = None, None, 0
+        for row in rows:
+            for j, x in row.items():
+                if not pv or abs(x) < abs(pv):
+                    top, c, pv = row, j, x
+            if abs(pv) == 1:
+                break
+        clear = True
+        for row in rows:
+            f = row.get(c)
+            if f is None or row is top:
                 continue
-            for j in range(t + 1, nc):
-                q = a[t][j] // piv
-                if q:
-                    for row in a:
-                        row[j] -= q * row[t]
-            left = [j for j in range(t + 1, nc) if a[t][j] != 0]
-            if left:
-                j = min(left, key=lambda j: abs(a[t][j]))
-                for row in a:
-                    row[t], row[j] = row[j], row[t]
-                continue
-            break
-        piv = a[t][t]
-        offender = None
-        # every entry is a multiple of a unit pivot: no scan needed
-        if abs(piv) != 1:
-            for i in range(t + 1, nr):
-                if any(a[i][j] % piv for j in range(t + 1, nc)):
-                    offender = i
-                    break
-        if offender is not None:
-            a[t] = [x + y for x, y in zip(a[t], a[offender])]
-            continue
-        divisors.append(abs(piv))
-        t += 1
-    return SmithForm(tuple(divisors))
+            q = f // pv
+            for j, y in top.items():
+                v = row.get(j, 0) - q * y
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+            clear = clear and c not in row
+        if clear:
+            for j in [j for j in top if j != c]:
+                top[j] %= pv
+                if not top[j]:
+                    del top[j]
+            if len(top) == 1:
+                divisors.append(abs(pv))
+                top.clear()
+        rows = [row for row in rows if row]
+    units = divisors.count(1)
+    rest = [d for d in divisors if d != 1]
+    for i in range(len(rest)):
+        for j in range(i + 1, len(rest)):
+            rest[i], rest[j] = gcd(rest[i], rest[j]), lcm(rest[i], rest[j])
+    return SmithForm((1,) * units + tuple(rest))

@@ -4,10 +4,11 @@ cohomology on the toric variety of a polytope.
 For a twist k and a lattice point x, the faces F with x in C_F + kF (barrier
 cone translated by the dilated face) select a subcomplex of the face cochain
 complex. Its cohomology is the x-graded piece of H^*(X; F(k)); summing over a
-certified box of lattice points gives the global answer. The subcomplex
-depends only on the signs of the facet functionals at x, so one restricted
-complex is kept per facet-sign class, for every twist, ring and graded
-piece. Its cohomology over Z, Q and Z/p is read from its one set of Smith
+box of lattice points, whose outer shell is checked acyclic, gives the
+global answer (``global_cohomology`` says what is checked and what is
+sampled). The subcomplex depends only on the signs of the facet functionals
+at x, so one restricted complex is kept per facet-sign class, for every
+twist, ring and graded piece. Its cohomology over Z, Q and Z/p is read from its one set of Smith
 forms (``homology.cohomology``). Box scans and the closed-form contributors
 use the lattice-point sweep of ``ehrhart``.
 
@@ -64,7 +65,11 @@ class GradedPiece:
 
 @dataclass(frozen=True)
 class GlobalCohomology:
-    """Sum of the graded pieces over a margin-certified scan box."""
+    """Sum of the graded pieces over a scan box.
+
+    ``shell_certified`` records that every point on the box's outer shell was
+    checked acyclic; see ``global_cohomology``.
+    """
 
     k: int
     ring: str
@@ -266,40 +271,57 @@ def _class_complexes(lattice: FaceLattice, sigs) -> list[IntegerChainComplex]:
     return [cache[sig] for sig in sigs]
 
 
-def global_cohomology(
-    lattice: FaceLattice, k: int, ring: str = "Z", margin: int = 2
-) -> GlobalCohomology:
-    """Degreewise sum of the graded cohomology over all lattice points.
-
-    The scan covers the inflated bounding box of kP; every point on the
-    outermost shell, and a fixed set of pseudo-random distant points, must be
-    acyclic, which certifies that no contributor was missed. A box of more
-    than ``MAX_SCAN_POINTS`` points is refused before it is enumerated.
-    """
-    if margin < 1:
-        raise ValueError("margin must be at least 1")
+def _scan(lattice: FaceLattice, k: int, box):
+    """Ring-free part of ``global_cohomology``, kept on the lattice per twist
+    and box (so per (k, margin)): the signature of each class, and the class
+    id of every box point and of every distant point."""
+    cache = lattice._cache.setdefault("scans", {})
+    if (k, box) in cache:
+        return cache[k, box]
     poly = lattice.polytope
-    n = poly.dim
-    box = scan_box(poly, k, margin)
-    size = prod(hi - lo + 1 for lo, hi in box)
-    if size > MAX_SCAN_POINTS:
-        raise ValueError(f"scan box has {size} points, more than the {MAX_SCAN_POINTS} allowed")
     rng = random.Random(f"distant:{k}:{poly.vertices}")
     distant = []
     while len(distant) < DISTANT_POINT_COUNT:
         x = tuple(
-            rng.randint(-DISTANT_COORD_BOUND, DISTANT_COORD_BOUND) for _ in range(n)
+            rng.randint(-DISTANT_COORD_BOUND, DISTANT_COORD_BOUND) for _ in range(poly.dim)
         )
         if not all(lo <= xi <= hi for xi, (lo, hi) in zip(x, box)):
             distant.append(x)
-
     # one signature per point, stored as the index of its class
     classes: dict[tuple[bool, ...], int] = {}
     box_ids = [
         classes.setdefault(_signature(poly, k, x), len(classes)) for x in lattice_points((), box)
     ]
     distant_ids = [classes.setdefault(_signature(poly, k, x), len(classes)) for x in distant]
-    results = [cohomology(c, ring) for c in _class_complexes(lattice, list(classes))]
+    cache[k, box] = (list(classes), box_ids, distant_ids)
+    return cache[k, box]
+
+
+def global_cohomology(
+    lattice: FaceLattice, k: int, ring: str = "Z", margin: int = 2
+) -> GlobalCohomology:
+    """Degreewise sum of the graded cohomology over all lattice points.
+
+    The scan covers the bounding box of kP inflated by ``margin``, and every
+    point in it is computed exactly. Checked: every point on the box's
+    outermost shell is acyclic, else ``RuntimeError`` (margin too small).
+    ``shell_certified`` (``shellCertified`` in reports) means this check
+    passed; it is not a proof that nothing outside the box contributes.
+    Sampled: a fixed set of ``DISTANT_POINT_COUNT`` pseudo-random points
+    outside the box must be acyclic too, a spot check and not a proof. A box
+    of more than ``MAX_SCAN_POINTS`` points is refused before it is
+    enumerated. The class of each point is computed once per (k, margin)
+    and shared by every ring.
+    """
+    if margin < 1:
+        raise ValueError("margin must be at least 1")
+    n = lattice.polytope.dim
+    box = scan_box(lattice.polytope, k, margin)
+    size = prod(hi - lo + 1 for lo, hi in box)
+    if size > MAX_SCAN_POINTS:
+        raise ValueError(f"scan box has {size} points, more than the {MAX_SCAN_POINTS} allowed")
+    sigs, box_ids, distant_ids = _scan(lattice, k, box)
+    results = [cohomology(c, ring) for c in _class_complexes(lattice, sigs)]
 
     free = [0] * (n + 1)
     torsion: list[list[int]] = [[] for _ in range(n + 1)]

@@ -203,7 +203,7 @@ def classify_suite(lattice: FaceLattice, seed: int = 0, viewpoints: int = 4) -> 
                     bd.nerve(c.boundary), n - 2
                 )
             for fid in lattice.proper_ids():
-                if not cl.definitional_check(lattice, kind, x, fid, samples=2, seed=seed):
+                if not cl.definitional_check(lattice, kind, x, fid):
                     rays_ok = False
         _check(out, f"{kind}: partition structure", bool(halves_ok))
         _check(out, f"{kind}: ball/sphere homology of nerves", bool(homology_ok))

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -182,7 +183,7 @@ def test_definitional_check_everywhere(lattices):
         for kind in cl.KINDS:
             for x in cl.sample_viewpoints(lat.polytope, kind, count=3, seed=4):
                 for fid in lat.proper_ids():
-                    assert cl.definitional_check(lat, kind, x, fid, samples=3, seed=4)
+                    assert cl.definitional_check(lat, kind, x, fid)
 
 
 def test_definitional_check_detects_misclassification(sq):
@@ -199,6 +200,28 @@ def test_definitional_check_detects_misclassification(sq):
     assert cl.definitional_check(sq, "visibility", (-2, Fraction(1, 2)), right)
 
 
+def test_definitional_check_fails_when_one_face_changes_sides():
+    # with only vertices and barycenters drawn, a partition with any one face
+    # moved to the other side still fails the check at that face
+    moved = Counter()
+    for name in ("SEG", "TRI", "SQ", "CUBE", "TRI2"):
+        lat = face_lattice(build_polytope(CORPUS_VERTICES[name]))  # a private cache
+        cache = lat._cache.setdefault("classifications", {})
+        for kind in cl.KINDS:
+            for x in cl.sample_viewpoints(lat.polytope, kind, count=3, seed=5):
+                c = cl.classify(lat, kind, x)
+                for fid in lat.proper_ids():
+                    flip = frozenset({fid})
+                    cache[kind, tuple(x)] = replace(
+                        c,
+                        filter_side=bd.FaceSubset(lat, c.filter_side.members ^ flip),
+                        complex_side=bd.FaceSubset(lat, c.complex_side.members ^ flip),
+                    )
+                    assert not cl.definitional_check(lat, kind, x, fid), (name, kind, x, fid)
+                    moved[kind, fid in c.complex_side] += 1
+    assert len(moved) == 2 * len(cl.KINDS), moved
+
+
 def fm_ray_meets(poly, p, d):
     """Whether p + lam*d lies in P for some lam > 0, by Fourier-Motzkin."""
     system = [((dot(d, f.normal),), -f.value(p), ">=") for f in poly.facets]
@@ -207,15 +230,22 @@ def fm_ray_meets(poly, p, d):
 
 
 def test_ray_parameter_interval_matches_grid_and_exact_oracles(lattices):
-    # rays from sampled points of each face (as definitional_check draws
-    # them) and from points just outside P, in seeded rational directions
+    # rays from the points definitional_check draws (vertices, barycenter),
+    # from two seeded convex combinations per face and from points just
+    # outside P, in seeded rational directions
     rng = random.Random(17)
     drawn = Counter()
     for lat in lattices.values():
         poly = lat.polytope
         n = poly.dim
         for fid in lat.proper_ids():
-            starts = cl._sample_points(lat, fid, 2, rng)
+            coords = lat.vertex_coords(fid)
+            starts = cl._sample_points(lat, fid)
+            for _ in range(2):
+                w = [rng.randint(1, 6) for _ in coords]
+                starts.append(
+                    tuple(Fraction(sum(a * v[i] for a, v in zip(w, coords)), sum(w)) for i in range(n))
+                )
             starts += [tuple(c + Fraction(rng.randint(-2, 2), 3) for c in p) for p in starts]
             for p in starts:
                 for _ in range(4):
@@ -249,5 +279,5 @@ def test_definitional_check_classifies_once_per_viewpoint(monkeypatch):
     for kind in cl.KINDS:
         for x in cl.sample_viewpoints(lat.polytope, kind, count=2, seed=0):
             for fid in lat.proper_ids():
-                assert cl.definitional_check(lat, kind, x, fid, samples=2)
+                assert cl.definitional_check(lat, kind, x, fid)
     assert len(calls) == len(set(calls)) == 6

@@ -23,14 +23,18 @@ def M(rows, ncols=None):
 def test_smith_diag_2_3():
     # unimodular search oracle: divisors of diag(2,3) are 1 and 6
     assert smith_normal_form(M([[2, 0], [0, 3]])).elementary_divisors == (1, 6)
+    # the least entry 2 clears its column but leaves remainders in its row
+    assert smith_normal_form(M([[2, 3]])).elementary_divisors == (1,)
+    assert smith_normal_form(M([[4, 6], [0, 10]])).elementary_divisors == (2, 20)
 
 
 def test_smith_identity():
-    assert smith_normal_form(IntMatrix.identity(3)).elementary_divisors == (1, 1, 1)
+    identity = M([[int(i == j) for j in range(3)] for i in range(3)])
+    assert smith_normal_form(identity).elementary_divisors == (1, 1, 1)
 
 
 def test_smith_zero():
-    snf = smith_normal_form(IntMatrix.zero(2, 2))
+    snf = smith_normal_form(M([[0, 0], [0, 0]]))
     assert snf.elementary_divisors == ()
     assert snf.rank == 0
 
@@ -107,10 +111,10 @@ def test_smith_divisibility_chain_and_rank():
         assert snf.rank == rank_over_field(m, "Q")
 
 
-def _random_unimodular_ops(rows, rng):
+def _random_unimodular_ops(rows, rng, steps=10):
     rows = [list(r) for r in rows]
     n = len(rows)
-    for _ in range(10):
+    for _ in range(steps):
         i, j = rng.randrange(n), rng.randrange(n)
         if i == j:
             continue
@@ -179,20 +183,56 @@ def test_kernel_line():
     assert kernel_line([], 1) in ((1,), (-1,))
 
 
-def test_integer_row_basis_is_canonical():
-    a = integer_row_basis([(2, 4), (0, 2)])
-    b = integer_row_basis([(2, 6), (0, 2), (2, 4)])
-    assert a == b  # same lattice, same reduced basis
-    assert rank_rational(a) == 2
+def test_smith_recovers_chosen_divisors_under_unimodular_factors():
+    # U * diag(d_1 | d_2 | ... | d_r, 0, ...) * V with U, V unimodular: the
+    # divisors are known by construction
+    rng = random.Random(23)
+    seen = {"torsion": 0, "zero rows": 0, "zero cols": 0, "12x12": 0}
+    for _ in range(400):
+        nr, nc = rng.randint(1, 12), rng.randint(1, 12)
+        if rng.random() < 0.1:
+            nr = nc = 12
+        rank = rng.randint(0, min(nr, nc))
+        divisors = [1]
+        for _ in range(rank):
+            divisors.append(divisors[-1] * rng.choice((1, 1, 1, 2, 3, 5)))
+        divisors = divisors[1:]
+        diag = [[divisors[i] if i == j and i < rank else 0 for j in range(nc)] for i in range(nr)]
+        left = _random_unimodular_ops(diag, rng, steps=3 * nr)
+        both = [list(r) for r in zip(*_random_unimodular_ops(list(zip(*left)), rng, steps=3 * nc))]
+        got = smith_normal_form(M(both, ncols=nc)).elementary_divisors
+        assert got == tuple(divisors), (both, divisors)
+        seen["torsion"] += any(d > 1 for d in divisors)
+        seen["zero rows"] += rank < nr
+        seen["zero cols"] += rank < nc
+        seen["12x12"] += nr == nc == 12
+    assert all(seen.values()), seen
+    for shape in ((0, 0), (0, 5), (5, 0)):
+        empty = M([[0] * shape[1] for _ in range(shape[0])], ncols=shape[1])
+        assert smith_normal_form(empty).elementary_divisors == ()
+
+
+def test_integer_row_basis_spans_the_row_space():
+    rng = random.Random(31)
+    for _ in range(200):
+        nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [[rng.choice((0, 0, 1, -1, rng.randint(-6, 6))) for _ in range(nc)] for _ in range(nr)]
+        if nr > 1 and rng.random() < 0.4:
+            rows[0] = [2 * x - y for x, y in zip(rows[1], rows[-1])]
+        basis = integer_row_basis(rows)
+        assert all(isinstance(x, int) for row in basis for x in row)
+        assert len(basis) == rank_rational(rows)
+        # same space: adding the input rows to the basis raises no rank
+        assert rank_rational(list(basis) + rows) == len(basis)
     assert integer_row_basis([(0, 0)]) == ()
-    assert integer_row_basis([(-3, 0)]) == ((3, 0),)
+    assert integer_row_basis([]) == ()
 
 
 def test_matrix_shapes_and_product():
     a = M([[1, 2], [3, 4]])
     b = M([[1, 0], [0, 1]])
     assert a.mul(b).entries == a.entries
-    z = IntMatrix.zero(0, 3)
+    z = IntMatrix.from_rows([], ncols=3)
     assert z.nrows == 0 and z.ncols == 3
     with pytest.raises(ValueError):
         IntMatrix.from_rows([[1, 2], [1]])

@@ -339,6 +339,25 @@ def test_class_complexes_are_shared_by_rings_and_twists(monkeypatch):
     assert built == []
 
 
+def test_rings_at_one_twist_share_one_signature_sweep(monkeypatch):
+    calls = []
+    original = sh._signature
+    monkeypatch.setattr(sh, "_signature", lambda *a: calls.append(a) or original(*a))
+    warm = face_lattice(build_polytope(CORPUS_VERTICES["CUBE"]))
+    sh.global_cohomology(warm, -2, "Z")
+    assert calls
+    for ring in ("Q", "Z/2", "Z/3"):
+        calls.clear()
+        got = sh.global_cohomology(warm, -2, ring)
+        assert calls == [], ring
+        cold = face_lattice(build_polytope(CORPUS_VERTICES["CUBE"]))
+        assert got == sh.global_cohomology(cold, -2, ring), ring
+    # another margin is another box
+    calls.clear()
+    sh.global_cohomology(warm, -2, "Z", margin=3)
+    assert calls
+
+
 def test_graded_pieces_reuse_the_scan_class_complexes(monkeypatch):
     cube = face_lattice(build_polytope(CORPUS_VERTICES["CUBE"]))  # a cold cache
     poly = cube.polytope
