@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .boundary import FaceSubset, closure
 from .linalg import dot, vec_sub
@@ -99,33 +100,47 @@ def classify(lattice: FaceLattice, kind: str, x) -> Classification:
 # ray-based cross-check
 
 
+def _scaled(v) -> tuple[tuple[int, ...], int]:
+    """Integer vector and positive factor a with v = vector / a."""
+    a = lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (a // x.denominator) for x in v), a
+
+
 def _ray_parameter_interval(poly, p, d):
     """Whether {lam > 0 : p + lam*d in P} is non-empty, decided exactly.
 
     Each facet restricts lam to a rational half-line or interval; the
-    intersection is tracked as (lower bound, open?) / (upper bound, open?).
+    intersection is tracked as a lower and an upper bound. The arithmetic is
+    in integers: with p = P/a and d = D/b, facet (n, c) has value
+    (<P, n> + a*c)/a at p and slope <D, n>/b along d, so every bound is the
+    fraction -(<P, n> + a*c) / <D, n> times the same positive factor b/a.
+    Bounds are kept as (numerator, positive denominator) pairs and compared
+    by cross-multiplying; the lower bound starts at 0 and is open there.
     """
-    lo, lo_open = Fraction(0), True
-    hi, hi_open = None, False
+    pp, a = _scaled(p)
+    dd, _ = _scaled(d)
+    lo_num, lo_den, lo_open = 0, 1, True
+    hi_num, hi_den = None, 1
     for f in poly.facets:
-        c = f.value(p)
-        s = dot(d, f.normal)
+        nv = f.normal
+        c = sum(x * y for x, y in zip(pp, nv)) + a * f.offset
+        s = sum(x * y for x, y in zip(dd, nv))
         if s == 0:
             if c < 0:
                 return False
             continue
-        bound = Fraction(-c, s)
         if s > 0:
-            if bound > lo:
-                lo, lo_open = bound, False
-        else:
-            if hi is None or bound < hi:
-                hi, hi_open = bound, False
-    if hi is None:
+            # lam >= -c/s
+            if -c * lo_den > lo_num * s:
+                lo_num, lo_den, lo_open = -c, s, False
+        elif hi_num is None or c * hi_den < hi_num * -s:
+            # lam <= c/(-s)
+            hi_num, hi_den = c, -s
+    if hi_num is None:
         return True
-    if lo < hi:
+    if lo_num * hi_den < hi_num * lo_den:
         return True
-    return lo == hi and not lo_open and not hi_open
+    return lo_num * hi_den == hi_num * lo_den and not lo_open
 
 
 def _sample_points(lattice, fid):

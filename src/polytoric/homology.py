@@ -10,6 +10,12 @@ over Q and Z/p follow from its elementary divisors by universal
 coefficients, and over Z the torsion is the incoming coboundary's divisors
 above 1. The field elimination ``linalg.rank_over_field`` is not used here;
 the tests keep it as an independent route to the field answers.
+
+Every coboundary is a sparse ``IntMatrix`` (rows of ``(col, value)`` pairs)
+from the start: the face complex builds each row from the faces below a
+face, a restriction keeps the rows of kept faces and renumbers their kept
+columns, and a nerve's row holds its k+1 alternating signs. Each complex
+checks d∘d = 0 on construction with the sparse product.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ from .boundary import NerveComplex
 from .linalg import (
     IntMatrix,
     SmithForm,
-    coordinates_in_basis,
     det_sign,
     integer_row_basis,
     normalize_ring,
@@ -53,6 +58,14 @@ class IntegerChainComplex:
         for i in range(len(self.maps) - 1):
             if not self.maps[i + 1].mul(self.maps[i]).is_zero():
                 raise ValueError("orientation bug: d∘d != 0")
+
+    @cached_property
+    def _restriction_entries(self) -> dict[tuple[int, int], tuple[int, int]]:
+        """One shared ``(col, value)`` tuple per distinct entry of the
+        restrictions of this complex. The class cache keeps hundreds of
+        restrictions of one face complex, and their entries are the same
+        few dozen pairs over and over."""
+        return {}
 
     @cached_property
     def smith_forms(self) -> tuple[SmithForm, ...]:
@@ -143,8 +156,14 @@ def orient_faces(lattice: FaceLattice) -> dict[int, tuple[tuple[int, ...], ...]]
 def incidence(lattice: FaceLattice, fid: int, gid: int, orientations=None) -> int:
     """Incidence number of a covering pair F < G, dim G = dim F + 1.
 
-    Sign of the determinant expressing [basis(F) | w] in basis(G), where w
-    is the barycenter difference pointing from F into G.
+    Sign of det C, where C expresses [basis(F) | w] in basis(G) and w is
+    the barycenter difference pointing from F into G, scaled by the
+    positive factor |F|*|G| (vertex counts) to an integer vector. All of
+    these vectors lie in G's direction space, so for any choice L of dim G
+    coordinates, L[basis(F) | w] = L basis(G) C. L is the leading coordinate
+    of each row of G's echelon basis (``orient_faces``), which makes
+    L basis(G) invertible, and the sign is the product of two integer
+    determinant signs; no coordinates are solved for.
     """
     f = lattice.face(fid)
     g = lattice.face(gid)
@@ -152,18 +171,14 @@ def incidence(lattice: FaceLattice, fid: int, gid: int, orientations=None) -> in
         raise ValueError(f"faces {fid}, {gid} are not a covering pair")
     if orientations is None:
         orientations = orient_faces(lattice)
-    w = vec_sub(lattice.barycenter(gid), lattice.barycenter(fid))
+    fv, gv = lattice.vertex_coords(fid), lattice.vertex_coords(gid)
+    w = tuple(
+        len(fv) * sum(col_g) - len(gv) * sum(col_f) for col_f, col_g in zip(zip(*fv), zip(*gv))
+    )
     target_basis = orientations[gid]
-    columns = []
-    for u in list(orientations[fid]) + [w]:
-        coords = coordinates_in_basis(target_basis, u)
-        if coords is None:
-            raise RuntimeError("vector outside the direction space of the cover")
-        columns.append(coords)
-    # columns were built per source vector; det wants them as matrix columns
-    size = len(columns)
-    rows = [[columns[j][i] for j in range(size)] for i in range(size)]
-    sign = det_sign(rows)
+    lead = [next(i for i, x in enumerate(b) if x) for b in target_basis]
+    sign = det_sign([[u[c] for c in lead] for u in (*orientations[fid], w)])
+    sign *= det_sign([[b[c] for c in lead] for b in target_basis])
     if sign == 0:
         raise RuntimeError("degenerate incidence determinant")
     return sign
@@ -183,14 +198,18 @@ def face_cochain_complex(lattice: FaceLattice) -> IntegerChainComplex:
     labels = tuple(lattice.faces_of_dim(d) for d in range(n + 1))
     maps = []
     for d in range(n):
-        rows = []
-        for gid in labels[d + 1]:
-            row = [
-                incidence(lattice, fid, gid, orientations) if lattice.leq(fid, gid) else 0
-                for fid in labels[d]
-            ]
-            rows.append(row)
-        maps.append(IntMatrix.from_rows(rows, ncols=len(labels[d])))
+        col = {fid: j for j, fid in enumerate(labels[d])}
+        rows = tuple(
+            tuple(
+                sorted(
+                    (col[fid], incidence(lattice, fid, gid, orientations))
+                    for fid in lattice.below(gid)
+                    if fid in col
+                )
+            )
+            for gid in labels[d + 1]
+        )
+        maps.append(IntMatrix(len(rows), len(col), rows))
     complex_ = IntegerChainComplex(0, labels, tuple(maps))
     lattice._cache["face_cochain"] = complex_
     return complex_
@@ -199,14 +218,30 @@ def face_cochain_complex(lattice: FaceLattice) -> IntegerChainComplex:
 def restrict_cochain_complex(
     complex_: IntegerChainComplex, keep: frozenset
 ) -> IntegerChainComplex:
-    """Subcomplex spanned by the kept labels, with the ambient coboundaries."""
-    labels = tuple(tuple(x for x in layer if x in keep) for layer in complex_.basis_labels)
+    """Subcomplex spanned by the kept labels, with the ambient coboundaries.
+
+    Kept rows are copied with their kept columns renumbered; the order of the
+    kept generators is the ambient order, so every row stays sorted.
+    """
+    index = []  # per degree: ambient position -> restricted position of a kept generator
+    for layer in complex_.basis_labels:
+        pos: dict[int, int] = {}
+        for j, x in enumerate(layer):
+            if x in keep:
+                pos[j] = len(pos)
+        index.append(pos)
+    labels = tuple(
+        tuple(layer[j] for j in pos) for layer, pos in zip(complex_.basis_labels, index)
+    )
     maps = []
+    pairs = complex_._restriction_entries
     for i, m in enumerate(complex_.maps):
-        src = [j for j, x in enumerate(complex_.basis_labels[i]) if x in keep]
-        dst = [j for j, x in enumerate(complex_.basis_labels[i + 1]) if x in keep]
-        rows = [[m.entries[r][c] for c in src] for r in dst]
-        maps.append(IntMatrix.from_rows(rows, ncols=len(src)))
+        src = index[i]
+        rows = []
+        for r in index[i + 1]:
+            row = [pairs.setdefault(e := (src[c], v), e) for c, v in m.rows[r] if c in src]
+            rows.append(tuple(row))
+        maps.append(IntMatrix(len(rows), len(src), tuple(rows)))
     return IntegerChainComplex(complex_.start_degree, labels, tuple(maps))
 
 
@@ -227,17 +262,15 @@ def simplicial_chain_complex(nerve: NerveComplex, reduced: bool = False) -> Inte
     index = [{s: i for i, s in enumerate(layer)} for layer in layers]
     maps = []
     for k in range(top):
-        rows = []
-        for tau in layers[k + 1]:
-            row = [0] * len(layers[k])
-            for i in range(len(tau)):
-                sigma = tau[:i] + tau[i + 1 :]
-                row[index[k][sigma]] = (-1) ** i
-            rows.append(tuple(row))
-        maps.append(IntMatrix.from_rows(rows, ncols=len(layers[k])))
+        col = index[k]
+        rows = tuple(
+            tuple(sorted((col[tau[:i] + tau[i + 1 :]], (-1) ** i) for i in range(len(tau))))
+            for tau in layers[k + 1]
+        )
+        maps.append(IntMatrix(len(rows), len(col), rows))
     labels = tuple(layers)
     if reduced:
-        aug = IntMatrix.from_rows([(1,) for _ in layers[0]], ncols=1)
+        aug = IntMatrix(len(layers[0]), 1, tuple(((0, 1),) for _ in layers[0]))
         return IntegerChainComplex(-1, (((),),) + labels, (aug,) + tuple(maps))
     return IntegerChainComplex(0, labels, tuple(maps))
 

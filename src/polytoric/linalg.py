@@ -1,25 +1,31 @@
 """Exact integer and rational linear algebra.
 
 Vectors are plain tuples of ints or :class:`fractions.Fraction`, matrices are
-immutable :class:`IntMatrix` values. All arithmetic is arbitrary precision;
-nothing in this package ever touches floating point.
+immutable :class:`IntMatrix` values. A matrix stores sparse rows: each row is
+a tuple of ``(col, value)`` pairs with nonzero values in increasing column
+order, and ``entries`` is a dense view built only when asked for (the field
+elimination and the tests read it). Products and the d∘d test run on the
+sparse rows. All arithmetic is arbitrary precision; nothing in this package
+ever touches floating point, and a matrix refuses non-integer entries instead
+of truncating them.
 
 Ranks over Q and Z/p, determinant signs, solves, kernel lines and integer
 row bases all come from one fraction-free integer elimination
 (``_eliminate``, in the style of Bareiss 1968): rational input rows are
 scaled to integer rows once, and no ``Fraction`` arithmetic runs inside it.
 The one other reduction is the Smith normal form, a sparse Euclid on
-``{col: value}`` rows taking unit pivots first; it is the one cohomology
-kernel, and ``homology`` reads the answers over Z, Q and Z/p from its
-elementary divisors. ``rank_over_field`` answers no cohomology question; it
-stays public as an independent route to the field ranks, which the tests
-compare with the Smith form.
+``{col: value}`` rows copied from the sparse rows, taking unit pivots first;
+it is the one cohomology kernel, and ``homology`` reads the answers over Z,
+Q and Z/p from its elementary divisors. ``rank_over_field`` answers no
+cohomology question; it stays public as an independent route to the field
+ranks, which the tests compare with the Smith form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -64,17 +70,33 @@ def fractions_to_integer_vector(v: Sequence) -> tuple[int, ...]:
 # matrices
 
 
+def _entry(x) -> int:
+    """An integer matrix entry; bools, floats and non-integral fractions are
+    refused rather than truncated."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return int(x)
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return x.numerator
+    raise ValueError(f"matrix entry {x!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class IntMatrix:
-    """Immutable integer matrix with an explicit shape (0-row/0-col allowed)."""
+    """Immutable sparse integer matrix with an explicit shape (0-row/0-col allowed).
+
+    ``rows[r]`` holds the nonzero entries of row r as ``(col, value)`` pairs
+    in increasing column order. ``entries`` is a dense view (a tuple of row
+    tuples), built on first use; the cohomology path never builds it.
+    """
 
     nrows: int
     ncols: int
-    entries: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[tuple[int, int], ...], ...]
 
     @staticmethod
     def from_rows(rows: Iterable[Sequence[int]], ncols: int | None = None) -> "IntMatrix":
-        rs = tuple(tuple(int(x) for x in row) for row in rows)
+        """Matrix from dense rows of integer entries."""
+        rs = [tuple(row) for row in rows]
         if rs:
             width = len(rs[0])
             if any(len(r) != width for r in rs):
@@ -84,23 +106,42 @@ class IntMatrix:
             ncols = width
         elif ncols is None:
             raise ValueError("ncols is required for a matrix with no rows")
-        return IntMatrix(len(rs), ncols, rs)
+        sparse = tuple(
+            tuple((j, v) for j, v in enumerate(map(_entry, row)) if v) for row in rs
+        )
+        return IntMatrix(len(rs), ncols, sparse)
+
+    @cached_property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        """Dense view: one tuple of ``ncols`` entries per row."""
+        out = []
+        for row in self.rows:
+            dense = [0] * self.ncols
+            for j, v in row:
+                dense[j] = v
+            out.append(tuple(dense))
+        return tuple(out)
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
+        right = other.rows
         rows = []
-        for left in self.entries:
-            # coboundary matrices are sparse: a zero entry skips a whole right row
-            acc = [0] * other.ncols
-            for a, right in zip(left, other.entries):
-                if a:
-                    acc = [x + a * y for x, y in zip(acc, right)]
-            rows.append(tuple(acc))
+        for left in self.rows:
+            acc: dict[int, int] = {}
+            for j, a in left:
+                for c, y in right[j]:
+                    if c in acc:
+                        acc[c] += a * y
+                    else:
+                        acc[c] = a * y
+            nonzero = [item for item in acc.items() if item[1]]
+            nonzero.sort()
+            rows.append(tuple(nonzero))
         return IntMatrix(self.nrows, other.ncols, tuple(rows))
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(self.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -282,28 +323,44 @@ class SmithForm:
 
 
 def smith_normal_form(m: IntMatrix) -> SmithForm:
-    """Elementary divisors by sparse Euclid on ``{col: value}`` rows.
+    """Elementary divisors by sparse Euclid on ``{col: value}`` rows, one per
+    nonzero row of ``m.rows`` (of its columns, when there are fewer).
 
     The pivot is the first entry of absolute value 1, else one of least
-    absolute value; row operations reduce its column to remainders. Once the
-    column is clear, column operations touch only the pivot row, so it is
-    reduced modulo the pivot and split off as a divisor if nothing else is
-    left; otherwise its remainders stay and the least absolute value drops.
-    A gcd/lcm exchange then puts the non-unit divisors in divisibility order
-    (Kaczynski-Mischaikow-Mrozek, *Computational Homology*, 2004).
+    absolute value; row operations reduce its column to remainders. A unit
+    pivot clears its column, and column operations then empty the rest of
+    its row, so the row is split off as a divisor 1 at once. Once a larger
+    pivot's column is clear, column operations touch only the pivot row, so
+    it is reduced modulo the pivot and split off as a divisor if nothing else
+    is left; otherwise its remainders stay and the least absolute value
+    drops. A gcd/lcm exchange then puts the non-unit divisors in
+    divisibility order (Kaczynski-Mischaikow-Mrozek, *Computational
+    Homology*, 2004).
     """
-    rows = [{j: x for j, x in enumerate(row) if x} for row in m.entries]
-    rows = [row for row in rows if row]
+    if m.nrows > m.ncols:
+        # the transpose has the same divisors and fewer rows to sweep per pivot
+        cols: list[dict[int, int]] = [{} for _ in range(m.ncols)]
+        for i, row in enumerate(m.rows):
+            for j, v in row:
+                cols[j][i] = v
+        rows = [col for col in cols if col]
+    else:
+        rows = [dict(row) for row in m.rows if row]
     divisors: list[int] = []
     while rows:
-        top, c, pv = None, None, 0
-        for row in rows:
+        t, c, pv = 0, None, 0
+        for i, row in enumerate(rows):
             for j, x in row.items():
                 if not pv or abs(x) < abs(pv):
-                    top, c, pv = row, j, x
+                    t, c, pv = i, j, x
             if abs(pv) == 1:
                 break
-        clear = True
+        top = rows[t]
+        unit = abs(pv) == 1
+        if unit:
+            del rows[t]
+            divisors.append(1)
+        emptied = False
         for row in rows:
             f = row.get(c)
             if f is None or row is top:
@@ -315,8 +372,8 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
                     row[j] = v
                 else:
                     del row[j]
-            clear = clear and c not in row
-        if clear:
+            emptied = emptied or not row
+        if not unit and all(c not in row for row in rows if row is not top):
             for j in [j for j in top if j != c]:
                 top[j] %= pv
                 if not top[j]:
@@ -324,7 +381,9 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
             if len(top) == 1:
                 divisors.append(abs(pv))
                 top.clear()
-        rows = [row for row in rows if row]
+                emptied = True
+        if emptied:
+            rows = [row for row in rows if row]
     units = divisors.count(1)
     rest = [d for d in divisors if d != 1]
     for i in range(len(rest)):

@@ -9,8 +9,13 @@ global answer (``global_cohomology`` says what is checked and what is
 sampled). The subcomplex depends only on the signs of the facet functionals
 at x, so one restricted complex is kept per facet-sign class, for every
 twist, ring and graded piece. Its cohomology over Z, Q and Z/p is read from its one set of Smith
-forms (``homology.cohomology``). Box scans and the closed-form contributors
-use the lattice-point sweep of ``ehrhart``.
+forms (``homology.cohomology``). The closed-form contributors come from the
+lattice-point sweep of ``ehrhart``, and the scan walks the box in the same
+order, one line along the last coordinate at a time: each facet value is
+set once per line and stepped by the last coordinate of its normal, so a
+point costs no dot product. A class's face set is read from cached facet
+bitmasks, and each class's cohomology is tested for triviality once, not
+once per point.
 
 Membership is decided two ways: by facet inequalities (fast formula) and by
 an oracle on the barrier-cone generators. ``membership_certificate`` proves
@@ -26,7 +31,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import product
 from math import prod
+from operator import add, mul
 
 from .classify import classify_front_back, classify_lower_upper, classify_visibility
 from .ehrhart import dilate_points, lattice_points
@@ -246,9 +253,15 @@ def _signature(poly, k: int, x) -> tuple[bool, ...]:
 
 
 def _face_set_from_signature(lattice: FaceLattice, sig) -> frozenset[int]:
-    return frozenset(
-        f.id for f in lattice.faces if all(sig[i] for i in f.facet_set)
-    )
+    """Faces all of whose facets hold in the signature, tested against a
+    cached bitmask of the facets through each face."""
+    masks = lattice._cache.get("facet_masks")
+    if masks is None:
+        masks = lattice._cache["facet_masks"] = tuple(
+            (f.id, sum(1 << i for i in f.facet_set)) for f in lattice.faces
+        )
+    missing = ~sum(1 << i for i, ok in enumerate(sig) if ok)
+    return frozenset([fid for fid, mask in masks if not mask & missing])
 
 
 def _class_complexes(lattice: FaceLattice, sigs) -> list[IntegerChainComplex]:
@@ -271,28 +284,55 @@ def _class_complexes(lattice: FaceLattice, sigs) -> list[IntegerChainComplex]:
     return [cache[sig] for sig in sigs]
 
 
+def _distant_points(poly, k: int, box) -> list[tuple[int, ...]]:
+    """``DISTANT_POINT_COUNT`` seeded points outside the box, drawn from the
+    cube [-B, B]^n with B = ``DISTANT_COORD_BOUND``. A box that covers that
+    cube leaves no point of it outside, so the cube then reaches B beyond the
+    box on every side."""
+    bound = DISTANT_COORD_BOUND
+    if all(lo <= -bound and hi >= bound for lo, hi in box):
+        bound += max(max(-lo, hi) for lo, hi in box)
+    rng = random.Random(f"distant:{k}:{poly.vertices}")
+    distant = []
+    while len(distant) < DISTANT_POINT_COUNT:
+        x = tuple(rng.randint(-bound, bound) for _ in range(poly.dim))
+        if not all(lo <= xi <= hi for xi, (lo, hi) in zip(x, box)):
+            distant.append(x)
+    return distant
+
+
 def _scan(lattice: FaceLattice, k: int, box):
     """Ring-free part of ``global_cohomology``, kept on the lattice per twist
     and box (so per (k, margin)): the signature of each class, and the class
-    id of every box point and of every distant point."""
+    id of every box point and of every distant point.
+
+    Box points run in ``lattice_points`` order, one line per prefix of the
+    first n-1 coordinates. Each facet's value is set once at the start of a
+    line and then stepped by its normal's last coordinate, so no point costs
+    a dot product.
+    """
     cache = lattice._cache.setdefault("scans", {})
     if (k, box) in cache:
         return cache[k, box]
     poly = lattice.polytope
-    rng = random.Random(f"distant:{k}:{poly.vertices}")
-    distant = []
-    while len(distant) < DISTANT_POINT_COUNT:
-        x = tuple(
-            rng.randint(-DISTANT_COORD_BOUND, DISTANT_COORD_BOUND) for _ in range(poly.dim)
-        )
-        if not all(lo <= xi <= hi for xi, (lo, hi) in zip(x, box)):
-            distant.append(x)
+    *head, (lo, hi) = box
+    normals = [f.normal for f in poly.facets]
+    steps = [nv[-1] for nv in normals]
+    bases = [k * f.offset + lo * nv[-1] for f, nv in zip(poly.facets, normals)]
+    holds = (0).__le__  # holds(v) is v >= 0
     # one signature per point, stored as the index of its class
     classes: dict[tuple[bool, ...], int] = {}
-    box_ids = [
-        classes.setdefault(_signature(poly, k, x), len(classes)) for x in lattice_points((), box)
+    box_ids = []
+    for prefix in product(*(range(l, h + 1) for l, h in head)):
+        # <(prefix, lo), n> + k*c; map stops at the n-1 prefix coordinates
+        values = [b + sum(map(mul, prefix, nv)) for b, nv in zip(bases, normals)]
+        for _ in range(lo, hi + 1):
+            box_ids.append(classes.setdefault(tuple(map(holds, values)), len(classes)))
+            values = list(map(add, values, steps))
+    distant_ids = [
+        classes.setdefault(_signature(poly, k, x), len(classes))
+        for x in _distant_points(poly, k, box)
     ]
-    distant_ids = [classes.setdefault(_signature(poly, k, x), len(classes)) for x in distant]
     cache[k, box] = (list(classes), box_ids, distant_ids)
     return cache[k, box]
 
@@ -326,10 +366,11 @@ def global_cohomology(
     free = [0] * (n + 1)
     torsion: list[list[int]] = [[] for _ in range(n + 1)]
     contributors = []
+    trivial = [res.is_trivial() for res in results]
     for x, i in zip(lattice_points((), box), box_ids):
-        res = results[i]
-        if res.is_trivial():
+        if trivial[i]:
             continue
+        res = results[i]
         if any(xi in (lo, hi) for xi, (lo, hi) in zip(x, box)):
             raise RuntimeError("margin too small: scan shell is not acyclic")
         for d in range(n + 1):
@@ -339,7 +380,7 @@ def global_cohomology(
                 free[d] += fr
                 torsion[d].extend(tor)
                 contributors.append((x, d))
-    if not all(results[i].is_trivial() for i in distant_ids):
+    if not all(trivial[i] for i in distant_ids):
         raise RuntimeError("distant lattice point is not acyclic")
     return GlobalCohomology(
         k,

@@ -238,6 +238,21 @@ def test_matrix_shapes_and_product():
         IntMatrix.from_rows([[1, 2], [1]])
 
 
+def test_matrix_rows_are_sparse_and_entries_dense():
+    m = M([[0, 3, 0], [0, 0, 0], [-1, 0, 2]])
+    assert m.rows == (((1, 3),), (), ((0, -1), (2, 2)))
+    assert m.entries == ((0, 3, 0), (0, 0, 0), (-1, 0, 2))
+    assert M([[Fraction(4, 2), 0]]).rows == (((0, 2),),)
+    assert type(M([[Fraction(4, 2)]]).rows[0][0][1]) is int
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.5, 2.0, Fraction(3, 2), "1", None])
+def test_matrix_rejects_non_integer_entries(bad):
+    # int(1.5) would give 1 and True would give 1: no entry is coerced
+    with pytest.raises(ValueError, match="not an integer"):
+        IntMatrix.from_rows([[1, bad]])
+
+
 # ---------------------------------------------------------------------------
 # reference oracle for the fraction-free elimination
 

@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from itertools import product
 
@@ -443,3 +444,47 @@ def test_quotient_by_graded_piece_is_ball_cohomology(sq, cube):
             else:
                 assert res.free_rank(0) == 1 and not res.has_torsion()
                 assert all(res.free_rank(d) == 0 for d in range(1, n + 1))
+
+
+def _rejection_draw(poly, k, box):
+    """The distant points as drawn before the cube could grow: rejection
+    from [-B, B]^n with B = DISTANT_COORD_BOUND."""
+    bound = sh.DISTANT_COORD_BOUND
+    rng = random.Random(f"distant:{k}:{poly.vertices}")
+    out = []
+    while len(out) < sh.DISTANT_POINT_COUNT:
+        x = tuple(rng.randint(-bound, bound) for _ in range(poly.dim))
+        if not all(lo <= xi <= hi for xi, (lo, hi) in zip(x, box)):
+            out.append(x)
+    return out
+
+
+def test_distant_points_unchanged_while_the_box_leaves_room(lattices):
+    for name, lat in lattices.items():
+        poly = lat.polytope
+        for k in (-3, 0, 2, 20):
+            box = sh.scan_box(poly, k, 2)
+            assert sh._distant_points(poly, k, box) == _rejection_draw(poly, k, box), (name, k)
+    # a box that covers [-B, B] on one axis only still leaves room
+    sq = lattices["SQ"].polytope
+    box = ((-60, 60), (-1, 1))
+    assert sh._distant_points(sq, 1, box) == _rejection_draw(sq, 1, box)
+
+
+def test_scan_box_covering_the_distant_cube_does_not_hang():
+    # the segment [-1, 1] at k = 60 scans [-62, 62], which covers [-50, 50];
+    # the distant points then come from a cube reaching 50 beyond the box
+    seg = face_lattice(build_polytope([[-1], [1]]))
+    g = sh.global_cohomology(seg, 60, "Z")
+    assert g.scan_box == ((-62, 62),)
+    assert g.free == (121, 0)
+    assert g.contributors == tuple(((x,), 0) for x in range(-60, 61))
+    distant = sh._distant_points(seg.polytope, 60, g.scan_box)
+    assert len(distant) == sh.DISTANT_POINT_COUNT
+    assert all(62 < abs(x) <= 112 for (x,) in distant)
+    # the same on the square with vertices (+-1, +-1), whose box at k = 48
+    # is exactly [-50, 50]^2
+    sq = face_lattice(build_polytope([[1, 1], [1, -1], [-1, 1], [-1, -1]]))
+    box = sh.scan_box(sq.polytope, 48, 2)
+    assert box == ((-50, 50), (-50, 50))
+    assert all(max(map(abs, x)) > 50 for x in sh._distant_points(sq.polytope, 48, box))
