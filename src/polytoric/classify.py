@@ -4,7 +4,8 @@ Three partitions of the proper faces: visible/invisible from an outside
 point, front/back with respect to a point off the interior, and lower/upper
 with respect to a nonzero direction. Each one is decided by exact facet sign
 tests; the ray-based definitions are kept as a cross-check oracle on the
-vertices and barycenter of each face, each ray decided exactly. ``sheaf``
+vertices and barycenter of each face, each ray decided exactly in integers
+and once per start point and viewpoint, however many faces share it. ``sheaf``
 matches the twist face sets for k in {1, 0, -1} with these partitions, once
 per facet-sign class, and proves its membership formula by a per-face
 certificate rather than by sampling.
@@ -15,10 +16,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from operator import mul
 
 from .boundary import FaceSubset, closure
-from .linalg import dot, vec_sub
+from .linalg import dot, scale_to_integers
 from .polytope import FaceLattice
 
 KINDS = ("visibility", "frontback", "lowerupper")
@@ -100,31 +101,25 @@ def classify(lattice: FaceLattice, kind: str, x) -> Classification:
 # ray-based cross-check
 
 
-def _scaled(v) -> tuple[tuple[int, ...], int]:
-    """Integer vector and positive factor a with v = vector / a."""
-    a = lcm(*(x.denominator for x in v))
-    return tuple(x.numerator * (a // x.denominator) for x in v), a
-
-
 def _ray_parameter_interval(poly, p, d):
-    """Whether {lam > 0 : p + lam*d in P} is non-empty, decided exactly.
+    """Whether {lam > 0 : p + lam*d in P} is non-empty, decided exactly."""
+    return _ray_meets(poly, *scale_to_integers(p), scale_to_integers(d)[0])
 
-    Each facet restricts lam to a rational half-line or interval; the
-    intersection is tracked as a lower and an upper bound. The arithmetic is
-    in integers: with p = P/a and d = D/b, facet (n, c) has value
-    (<P, n> + a*c)/a at p and slope <D, n>/b along d, so every bound is the
-    fraction -(<P, n> + a*c) / <D, n> times the same positive factor b/a.
-    Bounds are kept as (numerator, positive denominator) pairs and compared
-    by cross-multiplying; the lower bound starts at 0 and is open there.
+
+def _ray_meets(poly, pp, a, dd) -> bool:
+    """``_ray_parameter_interval`` for p = pp/a and d a positive multiple of dd.
+
+    Each facet (n, c) bounds lam by -(<pp, n> + a*c) / <dd, n>, up to one
+    common positive factor; the bounds are kept as (numerator, positive
+    denominator) pairs and compared by cross-multiplying. The lower bound
+    starts at 0 and is open there.
     """
-    pp, a = _scaled(p)
-    dd, _ = _scaled(d)
     lo_num, lo_den, lo_open = 0, 1, True
     hi_num, hi_den = None, 1
     for f in poly.facets:
         nv = f.normal
-        c = sum(x * y for x, y in zip(pp, nv)) + a * f.offset
-        s = sum(x * y for x, y in zip(dd, nv))
+        c = sum(map(mul, pp, nv)) + a * f.offset
+        s = sum(map(mul, dd, nv))
         if s == 0:
             if c < 0:
                 return False
@@ -144,10 +139,10 @@ def _ray_parameter_interval(poly, p, d):
 
 
 def _sample_points(lattice, fid):
-    """The vertices and the barycenter of a face."""
-    pts = [tuple(Fraction(c) for c in v) for v in lattice.vertex_coords(fid)]
-    pts.append(lattice.barycenter(fid))
-    return pts
+    """The vertices and the barycenter of a face, each as an integer vector
+    and a positive factor it is divided by."""
+    coords = lattice.vertex_coords(fid)
+    return [(v, 1) for v in coords] + [(tuple(map(sum, zip(*coords))), len(coords))]
 
 
 def definitional_check(lattice: FaceLattice, kind: str, x, fid: int) -> bool:
@@ -157,34 +152,32 @@ def definitional_check(lattice: FaceLattice, kind: str, x, fid: int) -> bool:
     relative interior of a face G gets the same ray verdict as G (the facets
     tight there are those of G), so points inside a face add nothing beyond
     the verdicts of its subfaces, each of which is checked on its own.
-    Emptiness of each ray's rational parameter range is decided exactly: a
-    face on the escaping side must never re-enter, and a face on the other
-    side must exhibit a re-entry witness. The partition is computed once per
-    (kind, x) and kept on the lattice.
+    Each ray is decided exactly, in integers: a face on the escaping side
+    must never re-enter, and one on the other side must re-enter. The
+    partition, the scaled x and each start point's verdict are kept on the
+    lattice per (kind, x), so a vertex's ray is decided once for all faces.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown classification kind {kind!r}")
-    cached = lattice._cache.setdefault("classifications", {})
     key = (kind, tuple(x))
-    if key not in cached:
-        cached[key] = classify(lattice, kind, x)
-    cls = cached[key]
-    poly = lattice.polytope
-    on_complex_side = fid in cls.complex_side
-    xq = tuple(Fraction(c) for c in x)
+    cached = lattice._cache.setdefault("classifications", {})
+    cls = cached.get(key) or cached.setdefault(key, classify(lattice, kind, x))
+    # x = xx/b, and each start point's verdict, kept next to the partition
+    rays = lattice._cache.setdefault("ray_verdicts", {})
+    xx, b, verdicts = rays.get(key) or rays.setdefault(key, (*scale_to_integers(x), {}))
     hits = []
-    for p in _sample_points(lattice, fid):
-        if kind == "visibility":
-            d = vec_sub(xq, p)
-        elif kind == "frontback":
-            d = vec_sub(p, xq)
-        else:
-            d = tuple(-c for c in xq)
-        hits.append(_ray_parameter_interval(poly, p, d))
-    if on_complex_side:
-        # visible / back / lower: every ray must leave immediately
-        return not any(hits)
-    return any(hits)
+    for pp, a in _sample_points(lattice, fid):
+        if (pp, a) not in verdicts:
+            if kind == "lowerupper":
+                d = tuple(-c for c in xx)
+            else:
+                # x - p (visibility) or p - x (frontback), times a*b > 0
+                sign = 1 if kind == "visibility" else -1
+                d = tuple(sign * (a * xi - b * pi) for xi, pi in zip(xx, pp))
+            verdicts[pp, a] = _ray_meets(lattice.polytope, pp, a, d)
+        hits.append(verdicts[pp, a])
+    # visible / back / lower: every ray must leave immediately
+    return not any(hits) if fid in cls.complex_side else any(hits)
 
 
 # ---------------------------------------------------------------------------

@@ -58,12 +58,17 @@ def primitive_vector(v: Sequence[int]) -> tuple[int, ...]:
     return tuple(x // g for x in v)
 
 
+def scale_to_integers(v: Sequence) -> tuple[tuple[int, ...], int]:
+    """Integer vector and least positive factor a with v = vector / a."""
+    a = lcm(*[x.denominator for x in v])
+    if a == 1:
+        return tuple(map(int, v)), 1
+    return tuple([x.numerator * (a // x.denominator) for x in v]), a
+
+
 def fractions_to_integer_vector(v: Sequence) -> tuple[int, ...]:
     """Scale a rational vector by a positive factor to a primitive integer vector."""
-    scale = 1
-    for x in v:
-        scale = lcm(scale, x.denominator)
-    return primitive_vector([int(x * scale) for x in v])
+    return primitive_vector(scale_to_integers(v)[0])
 
 
 # ---------------------------------------------------------------------------

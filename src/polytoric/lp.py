@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .linalg import dot, kernel_line, primitive_vector, rank_rational, vec_neg
+from .linalg import dot, kernel_line, primitive_vector, rank_rational, scale_to_integers, vec_neg
 
 RELATIONS = (">=", ">", "=")
 
@@ -51,15 +51,6 @@ def _dedup(rows):
     return [(c, t, s) for c, (t, s) in best.items()]
 
 
-def _integerize(a):
-    """Turn a rational coefficient vector into an integer one (positive scale)."""
-    scale = 1
-    for x in a:
-        d = Fraction(x).denominator
-        scale = scale * d // gcd(scale, d)
-    return tuple(int(x * scale) for x in a), scale
-
-
 def lp_feasible(constraints, dim: int | None = None) -> bool:
     """Exact rational feasibility of a finite system of linear constraints.
 
@@ -78,7 +69,7 @@ def lp_feasible(constraints, dim: int | None = None) -> bool:
                 raise ValueError("constraints of mixed dimension")
             if rel not in RELATIONS:
                 raise ValueError(f"unknown relation {rel!r}")
-            ia, scale = _integerize(a)
+            ia, scale = scale_to_integers(a)
             ib = Fraction(b) * scale
             row = _normalize_row(ia, ib, rel == ">")
             if row is not None:

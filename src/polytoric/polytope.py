@@ -235,11 +235,6 @@ class FaceLattice:
     def lex_min_vertex(self, fid: int) -> tuple[int, ...]:
         return self.vertex_coords(fid)[0]
 
-    def barycenter(self, fid: int) -> tuple[Fraction, ...]:
-        coords = self.vertex_coords(fid)
-        m = len(coords)
-        return tuple(Fraction(sum(c[i] for c in coords), m) for i in range(self.polytope.dim))
-
     def face_label(self, fid: int) -> str:
         f = self.face(fid)
         if fid == self.top_id:

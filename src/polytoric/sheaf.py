@@ -14,8 +14,10 @@ lattice-point sweep of ``ehrhart``, and the scan walks the box in the same
 order, one line along the last coordinate at a time: each facet value is
 set once per line and stepped by the last coordinate of its normal, so a
 point costs no dot product. A class's face set is read from cached facet
-bitmasks, and each class's cohomology is tested for triviality once, not
-once per point.
+bitmasks, each class's cohomology is tested for triviality once, not once
+per point, and only points of non-trivial classes are decoded from their
+box index. ``class_points`` reads the first box point of each realized class
+off the same cache; ``verify`` runs its twist checks on those alone.
 
 Membership is decided two ways: by facet inequalities (fast formula) and by
 an oracle on the barrier-cone generators. ``membership_certificate`` proves
@@ -31,12 +33,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, product
 from math import prod
 from operator import add, mul
 
 from .classify import classify_front_back, classify_lower_upper, classify_visibility
-from .ehrhart import dilate_points, lattice_points
+from .ehrhart import dilate_points
 from .homology import (
     CohomologyResult,
     IntegerChainComplex,
@@ -153,18 +155,10 @@ def membership_certificate(lattice: FaceLattice) -> bool:
 
 
 def twist_face_set(lattice: FaceLattice, k: int, x) -> TwistFaceSet:
-    members = frozenset(
-        f.id for f in lattice.faces if twist_membership(lattice, k, f.id, x)
-    )
-    ts = TwistFaceSet(k, tuple(x), members)
-    _check_upward_closed(lattice, ts)
-    return ts
-
-
-def _check_upward_closed(lattice: FaceLattice, ts: TwistFaceSet) -> None:
-    for fid in ts.members:
-        if not lattice.above(fid) <= ts.members:
-            raise RuntimeError(f"twist face set at {ts.x} is not upward closed")
+    members = frozenset(f.id for f in lattice.faces if twist_membership(lattice, k, f.id, x))
+    if not all(lattice.above(fid) <= members for fid in members):
+        raise RuntimeError(f"twist face set at {tuple(x)} is not upward closed")
+    return TwistFaceSet(k, tuple(x), members)
 
 
 def graded_piece(lattice: FaceLattice, k: int, x) -> GradedPiece:
@@ -337,6 +331,24 @@ def _scan(lattice: FaceLattice, k: int, box):
     return cache[k, box]
 
 
+def box_point(box, index: int) -> tuple[int, ...]:
+    """Point ``index`` of ``lattice_points((), box)`` (last coordinate fastest)."""
+    x = []
+    for lo, hi in reversed(box):
+        index, offset = divmod(index, hi - lo + 1)
+        x.append(lo + offset)
+    return tuple(reversed(x))
+
+
+def class_points(lattice: FaceLattice, k: int, box) -> list[tuple]:
+    """(signature, first box point) of each class realized in the box, in
+    scan order, read off ``_scan``'s cached class ids."""
+    sigs, box_ids, _ = _scan(lattice, k, box)
+    # walking backwards, the last index written for a class is its first
+    first = dict(zip(reversed(box_ids), range(len(box_ids) - 1, -1, -1)))
+    return [(sigs[c], box_point(box, first[c])) for c in range(len(first))]
+
+
 def global_cohomology(
     lattice: FaceLattice, k: int, ring: str = "Z", margin: int = 2
 ) -> GlobalCohomology:
@@ -367,10 +379,10 @@ def global_cohomology(
     torsion: list[list[int]] = [[] for _ in range(n + 1)]
     contributors = []
     trivial = [res.is_trivial() for res in results]
-    for x, i in zip(lattice_points((), box), box_ids):
-        if trivial[i]:
-            continue
-        res = results[i]
+    # only the points of non-trivial classes are decoded, picked out in C
+    for index in compress(range(len(box_ids)), map([not t for t in trivial].__getitem__, box_ids)):
+        x = box_point(box, index)
+        res = results[box_ids[index]]
         if any(xi in (lo, hi) for xi, (lo, hi) in zip(x, box)):
             raise RuntimeError("margin too small: scan shell is not acyclic")
         for d in range(n + 1):
@@ -395,6 +407,11 @@ def global_cohomology(
 
 def expected_contributors(lattice: FaceLattice, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Contributors the closed form predicts: kP points in degree 0 for k >= 0,
-    interior points of kP in degree n for k < 0."""
-    degree = 0 if k >= 0 else lattice.polytope.dim
-    return tuple(sorted((x, degree) for x in dilate_points(lattice.polytope, k, k < 0)))
+    interior points of kP in degree n for k < 0. A dilate box of more than
+    ``MAX_SCAN_POINTS`` points is refused before it is enumerated."""
+    poly = lattice.polytope
+    size = prod(abs(k) * (hi - lo) + 1 for lo, hi in poly.bounding_box())
+    if size > MAX_SCAN_POINTS:
+        raise ValueError(f"dilate box has {size} points, more than the {MAX_SCAN_POINTS} allowed")
+    degree = 0 if k >= 0 else poly.dim
+    return tuple(sorted((x, degree) for x in dilate_points(poly, k, k < 0)))

@@ -2,6 +2,8 @@
 
 Each check returns a CheckResult; a suite is a list of them. Everything is
 deterministic for a fixed seed and independent of the degree of parallelism.
+The cohomology suite runs its twist face set checks once per facet-sign
+class realized on the scan box, read off the scan cache, not once per point.
 """
 
 from __future__ import annotations
@@ -261,35 +263,32 @@ def cohomology_suite(lattice: FaceLattice, seed: int = 0) -> list[CheckResult]:
     # signature at twist k: the twist face set by construction, and the
     # classification because k = 1 sees facet i visible iff v_i < 0, k = 0
     # calls it lower for -x iff <x, n_i> < 0, and k = -1 calls its negative a
-    # back facet of -P iff v_i < 0. One point per realized signature decides it.
+    # back facet of -P iff v_i < 0. The first box point of each realized class
+    # decides it; the exclusions (x in P, 0, int(-P)) depend on it alone too.
     cross_ok = True
     neg_poly = sh.negate_polytope(poly)
-    for k in (1, 0, -1):
-        seen = set()
-        for x in eh.lattice_points((), sh.scan_box(poly, k, 2)):
+    classes = {k: sh.class_points(lattice, k, sh.scan_box(poly, k, 2)) for k in (1, 0, -1)}
+    for k, reps in classes.items():
+        for _, x in reps:
             if k == 1 and poly.contains(x):
                 continue
             if k == 0 and all(c == 0 for c in x):
                 continue
             if k == -1 and neg_poly.contains(x, strict=True):
                 continue
-            sig = sh._signature(poly, k, x)
-            if sig in seen:
-                continue
-            seen.add(sig)
             if not sh.classification_crosscheck(lattice, k, x):
                 cross_ok = False
     _check(out, "twist face sets match the classifications for k in {1,0,-1}", cross_ok)
 
-    # the class-complex cache restricts to the face set of x's signature
+    # A k = 1 twist face set depends on x only through its signature, so one
+    # point per realized class, compared with the face set of the class the
+    # scan filed it under, decides both identities for the whole box.
     dedup_ok = True
     monotone_ok = True
-    for x in eh.lattice_points((), sh.scan_box(poly, 1, 2)):
+    for sig, x in classes[1]:
         ts = sh.twist_face_set(lattice, 1, x)
-        by_class = sh._face_set_from_signature(lattice, sh._signature(poly, 1, x))
-        dedup_ok = dedup_ok and ts.members == by_class
-        for fid in ts.members:
-            monotone_ok = monotone_ok and lattice.above(fid) <= ts.members
+        dedup_ok = dedup_ok and ts.members == sh._face_set_from_signature(lattice, sig)
+        monotone_ok = monotone_ok and all(lattice.above(f) <= ts.members for f in ts.members)
     _check(out, "equal facet-sign vectors give equal twist face sets", dedup_ok)
     _check(out, "twist face sets are upward closed", monotone_ok)
     return out

@@ -240,7 +240,7 @@ def test_ray_parameter_interval_matches_grid_and_exact_oracles(lattices):
         n = poly.dim
         for fid in lat.proper_ids():
             coords = lat.vertex_coords(fid)
-            starts = cl._sample_points(lat, fid)
+            starts = [tuple(Fraction(c, a) for c in v) for v, a in cl._sample_points(lat, fid)]
             for _ in range(2):
                 w = [rng.randint(1, 6) for _ in coords]
                 starts.append(
@@ -269,6 +269,47 @@ def test_ray_parameter_interval_matches_grid_and_exact_oracles(lattices):
     assert set(drawn) == {
         "grid witness", "re-enters", "leaves at once", "parallel", "parallel, outside"
     }, drawn
+
+
+def _fraction_rays(lattice, kind, x, fid):
+    """Ray verdicts from the vertices and barycenter of a face, in Fractions
+    and with no cache, by Fourier-Motzkin."""
+    coords = lattice.vertex_coords(fid)
+    starts = [tuple(map(Fraction, v)) for v in coords]
+    starts.append(tuple(Fraction(sum(c), len(coords)) for c in zip(*coords)))
+    xq = tuple(map(Fraction, x))
+    out = {}
+    for p in starts:
+        if kind == "visibility":
+            d = tuple(a - b for a, b in zip(xq, p))
+        elif kind == "frontback":
+            d = tuple(b - a for a, b in zip(xq, p))
+        else:
+            d = tuple(-a for a in xq)
+        out[p] = fm_ray_meets(lattice.polytope, p, d)
+    return out
+
+
+def test_cached_integer_ray_verdicts_match_uncached_fractions():
+    drawn = Counter()
+    for name in ("SEG", "TRI", "SQ", "CUBE", "TRI2"):
+        lat = face_lattice(build_polytope(CORPUS_VERTICES[name]))  # a cold cache
+        for kind in cl.KINDS:
+            for x in cl.sample_viewpoints(lat.polytope, kind, count=4, seed=0):
+                expected = {}
+                for fid in lat.proper_ids():
+                    rays = _fraction_rays(lat, kind, x, fid)
+                    expected.update(rays)
+                    complex_side = fid in cl.classify(lat, kind, x).complex_side
+                    verdict = not any(rays.values()) if complex_side else any(rays.values())
+                    assert cl.definitional_check(lat, kind, x, fid) == verdict
+                # one cached verdict per start point, each the uncached one
+                _, _, cached = lat._cache["ray_verdicts"][kind, tuple(x)]
+                got = {tuple(Fraction(c, a) for c in v): hit for (v, a), hit in cached.items()}
+                assert got == expected, (name, kind, x)
+                drawn.update((kind, hit) for hit in got.values())
+    # rays that re-enter and rays that leave at once, for every kind
+    assert set(drawn) == {(kind, hit) for kind in cl.KINDS for hit in (True, False)}, drawn
 
 
 def test_definitional_check_classifies_once_per_viewpoint(monkeypatch):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from itertools import product
 
@@ -14,6 +15,7 @@ from polytoric.polytope import Facet, FaceLattice
 from polytoric.lp import cone_contains
 from conftest import CORPUS_VERTICES, face_id
 from test_ehrhart import dilate_contains
+from test_extended import EXTENDED
 
 
 def fm_membership(lattice, k, fid, x):
@@ -291,6 +293,101 @@ def test_signature_dedup_check_detects_a_wrong_class_face_set(monkeypatch):
     by_name = {r.name: r.passed for r in vf.cohomology_suite(lat)}
     assert by_name[name] is False
     assert all(passed for check, passed in by_name.items() if check != name)
+
+
+def test_dedup_check_detects_a_point_filed_under_the_wrong_class(monkeypatch):
+    # the scan's first point of each k = 1 class handed over with the next
+    # class's signature: the per-class comparison must notice
+    lat = face_lattice(build_polytope(CORPUS_VERTICES["SQ"]))
+    original = sh.class_points
+
+    def shifted(lattice, k, box):
+        reps = original(lattice, k, box)
+        if k != 1:
+            return reps
+        sigs = [sig for sig, _ in reps]
+        return [(sig, x) for sig, (_, x) in zip(sigs[1:] + sigs[:1], reps)]
+
+    monkeypatch.setattr(sh, "class_points", shifted)
+    by_name = {r.name: r.passed for r in vf.cohomology_suite(lat)}
+    assert by_name["equal facet-sign vectors give equal twist face sets"] is False
+
+
+def test_box_point_decodes_the_lattice_points_order():
+    rng = random.Random(23)
+    boxes = [((0, 0),), ((-3, -3), (2, 4)), ((-2, 1), (5, 5), (-1, 0), (0, 0))]
+    for n in (1, 2, 3, 4):
+        for _ in range(6):
+            # negative bounds and width-1 axes turn up on purpose
+            lows = [rng.randint(-4, 2) for _ in range(n)]
+            boxes.append(tuple((lo, lo + rng.choice((0, 0, 1, 2, 3))) for lo in lows))
+    for box in boxes:
+        points = list(eh.lattice_points((), box))
+        assert [sh.box_point(box, i) for i in range(len(points))] == points, box
+
+
+@pytest.mark.parametrize("shape", ["corpus", "extended"])
+def test_twist_face_set_is_constant_on_each_k1_scan_class(lattices, shape):
+    # the per-class dedup check in verify decides the per-point statement
+    # only because of this: one face set per class of the k = 1 scan box
+    if shape == "extended":
+        lattices = {name: face_lattice(build_polytope(v)) for name, v in EXTENDED.items()}
+    for name, lat in lattices.items():
+        box = sh.scan_box(lat.polytope, 1, 2)
+        sigs, box_ids, _ = sh._scan(lat, 1, box)
+        by_class = {}
+        for x, i in zip(eh.lattice_points((), box), box_ids):
+            members = sh.twist_face_set(lat, 1, x).members
+            assert by_class.setdefault(i, members) == members, (name, x)
+        assert sorted(by_class) == list(range(len(by_class)))
+        for i, members in by_class.items():
+            assert members == sh._face_set_from_signature(lat, sigs[i]), (name, i)
+        assert [sig for sig, _ in sh.class_points(lat, 1, box)] == sigs[: len(by_class)]
+
+
+@pytest.mark.parametrize("name", ["SQ", "CUBE", "TRI2"])
+def test_cohomology_suite_runs_one_twist_face_set_per_k1_class(name, monkeypatch):
+    lat = face_lattice(build_polytope(CORPUS_VERTICES[name]))  # a cold cache
+    poly = lat.polytope
+    box = sh.scan_box(poly, 1, 2)
+    realized = {sh._signature(poly, 1, x) for x in product(*(range(lo, hi + 1) for lo, hi in box))}
+    twists = []
+    crosschecks = []
+    original_twist = sh.twist_face_set
+    original_cross = sh.classification_crosscheck
+
+    def twist(lattice, k, x):
+        twists.append((k, sh._signature(poly, k, x)))
+        return original_twist(lattice, k, x)
+
+    def cross(lattice, k, x):
+        crosschecks.append((k, sh._signature(poly, k, x)))
+        return original_cross(lattice, k, x)
+
+    monkeypatch.setattr(sh, "twist_face_set", twist)
+    monkeypatch.setattr(sh, "classification_crosscheck", cross)
+    assert all(r.passed for r in vf.cohomology_suite(lat))
+    # every cross-check makes one call of its own; the rest are the dedup
+    # and upward-closure checks, once per realized k = 1 class
+    rest = Counter(twists)
+    rest.subtract(crosschecks)
+    assert +rest == Counter((1, sig) for sig in realized), name
+    assert len(twists) == len(realized) + len(crosschecks)
+
+
+def test_expected_contributors_over_budget_is_refused_before_enumeration(sq, monkeypatch):
+    # SQ at k = -3 spans the 4 x 4 dilate box [-3, 0]^2
+    monkeypatch.setattr(sh, "MAX_SCAN_POINTS", 16)
+    interior = ((-2, -2), (-2, -1), (-1, -2), (-1, -1))
+    assert sh.expected_contributors(sq, -3) == tuple((x, 2) for x in interior)
+    monkeypatch.setattr(sh, "MAX_SCAN_POINTS", 15)
+
+    def no_enumeration(*args):
+        raise AssertionError("dilate box enumerated despite the budget")
+
+    monkeypatch.setattr(sh, "dilate_points", no_enumeration)
+    with pytest.raises(ValueError, match="16 points"):
+        sh.expected_contributors(sq, -3)
 
 
 def test_global_cohomology_examples(sq, tri, seg):

@@ -10,6 +10,7 @@ Inputs are the test corpus and seeded random 2-4D polytopes.
 """
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -123,11 +124,16 @@ def _upward_closed_sets(lattice, rng, count):
     return sorted(sets, key=sorted)
 
 
+def _barycenter(lattice, fid):
+    coords = lattice.vertex_coords(fid)
+    return tuple(Fraction(sum(c), len(coords)) for c in zip(*coords))
+
+
 def _solved_incidence(lattice, fid, gid):
     """Sign of det C with [basis(F) | w] = basis(G) C, each column of C
     solved for in rational arithmetic, w the Fraction barycenter difference."""
     orientations = hm.orient_faces(lattice)
-    w = vec_sub(lattice.barycenter(gid), lattice.barycenter(fid))
+    w = vec_sub(_barycenter(lattice, gid), _barycenter(lattice, fid))
     columns = [coordinates_in_basis(orientations[gid], u) for u in (*orientations[fid], w)]
     assert None not in columns
     return det_sign([list(row) for row in zip(*columns)])
