@@ -145,6 +145,15 @@ def _sample_points(lattice, fid):
     return [(v, 1) for v in coords] + [(tuple(map(sum, zip(*coords))), len(coords))]
 
 
+def cached_classification(lattice: FaceLattice, kind: str, x) -> Classification:
+    """``classify(lattice, kind, x)``, computed once per lattice and (kind, x)."""
+    cached = lattice._cache.setdefault("classifications", {})
+    key = (kind, tuple(x))
+    if key not in cached:
+        cached[key] = classify(lattice, kind, x)
+    return cached[key]
+
+
 def definitional_check(lattice: FaceLattice, kind: str, x, fid: int) -> bool:
     """Consistency of the facet-sign classification with the ray definition.
 
@@ -160,8 +169,7 @@ def definitional_check(lattice: FaceLattice, kind: str, x, fid: int) -> bool:
     if kind not in KINDS:
         raise ValueError(f"unknown classification kind {kind!r}")
     key = (kind, tuple(x))
-    cached = lattice._cache.setdefault("classifications", {})
-    cls = cached.get(key) or cached.setdefault(key, classify(lattice, kind, x))
+    cls = cached_classification(lattice, kind, x)
     # x = xx/b, and each start point's verdict, kept next to the partition
     rays = lattice._cache.setdefault("ray_verdicts", {})
     xx, b, verdicts = rays.get(key) or rays.setdefault(key, (*scale_to_integers(x), {}))

@@ -1,8 +1,9 @@
 """Thread-pool map with a deterministic merge.
 
-TORIC_THREADS caps the worker count; 0 or unset picks an automatic value.
-Results are returned in input order, so output never depends on the degree
-of parallelism.
+TORIC_THREADS opts in to a pool of that many workers; 0, unset or not a
+number runs serially. The work is pure Python under one interpreter lock,
+so a pool adds hand-offs rather than parallelism. Results are returned in
+input order, so output never depends on the degree of parallelism.
 """
 
 from __future__ import annotations
@@ -12,14 +13,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 
 def worker_count() -> int:
-    raw = os.environ.get("TORIC_THREADS", "0")
     try:
-        v = int(raw)
+        return max(int(os.environ.get("TORIC_THREADS", "0")), 1)
     except ValueError:
-        v = 0
-    if v <= 0:
-        return min(os.cpu_count() or 1, 8)
-    return v
+        return 1
 
 
 def parallel_map(fn, items):

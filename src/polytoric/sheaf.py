@@ -7,17 +7,22 @@ complex. Its cohomology is the x-graded piece of H^*(X; F(k)); summing over a
 box of lattice points, whose outer shell is checked acyclic, gives the
 global answer (``global_cohomology`` says what is checked and what is
 sampled). The subcomplex depends only on the signs of the facet functionals
-at x, so one restricted complex is kept per facet-sign class, for every
-twist, ring and graded piece. Its cohomology over Z, Q and Z/p is read from its one set of Smith
-forms (``homology.cohomology``). The closed-form contributors come from the
-lattice-point sweep of ``ehrhart``, and the scan walks the box in the same
-order, one line along the last coordinate at a time: each facet value is
-set once per line and stepped by the last coordinate of its normal, so a
-point costs no dot product. A class's face set is read from cached facet
-bitmasks, each class's cohomology is tested for triviality once, not once
-per point, and only points of non-trivial classes are decoded from their
-box index. ``class_points`` reads the first box point of each realized class
-off the same cache; ``verify`` runs its twist checks on those alone.
+at x, so one complex is kept per facet-sign class, for every twist and
+ring: the restriction to what free-pair coreduction (``homology.coreduce``)
+leaves of the class's face set, which has the same cohomology. On every
+input the tests cover, an acyclic class leaves nothing, a point of kP one
+vertex and an interior point of -kP the top face. Classes with one
+remainder share one complex, and each distinct complex's cohomology over
+Z, Q and Z/p is computed once, from its Smith forms (``homology.cohomology``).
+``graded_piece`` builds the full restriction on request. The closed-form
+contributors come from the lattice-point sweep of ``ehrhart``, and the scan
+walks the box in the same order, one line along the last coordinate at a
+time: each facet value is set once per line and stepped by the last
+coordinate of its normal, so a point costs no dot product. A class's face
+set is read from cached facet bitmasks, and only points of non-trivial
+classes are decoded from their box index. ``class_points`` reads the first
+box point of each realized class off the same cache; ``verify`` runs its
+twist checks on those alone.
 
 Membership is decided two ways: by facet inequalities (fast formula) and by
 an oracle on the barrier-cone generators. ``membership_certificate`` proves
@@ -43,6 +48,7 @@ from .homology import (
     CohomologyResult,
     IntegerChainComplex,
     cohomology,
+    coreduce,
     face_cochain_complex,
     restrict_cochain_complex,
 )
@@ -154,8 +160,13 @@ def membership_certificate(lattice: FaceLattice) -> bool:
     return True
 
 
+def twist_members(lattice: FaceLattice, k: int, x) -> frozenset[int]:
+    """Faces F with x in C_F + kF, by ``twist_membership``, unchecked."""
+    return frozenset(f.id for f in lattice.faces if twist_membership(lattice, k, f.id, x))
+
+
 def twist_face_set(lattice: FaceLattice, k: int, x) -> TwistFaceSet:
-    members = frozenset(f.id for f in lattice.faces if twist_membership(lattice, k, f.id, x))
+    members = twist_members(lattice, k, x)
     if not all(lattice.above(fid) <= members for fid in members):
         raise RuntimeError(f"twist face set at {tuple(x)} is not upward closed")
     return TwistFaceSet(k, tuple(x), members)
@@ -164,16 +175,24 @@ def twist_face_set(lattice: FaceLattice, k: int, x) -> TwistFaceSet:
 def graded_piece(lattice: FaceLattice, k: int, x) -> GradedPiece:
     """Subcomplex of the face cochain complex spanned by the faces seeing x.
 
-    The complex is the one cached for the facet-sign class of x, shared with
-    ``global_cohomology``.
+    The complex is the full restriction to the twist face set, built on
+    first use and kept per facet-sign class. ``graded_cohomology`` and
+    ``global_cohomology`` read the class's coreduced complex instead.
     """
     base = twist_face_set(lattice, k, x)
-    (complex_,) = _class_complexes(lattice, [_signature(lattice.polytope, k, x)])
-    return GradedPiece(base, complex_)
+    sig = _signature(lattice.polytope, k, x)
+    pieces = lattice._cache.setdefault("graded_pieces", {})
+    if sig not in pieces:
+        keep = _face_set_from_signature(lattice, sig)
+        pieces[sig] = restrict_cochain_complex(face_cochain_complex(lattice), keep)
+    return GradedPiece(base, pieces[sig])
 
 
 def graded_cohomology(lattice: FaceLattice, k: int, x, ring: str = "Z") -> CohomologyResult:
-    return cohomology(graded_piece(lattice, k, x).complex, ring)
+    """Cohomology of the graded piece at x, read from its class's coreduced
+    complex, which ``global_cohomology`` shares."""
+    (complex_,) = _class_complexes(lattice, [_signature(lattice.polytope, k, x)])
+    return cohomology(complex_, ring)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +227,7 @@ def classification_crosscheck(lattice: FaceLattice, k: int, x) -> bool:
     face of -P seen from x (x outside the interior of -P).
     """
     poly = lattice.polytope
-    proper_members = twist_face_set(lattice, k, x).members - {lattice.top_id}
+    proper_members = twist_members(lattice, k, x) - {lattice.top_id}
     if k == 1:
         if poly.contains(x):
             raise ValueError("crosscheck for k=1 needs x outside P")
@@ -259,22 +278,25 @@ def _face_set_from_signature(lattice: FaceLattice, sig) -> frozenset[int]:
 
 
 def _class_complexes(lattice: FaceLattice, sigs) -> list[IntegerChainComplex]:
-    """Restricted complex of each facet-sign class, built once per lattice.
+    """Coreduced complex of each facet-sign class, kept once per lattice.
 
-    Signature entry i says whether facet i's face is a member; the complex
-    depends on nothing else, so it is shared by every twist, ring and graded
-    piece, and carries its own Smith forms. Missing classes are built on the
-    thread pool; workers touch disjoint signatures and the merge is ordered,
-    so reports are identical for every degree of parallelism.
+    Signature entry i says whether facet i holds; the class's face set
+    depends on nothing else, so its complex is shared by every twist and
+    ring. The face set is coreduced first (``homology.coreduce``) and the
+    ambient complex restricted to what is left, which has the same
+    cohomology; almost every class leaves nothing. Classes with one
+    remainder share one complex and its Smith forms. New remainders are
+    restricted on the thread pool; the merge is ordered, so reports are
+    identical for every degree of parallelism.
     """
     cache = lattice._cache.setdefault("sign_classes", {})
+    by_rest = lattice._cache.setdefault("remainders", {})
     ambient = face_cochain_complex(lattice)
     todo = [sig for sig in sigs if sig not in cache]
-
-    def build(sig):
-        return restrict_cochain_complex(ambient, _face_set_from_signature(lattice, sig))
-
-    cache.update(zip(todo, parallel_map(build, todo)))
+    rests = [coreduce(ambient, _face_set_from_signature(lattice, sig)) for sig in todo]
+    new = [r for r in dict.fromkeys(rests) if r not in by_rest]
+    by_rest.update(zip(new, parallel_map(lambda r: restrict_cochain_complex(ambient, r), new)))
+    cache.update((sig, by_rest[r]) for sig, r in zip(todo, rests))
     return [cache[sig] for sig in sigs]
 
 
@@ -373,7 +395,11 @@ def global_cohomology(
     if size > MAX_SCAN_POINTS:
         raise ValueError(f"scan box has {size} points, more than the {MAX_SCAN_POINTS} allowed")
     sigs, box_ids, distant_ids = _scan(lattice, k, box)
-    results = [cohomology(c, ring) for c in _class_complexes(lattice, sigs)]
+    complexes = _class_complexes(lattice, sigs)
+    # one cohomology per distinct complex; most classes share the empty one
+    distinct = {id(c): c for c in complexes}
+    computed = {key: cohomology(c, ring) for key, c in distinct.items()}
+    results = [computed[id(c)] for c in complexes]
 
     free = [0] * (n + 1)
     torsion: list[list[int]] = [[] for _ in range(n + 1)]

@@ -227,6 +227,35 @@ def test_reports_identical_across_runs_and_threads(sq_file):
     assert outs[0] == outs[1]
 
 
+def test_thread_pool_is_serial_unless_asked_for(monkeypatch):
+    from polytoric import parallel
+
+    for raw in (None, "0", "-2", "many"):
+        if raw is None:
+            monkeypatch.delenv("TORIC_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("TORIC_THREADS", raw)
+        assert parallel.worker_count() == 1, raw
+    monkeypatch.setenv("TORIC_THREADS", "3")
+    assert parallel.worker_count() == 3
+
+
+def test_twist_face_set_not_upward_closed_is_a_fail_line(capsys, sq, sq_file, monkeypatch):
+    # a membership formula that drops the top face breaks upward closure;
+    # verify must report it as a FAIL, not end in a traceback
+    original = sh.twist_membership
+    monkeypatch.setattr(
+        sh, "twist_membership", lambda lat, k, f, x: f != lat.top_id and original(lat, k, f, x)
+    )
+    with pytest.raises(RuntimeError, match="not upward closed"):
+        sh.twist_face_set(sq, 1, (-2, -2))
+    code, out, _ = run_main(capsys, "verify", "--input", sq_file, "--suite", "cohomology")
+    assert code == 1
+    assert "FAIL twist face sets are upward closed" in out
+    assert "FAIL equal facet-sign vectors give equal twist face sets" in out
+    assert out.rstrip().splitlines()[-1].startswith("FAIL:")
+
+
 def test_parse_point_rationals():
     from fractions import Fraction
 

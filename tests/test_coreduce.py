@@ -1,0 +1,184 @@
+"""Free-pair coreduction against the full restriction.
+
+``homology.coreduce`` must leave a remainder whose restricted complex has the
+cohomology of the whole kept set over Z (torsion included), Q, Z/2 and Z/3.
+The facet-sign classes of the corpus, the extended shapes and seeded random
+1-4D polytopes cover the face complexes; scaled nerves and hand-made
+complexes cover entries that are not units, where no pair may be taken.
+"""
+
+import random
+
+import pytest
+
+from polytoric import boundary as bd
+from polytoric import build_polytope, face_lattice
+from polytoric import homology as hm
+from polytoric import sheaf as sh
+from polytoric.linalg import IntMatrix
+from conftest import CORPUS_VERTICES
+from test_extended import EXTENDED
+from test_homology import _projective_plane_nerve
+
+RINGS = ("Z", "Q", "Z/2", "Z/3")
+TWISTS = range(-3, 4)
+
+
+def _random_polytopes(count=40, seed=7):
+    """Seeded full-dimensional polytopes of dimension 1 to 4 with small
+    coordinates, so the scan boxes at |k| <= 3 stay small."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = 1 + len(out) % 4
+        span = 3 if n < 4 else 1
+        size = n + 1 + rng.randint(0, 4)
+        points = [[rng.randint(0, span) for _ in range(n)] for _ in range(size)]
+        try:
+            out.append(face_lattice(build_polytope(points)))
+        except ValueError:
+            continue  # not full-dimensional; draw again
+    return out
+
+
+def _classes(lat):
+    """Face set of every facet-sign class the scans of k in -3..3 meet."""
+    sets = set()
+    for k in TWISTS:
+        sigs, _, _ = sh._scan(lat, k, sh.scan_box(lat.polytope, k, 2))
+        sets.update(sh._face_set_from_signature(lat, sig) for sig in sigs)
+    return sorted(sets, key=sorted)
+
+
+def _assert_same_cohomology(ambient, keep, label):
+    rest = hm.coreduce(ambient, keep)
+    assert rest <= keep, label
+    full = hm.restrict_cochain_complex(ambient, keep)
+    reduced = hm.restrict_cochain_complex(ambient, rest)
+    for ring in RINGS:
+        assert hm.cohomology(reduced, ring) == hm.cohomology(full, ring), (label, ring)
+    return rest
+
+
+@pytest.fixture(scope="module")
+def named_lattices():
+    shapes = {**CORPUS_VERTICES, **EXTENDED}
+    return {name: face_lattice(build_polytope(v)) for name, v in shapes.items()}
+
+
+def test_class_remainders_match_full_restriction_on_named_shapes(named_lattices):
+    for name, lat in named_lattices.items():
+        ambient = hm.face_cochain_complex(lat)
+        for keep in _classes(lat):
+            _assert_same_cohomology(ambient, keep, (name, sorted(keep)))
+
+
+def test_class_remainders_match_full_restriction_on_random_polytopes():
+    lattices = _random_polytopes()
+    assert {lat.polytope.dim for lat in lattices} == {1, 2, 3, 4}
+    checked = 0
+    for i, lat in enumerate(lattices):
+        ambient = hm.face_cochain_complex(lat)
+        for keep in _classes(lat):
+            _assert_same_cohomology(ambient, keep, (i, lat.polytope.vertices, sorted(keep)))
+            checked += 1
+    assert checked > 1000
+
+
+def test_corpus_remainders_have_at_most_one_cell(named_lattices):
+    # the fast path: an acyclic class leaves nothing, a kP point leaves one
+    # vertex, an interior point of -kP leaves the top face
+    seen = set()
+    for name, lat in named_lattices.items():
+        ambient = hm.face_cochain_complex(lat)
+        for keep in _classes(lat):
+            rest = hm.coreduce(ambient, keep)
+            assert len(rest) <= 1, (name, sorted(keep), sorted(rest))
+            if rest:
+                (cell,) = rest
+                assert cell == lat.top_id or lat.face(cell).dim == 0, (name, cell)
+                seen.add("top" if cell == lat.top_id else "vertex")
+    assert seen == {"top", "vertex"}
+
+
+def test_class_complexes_are_coreduced_and_share_the_empty_one():
+    cube = face_lattice(build_polytope(CORPUS_VERTICES["CUBE"]))  # a cold cache
+    for k in TWISTS:
+        sh.global_cohomology(cube, k, "Z")
+    classes = cube._cache["sign_classes"]
+    empty = [c for c in classes.values() if not any(c.basis_labels)]
+    assert len(empty) > len(classes) // 2
+    assert all(c is empty[0] for c in empty)
+    assert all(sum(map(len, c.basis_labels)) <= 1 for c in classes.values())
+
+
+def test_global_cohomology_reads_each_distinct_complex_once(monkeypatch):
+    cube = face_lattice(build_polytope(CORPUS_VERTICES["CUBE"]))  # a cold cache
+    seen = []
+    original = sh.cohomology
+    monkeypatch.setattr(sh, "cohomology", lambda c, ring: seen.append(c) or original(c, ring))
+    g = sh.global_cohomology(cube, 2, "Q")
+    assert g.free == (27, 0, 0, 0)
+    sigs, _, _ = sh._scan(cube, 2, g.scan_box)
+    distinct = {id(c) for c in sh._class_complexes(cube, sigs)}
+    assert len(seen) == len({id(c) for c in seen}) == len(distinct) == 2
+
+
+# ---------------------------------------------------------------------------
+# entries that are not units
+
+
+def _complex(layers, maps):
+    """Complex from label layers and dense integer maps (rows = next degree)."""
+    mats = tuple(IntMatrix.from_rows(m, len(layers[i])) for i, m in enumerate(maps))
+    return hm.IntegerChainComplex(0, tuple(map(tuple, layers)), mats)
+
+
+def test_no_pair_along_a_non_unit_entry():
+    # d(a) = 2b: H^1 = Z/2, so neither cell may go
+    times_two = _complex([["a"], ["b"]], [[[2]]])
+    keep = frozenset("ab")
+    assert hm.coreduce(times_two, keep) == keep
+    assert hm.cohomology(times_two, "Z").torsion_at(1) == (2,)
+    # d(a) = 2b, d(c) = b: c is paired with b, and a is left as H^0 = Z
+    mixed = _complex([["a", "c"], ["b"]], [[[2, 1]]])
+    assert _assert_same_cohomology(mixed, frozenset("abc"), "mixed") == {"a"}
+
+
+def test_no_pair_with_a_cell_of_two_live_cofaces():
+    # the boundary of a triangle: each vertex has two live edges and each
+    # edge two live vertices, so no pair is free and H^0 = H^1 = Z survive
+    circle = hm.simplicial_chain_complex(
+        bd.NerveComplex((0, 1, 2), ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2)))
+    )
+    cells = frozenset(x for layer in circle.basis_labels for x in layer)
+    assert _assert_same_cohomology(circle, cells, "S1") == cells
+    # without vertex 2 each edge at 2 has one live vertex: two pairs go and
+    # one edge is left, the one H^1 class of the cochains vanishing at 2
+    rest = _assert_same_cohomology(circle, cells - {(2,)}, "S1 minus a vertex")
+    assert [len(x) for x in rest] == [2]
+
+
+def _scaled(m, f):
+    return IntMatrix(m.nrows, m.ncols, tuple(tuple((c, f * v) for c, v in r) for r in m.rows))
+
+
+def test_scaled_nerves_and_the_projective_plane():
+    # multiplying a whole coboundary by m keeps d∘d = 0 and makes every entry
+    # of that map a non-unit when |m| > 1
+    rng = random.Random(3)
+    nerves = [_projective_plane_nerve()]
+    for vertices in (CORPUS_VERTICES["CUBE"], EXTENDED["OCTA"], EXTENDED["PYRAMID"]):
+        nerves.append(bd.nerve(bd.boundary_complex(face_lattice(build_polytope(vertices)))))
+    torsion = set()
+    for i, nerve in enumerate(nerves):
+        for reduced in (False, True):
+            base = hm.simplicial_chain_complex(nerve, reduced=reduced)
+            keep = frozenset(x for layer in base.basis_labels for x in layer)
+            for trial in range(4):
+                factors = [rng.choice((1, -1, 2, 3, -6)) if trial else 1 for _ in base.maps]
+                maps = tuple(_scaled(m, f) for m, f in zip(base.maps, factors))
+                scaled = hm.IntegerChainComplex(base.start_degree, base.basis_labels, maps)
+                _assert_same_cohomology(scaled, keep, (i, reduced, factors))
+                torsion.update(t for tor in hm.cohomology(scaled, "Z").torsion for t in tor)
+    assert {2, 3} <= torsion

@@ -147,13 +147,19 @@ def test_oracle_fm_route_agrees_on_small_sample(tri):
 
 
 def test_graded_piece_full_and_top_only(sq, seg):
+    # a graded piece is the full restriction; its class complex, which the
+    # cohomology reads, is coreduced to one cell
     g = sh.graded_piece(sq, 1, (0, 0))
     assert g.base.members == frozenset(f.id for f in sq.faces)
     assert [len(layer) for layer in g.complex.basis_labels] == [4, 4, 1]
+    (rest,) = sh._class_complexes(sq, [sh._signature(sq.polytope, 1, (0, 0))])
+    assert [len(layer) for layer in rest.basis_labels] == [1, 0, 0]
 
     g = sh.graded_piece(seg, -2, (-1,))
     assert g.base.members == {seg.top_id}
     assert [len(layer) for layer in g.complex.basis_labels] == [0, 1]
+    (rest,) = sh._class_complexes(seg, [sh._signature(seg.polytope, -2, (-1,))])
+    assert rest.basis_labels == ((), (seg.top_id,))
 
 
 def test_graded_piece_k0_distant_point(sq):
@@ -353,7 +359,8 @@ def test_cohomology_suite_runs_one_twist_face_set_per_k1_class(name, monkeypatch
     realized = {sh._signature(poly, 1, x) for x in product(*(range(lo, hi + 1) for lo, hi in box))}
     twists = []
     crosschecks = []
-    original_twist = sh.twist_face_set
+    # verify reads twist face sets through the non-raising twist_members
+    original_twist = sh.twist_members
     original_cross = sh.classification_crosscheck
 
     def twist(lattice, k, x):
@@ -364,7 +371,7 @@ def test_cohomology_suite_runs_one_twist_face_set_per_k1_class(name, monkeypatch
         crosschecks.append((k, sh._signature(poly, k, x)))
         return original_cross(lattice, k, x)
 
-    monkeypatch.setattr(sh, "twist_face_set", twist)
+    monkeypatch.setattr(sh, "twist_members", twist)
     monkeypatch.setattr(sh, "classification_crosscheck", cross)
     assert all(r.passed for r in vf.cohomology_suite(lat))
     # every cross-check makes one call of its own; the rest are the dedup
@@ -428,7 +435,12 @@ def test_class_complexes_are_shared_by_rings_and_twists(monkeypatch):
     original = sh.restrict_cochain_complex
     monkeypatch.setattr(sh, "restrict_cochain_complex", lambda *a: built.append(a) or original(*a))
     sh.global_cohomology(cube, 1, "Z")
-    assert len(built) == len(cube._cache["sign_classes"]) > 1
+    # one restriction per distinct coreduced remainder, shared by its classes
+    classes = cube._cache["sign_classes"]
+    distinct = {id(c) for c in classes.values()}
+    assert [keep for _, keep in built] == list(cube._cache["remainders"])
+    assert len(built) == len(distinct) > 1
+    assert len(classes) > len(distinct)
     built.clear()
     for ring in ("Q", "Z/2", "Z/3"):
         sh.global_cohomology(cube, 1, ring)
@@ -461,17 +473,25 @@ def test_graded_pieces_reuse_the_scan_class_complexes(monkeypatch):
     poly = cube.polytope
     for k in (-1, 1):
         sh.global_cohomology(cube, k, "Z")
-    cached = cube._cache["sign_classes"]
+    cached = dict(cube._cache["sign_classes"])
     built = []
     original = sh.restrict_cochain_complex
     monkeypatch.setattr(sh, "restrict_cochain_complex", lambda *a: built.append(a) or original(*a))
+    pieces = {}
     for k in (-1, 1):
         for x in product(*(range(lo, hi + 1) for lo, hi in sh.scan_box(poly, k, 2))):
+            sig = sh._signature(poly, k, x)
+            res = sh.graded_cohomology(cube, k, x, "Z")
+            assert res == hm.cohomology(cached[sig], "Z"), (k, x)
+            # the full restriction, built once per class and then shared
             piece = sh.graded_piece(cube, k, x)
-            assert piece.complex is cached[sh._signature(poly, k, x)], (k, x)
+            assert pieces.setdefault(sig, piece.complex) is piece.complex, (k, x)
             kept = {f for layer in piece.complex.basis_labels for f in layer}
             assert kept == piece.base.members, (k, x)
-    assert built == []
+            assert hm.cohomology(piece.complex, "Z") == res, (k, x)
+    # graded_cohomology built nothing: it read the scan's class complexes
+    assert cube._cache["sign_classes"] == cached
+    assert len(built) == len(pieces) and set(pieces) <= set(cached)
 
 
 def test_global_matches_ehrhart_closed_form(lattices):

@@ -1,8 +1,10 @@
 import pytest
 
+from polytoric import build_polytope, face_lattice
+from polytoric import classify as cl
 from polytoric import verify as vf
 from polytoric.polytope import Facet, FaceLattice, LatticePolytope
-from conftest import face_id
+from conftest import CORPUS_VERTICES, face_id
 
 
 def test_all_suites_pass_on_small_corpus(lattices):
@@ -44,3 +46,23 @@ def test_results_are_deterministic(tri):
     a = vf.run_suite(tri, "classify", seed=3)
     b = vf.run_suite(tri, "classify", seed=3)
     assert a == b
+
+
+def test_classify_suite_classifies_each_viewpoint_once(monkeypatch):
+    cube = face_lattice(build_polytope(CORPUS_VERTICES["CUBE"]))  # a cold cache
+    calls = []
+    original = cl.classify
+
+    def classify(lat, kind, x):
+        calls.append((kind, tuple(x)))
+        return original(lat, kind, x)
+
+    monkeypatch.setattr(cl, "classify", classify)
+    assert all(r.passed for r in vf.classify_suite(cube, seed=0))
+    distinct = {
+        (kind, tuple(x))
+        for kind in cl.KINDS
+        for x in cl.sample_viewpoints(cube.polytope, kind, count=4, seed=0)
+    }
+    assert len(distinct) == 12
+    assert sorted(calls) == sorted(distinct)
