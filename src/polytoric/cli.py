@@ -79,8 +79,13 @@ def load_polytope(path: str):
         raise InputError(f"malformed JSON in {path}: {err}") from None
     if not isinstance(data, dict) or "vertices" not in data:
         raise InputError('input must be a JSON object with a "vertices" key')
+    vertices = data["vertices"]
+    if not isinstance(vertices, list) or not all(isinstance(p, list) for p in vertices):
+        raise InputError(
+            '"vertices" must be a list of coordinate lists, like [[0, 0], [1, 0], [0, 1]]'
+        )
     try:
-        poly = build_polytope(data["vertices"])
+        poly = build_polytope(vertices)
     except (ValueError, TypeError) as err:
         raise InputError(str(err)) from None
     digest = hashlib.sha256(raw.encode("utf-8")).hexdigest()

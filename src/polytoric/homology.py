@@ -1,7 +1,8 @@
 """Chain complexes and their (co)homology over Z, Q and Z/p.
 
 Two sources of complexes: the face cochain complex of a polytope (one basis
-element per face, coboundaries given by incidence numbers) and simplicial
+element per face, coboundaries given by +-1 incidence numbers that the
+diamond rule reads off the face lattice, with no coordinates) and simplicial
 complexes of nerves. Integer matrices are interpreted over the requested
 ring only when cohomology is computed, and one kernel answers every ring:
 the Smith normal form of each coboundary, computed once per complex by a
@@ -30,15 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .boundary import NerveComplex
-from .linalg import (
-    IntMatrix,
-    SmithForm,
-    det_sign,
-    integer_row_basis,
-    normalize_ring,
-    smith_normal_form,
-    vec_sub,
-)
+from .linalg import IntMatrix, SmithForm, normalize_ring, smith_normal_form
 from .polytope import FaceLattice
 
 
@@ -146,88 +139,58 @@ def cohomology(complex_: IntegerChainComplex, ring: str = "Z") -> CohomologyResu
 
 
 # ---------------------------------------------------------------------------
-# orientations and the face cochain complex
-
-
-def orient_faces(lattice: FaceLattice) -> dict[int, tuple[tuple[int, ...], ...]]:
-    """A deterministic integer basis of each face's direction space.
-
-    The basis is the nonzero echelon rows of ``_eliminate`` on the difference
-    vectors from the face's lexicographically least vertex; vertices get the
-    empty basis. Incidence numbers are determinant signs, so any other basis
-    changes the cochain complex by a +-1 diagonal change of basis and leaves
-    every Smith form unchanged.
-    """
-    cached = lattice._cache.get("orientations")
-    if cached is not None:
-        return cached
-    out = {}
-    for f in lattice.faces:
-        coords = lattice.vertex_coords(f.id)
-        v0 = coords[0]
-        basis = integer_row_basis([vec_sub(v, v0) for v in coords[1:]])
-        if len(basis) != f.dim:
-            raise RuntimeError("direction basis does not match the face dimension")
-        out[f.id] = basis
-    lattice._cache["orientations"] = out
-    return out
-
-
-def incidence(lattice: FaceLattice, fid: int, gid: int, orientations=None) -> int:
-    """Incidence number of a covering pair F < G, dim G = dim F + 1.
-
-    Sign of det C, where C expresses [basis(F) | w] in basis(G) and w is
-    the barycenter difference pointing from F into G, scaled by the
-    positive factor |F|*|G| (vertex counts) to an integer vector. All of
-    these vectors lie in G's direction space, so for any choice L of dim G
-    coordinates, L[basis(F) | w] = L basis(G) C. L is the leading coordinate
-    of each row of G's echelon basis (``orient_faces``), which makes
-    L basis(G) invertible, and the sign is the product of two integer
-    determinant signs; no coordinates are solved for.
-    """
-    f = lattice.face(fid)
-    g = lattice.face(gid)
-    if not (lattice.leq(fid, gid) and g.dim == f.dim + 1):
-        raise ValueError(f"faces {fid}, {gid} are not a covering pair")
-    if orientations is None:
-        orientations = orient_faces(lattice)
-    fv, gv = lattice.vertex_coords(fid), lattice.vertex_coords(gid)
-    w = tuple(
-        len(fv) * sum(col_g) - len(gv) * sum(col_f) for col_f, col_g in zip(zip(*fv), zip(*gv))
-    )
-    target_basis = orientations[gid]
-    lead = [next(i for i, x in enumerate(b) if x) for b in target_basis]
-    sign = det_sign([[u[c] for c in lead] for u in (*orientations[fid], w)])
-    sign *= det_sign([[b[c] for c in lead] for b in target_basis])
-    if sign == 0:
-        raise RuntimeError("degenerate incidence determinant")
-    return sign
+# the face cochain complex
 
 
 def face_cochain_complex(lattice: FaceLattice) -> IntegerChainComplex:
     """Cochain complex with degree-j basis the j-faces (including the top face).
 
-    The matrices are integer incidence numbers; the coefficient ring enters
-    only when cohomology is computed.
+    Incidence numbers come from the face lattice alone. An edge gets -1 at
+    its lower vertex id and +1 at the other. Then, for each face G of
+    dimension >= 2 in increasing dimension, G's lowest-id facet gets +1 and a
+    walk over G's ridge graph sets [G:F'] = -[G:F][F:E][F':E] for facets F,
+    F' of G that meet in a ridge E. Every interval of length 2 in a
+    polytope's face lattice is a diamond, so this is the rule
+    [G:F][F:E] + [G:F'][F':E] = 0 that makes d∘d = 0, and any two systems of
+    signs that keep it differ by a +-1 change of basis per face (A. Björner,
+    "Posets, regular CW complexes and Bruhat order", *Europ. J. Combin.* 5,
+    1984), which changes no Smith form. A sign conflict would fail the d∘d
+    check of ``IntegerChainComplex``. The coefficient ring enters only when
+    cohomology is computed.
     """
     cached = lattice._cache.get("face_cochain")
     if cached is not None:
         return cached
     n = lattice.polytope.dim
-    orientations = orient_faces(lattice)
     labels = tuple(lattice.faces_of_dim(d) for d in range(n + 1))
+    signs: dict[int, dict[int, int]] = {}  # signs[G][F] = [G:F] for each facet F of G
+    for d in range(1, n + 1):
+        for gid in labels[d]:
+            facets = sorted(f for f in lattice.below(gid) if lattice.faces[f].dim == d - 1)
+            if d == 1:
+                signs[gid] = {facets[0]: -1, facets[1]: 1}
+                continue
+            through: dict[int, list[int]] = {}  # ridge of G -> the two facets of G on it
+            for f in facets:
+                for e in signs[f]:
+                    through.setdefault(e, []).append(f)
+            inc = {facets[0]: 1}
+            stack = [facets[0]]
+            while stack:
+                f = stack.pop()
+                for e, s in signs[f].items():
+                    for other in through[e]:
+                        if other not in inc:
+                            inc[other] = -inc[f] * s * signs[other][e]
+                            stack.append(other)
+            if len(inc) != len(facets):
+                raise RuntimeError(f"the ridge graph of face {gid} is not connected")
+            signs[gid] = inc
     maps = []
     for d in range(n):
         col = {fid: j for j, fid in enumerate(labels[d])}
         rows = tuple(
-            tuple(
-                sorted(
-                    (col[fid], incidence(lattice, fid, gid, orientations))
-                    for fid in lattice.below(gid)
-                    if fid in col
-                )
-            )
-            for gid in labels[d + 1]
+            tuple(sorted((col[f], s) for f, s in signs[gid].items())) for gid in labels[d + 1]
         )
         maps.append(IntMatrix(len(rows), len(col), rows))
     complex_ = IntegerChainComplex(0, labels, tuple(maps))

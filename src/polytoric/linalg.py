@@ -9,16 +9,19 @@ sparse rows. All arithmetic is arbitrary precision; nothing in this package
 ever touches floating point, and a matrix refuses non-integer entries instead
 of truncating them.
 
-Ranks over Q and Z/p, determinant signs, solves, kernel lines and integer
-row bases all come from one fraction-free integer elimination
-(``_eliminate``, in the style of Bareiss 1968): rational input rows are
-scaled to integer rows once, and no ``Fraction`` arithmetic runs inside it.
-The one other reduction is the Smith normal form, a sparse Euclid on
-``{col: value}`` rows copied from the sparse rows, taking unit pivots first;
-it is the one cohomology kernel, and ``homology`` reads the answers over Z,
-Q and Z/p from its elementary divisors. ``rank_over_field`` answers no
-cohomology question; it stays public as an independent route to the field
-ranks, which the tests compare with the Smith form.
+Ranks over Q and Z/p, determinant signs, solves and kernel lines all come
+from one fraction-free integer elimination (``_eliminate``, in the style of
+Bareiss 1968): rational input rows are scaled to integer rows once, and no
+``Fraction`` arithmetic runs inside it. At runtime it gives the ranks of
+point sets (``rank_rational``) and the rays of the double description
+(``kernel_line``). The one other reduction is the Smith normal form, a
+sparse Euclid on ``{col: value}`` rows copied from the sparse rows, taking
+unit pivots first; it is the one cohomology kernel, and ``homology`` reads
+the answers over Z, Q and Z/p from its elementary divisors.
+``rank_over_field``, ``det_sign`` and ``coordinates_in_basis`` answer
+nothing at runtime: the tests use the first as an independent route to the
+field ranks, and the other two for the geometric incidence signs that the
+face cochain complex is compared with.
 """
 
 from __future__ import annotations
@@ -193,7 +196,7 @@ def _eliminate(rows: Sequence[Sequence], ncols: int, p: int | None = None, reduc
     """Fraction-free row echelon form of a matrix over Q or Z/p.
 
     This is the one elimination behind every field rank, determinant sign,
-    solve, kernel and row basis in this module. Each step replaces row_i by
+    solve and kernel in this module. Each step replaces row_i by
     pv*row_i - f*row_r for the rows with f != 0 in the pivot column: the
     rows below the pivot, or all other rows when ``reduced``. Over Q (``p`` is None) the int/Fraction input rows are first
     scaled by positive factors to integers, and each new row is divided by
@@ -298,15 +301,6 @@ def kernel_line(rows: Sequence[Sequence], dim: int) -> tuple[int, ...] | None:
     for row, c in zip(echelon, pivots):
         v[c] = -row[free] * (scale // row[c])
     return primitive_vector(v)
-
-
-def integer_row_basis(vectors: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """Integer basis of the row space over Q: the nonzero echelon rows of
-    ``_eliminate``."""
-    if not vectors:
-        return ()
-    rows, pivots, _ = _eliminate(vectors, len(vectors[0]))
-    return tuple(tuple(row) for row in rows[: len(pivots)])
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,15 @@ def test_boolean_coordinate_exits_2(capsys, tmp_path):
     assert err.count("\n") == 1 and "non-integer coordinate True" in err
 
 
+@pytest.mark.parametrize("vertices", ["5", "[5, 6]", '"abc"', "[[0, 0], 5]"])
+def test_vertices_not_a_list_of_coordinate_lists_exits_2(capsys, tmp_path, vertices):
+    bad = tmp_path / "bad.json"
+    bad.write_text(f'{{"vertices": {vertices}}}')
+    code, out, err = run_main(capsys, "cohomology", "--input", str(bad), "--twist", "1")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "list of coordinate lists" in err
+
+
 def test_classify_command(capsys, sq_file):
     code, out, _ = run_main(
         capsys, "classify", "--input", sq_file, "--kind", "vis", "--x", "2,2"

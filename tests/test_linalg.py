@@ -8,7 +8,6 @@ from polytoric.linalg import (
     IntMatrix,
     coordinates_in_basis,
     det_sign,
-    integer_row_basis,
     kernel_line,
     rank_over_field,
     rank_rational,
@@ -210,22 +209,6 @@ def test_smith_recovers_chosen_divisors_under_unimodular_factors():
     for shape in ((0, 0), (0, 5), (5, 0)):
         empty = M([[0] * shape[1] for _ in range(shape[0])], ncols=shape[1])
         assert smith_normal_form(empty).elementary_divisors == ()
-
-
-def test_integer_row_basis_spans_the_row_space():
-    rng = random.Random(31)
-    for _ in range(200):
-        nr, nc = rng.randint(1, 5), rng.randint(1, 5)
-        rows = [[rng.choice((0, 0, 1, -1, rng.randint(-6, 6))) for _ in range(nc)] for _ in range(nr)]
-        if nr > 1 and rng.random() < 0.4:
-            rows[0] = [2 * x - y for x, y in zip(rows[1], rows[-1])]
-        basis = integer_row_basis(rows)
-        assert all(isinstance(x, int) for row in basis for x in row)
-        assert len(basis) == rank_rational(rows)
-        # same space: adding the input rows to the basis raises no rank
-        assert rank_rational(list(basis) + rows) == len(basis)
-    assert integer_row_basis([(0, 0)]) == ()
-    assert integer_row_basis([]) == ()
 
 
 def test_matrix_shapes_and_product():

@@ -2,11 +2,15 @@
 
 Each fast path is compared with the dense or per-point route it replaced:
 the sparse product with a dense triple loop, the sparse restriction with a
-dense submatrix copy, the face cochain complex with one built from the full
-F x F order relation, each incidence sign with the determinant of solved
-rational coordinates, the simplicial coboundaries with dense rows, and the
+dense submatrix copy, the simplicial coboundaries with dense rows, and the
 line-stepped class ids of ``sheaf._scan`` with one ``_signature`` per point.
-Inputs are the test corpus and seeded random 2-4D polytopes.
+The face cochain complex, whose signs come from the face lattice alone, is
+compared with one built from the full F x F order relation and geometric
+incidence signs (the determinant route: an integer basis of each face's
+direction space and two determinant signs per covering pair). The two must
+agree up to a +-1 change of basis per face, and each geometric sign must
+equal the determinant of solved rational coordinates. Inputs are the test
+corpus and seeded random 1-4D polytopes.
 """
 
 import random
@@ -19,19 +23,28 @@ from polytoric import boundary as bd
 from polytoric import build_polytope, face_lattice
 from polytoric import homology as hm
 from polytoric import sheaf as sh
-from polytoric.linalg import IntMatrix, coordinates_in_basis, det_sign, vec_sub
+from polytoric.linalg import (
+    IntMatrix,
+    _eliminate,
+    coordinates_in_basis,
+    det_sign,
+    rank_rational,
+    smith_normal_form,
+    vec_sub,
+)
 
+from conftest import face_id
 from test_extended import EXTENDED
 
 
-def _random_lattices(seed, count):
+def _random_lattices(seed, count, dims=(2, 4)):
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        n = rng.randint(2, 4)
+        n = rng.randint(*dims)
         span = 2 if n < 4 else 1
-        count = n + 2 + rng.randint(0, 3)
-        pts = {tuple(rng.randint(-span, span) for _ in range(n)) for _ in range(count)}
+        npts = n + 2 + rng.randint(0, 3)
+        pts = {tuple(rng.randint(-span, span) for _ in range(n)) for _ in range(npts)}
         try:
             out.append(face_lattice(build_polytope(sorted(pts))))
         except ValueError:
@@ -84,23 +97,6 @@ def test_sparse_product_matches_dense_product():
         assert got.is_zero() == all(x == 0 for row in got.entries for x in row)
 
 
-def _leq_face_complex(lattice):
-    """The face cochain complex as built before rows came from ``below``: one
-    dense row per face, one ``leq`` test per pair of faces."""
-    orientations = hm.orient_faces(lattice)
-    labels = tuple(lattice.faces_of_dim(d) for d in range(lattice.polytope.dim + 1))
-    return [
-        tuple(
-            tuple(
-                hm.incidence(lattice, fid, gid, orientations) if lattice.leq(fid, gid) else 0
-                for fid in labels[d]
-            )
-            for gid in labels[d + 1]
-        )
-        for d in range(len(labels) - 1)
-    ]
-
-
 def _dense_restriction(complex_, keep):
     dense = []
     for i, m in enumerate(complex_.maps):
@@ -124,39 +120,195 @@ def _upward_closed_sets(lattice, rng, count):
     return sorted(sets, key=sorted)
 
 
+# ---------------------------------------------------------------------------
+# the determinant route: geometric incidence signs
+
+
+def integer_row_basis(vectors):
+    """Integer basis of the row space over Q: the nonzero echelon rows of
+    ``_eliminate``."""
+    if not vectors:
+        return ()
+    rows, pivots, _ = _eliminate(vectors, len(vectors[0]))
+    return tuple(tuple(row) for row in rows[: len(pivots)])
+
+
+def orient_faces(lattice):
+    """An integer basis of each face's direction space: the echelon rows of
+    the difference vectors from the face's lexicographically least vertex.
+    Vertices get the empty basis."""
+    out = {}
+    for f in lattice.faces:
+        coords = lattice.vertex_coords(f.id)
+        out[f.id] = integer_row_basis([vec_sub(v, coords[0]) for v in coords[1:]])
+        assert len(out[f.id]) == f.dim
+    return out
+
+
+def incidence(lattice, fid, gid, orientations=None):
+    """Geometric incidence number of a covering pair F < G.
+
+    Sign of det C, where C expresses [basis(F) | w] in basis(G) and w is the
+    barycenter difference pointing from F into G, scaled by the positive
+    factor |F|*|G| (vertex counts) to an integer vector. For any choice L of
+    dim G coordinates, L[basis(F) | w] = L basis(G) C. L is the leading
+    coordinate of each row of G's echelon basis, which makes L basis(G)
+    invertible, so the sign is the product of two determinant signs.
+    """
+    f, g = lattice.face(fid), lattice.face(gid)
+    if not (lattice.leq(fid, gid) and g.dim == f.dim + 1):
+        raise ValueError(f"faces {fid}, {gid} are not a covering pair")
+    if orientations is None:
+        orientations = orient_faces(lattice)
+    fv, gv = lattice.vertex_coords(fid), lattice.vertex_coords(gid)
+    w = tuple(
+        len(fv) * sum(col_g) - len(gv) * sum(col_f) for col_f, col_g in zip(zip(*fv), zip(*gv))
+    )
+    target_basis = orientations[gid]
+    lead = [next(i for i, x in enumerate(b) if x) for b in target_basis]
+    sign = det_sign([[u[c] for c in lead] for u in (*orientations[fid], w)])
+    sign *= det_sign([[b[c] for c in lead] for b in target_basis])
+    assert sign != 0
+    return sign
+
+
 def _barycenter(lattice, fid):
     coords = lattice.vertex_coords(fid)
     return tuple(Fraction(sum(c), len(coords)) for c in zip(*coords))
 
 
-def _solved_incidence(lattice, fid, gid):
+def _solved_incidence(lattice, fid, gid, orientations):
     """Sign of det C with [basis(F) | w] = basis(G) C, each column of C
     solved for in rational arithmetic, w the Fraction barycenter difference."""
-    orientations = hm.orient_faces(lattice)
     w = vec_sub(_barycenter(lattice, gid), _barycenter(lattice, fid))
     columns = [coordinates_in_basis(orientations[gid], u) for u in (*orientations[fid], w)]
     assert None not in columns
     return det_sign([list(row) for row in zip(*columns)])
 
 
+def _leq_face_complex(lattice):
+    """The face cochain complex with geometric signs and one dense row per
+    face, from one ``leq`` test per pair of faces."""
+    orientations = orient_faces(lattice)
+    labels = tuple(lattice.faces_of_dim(d) for d in range(lattice.polytope.dim + 1))
+    return [
+        tuple(
+            tuple(
+                incidence(lattice, fid, gid, orientations) if lattice.leq(fid, gid) else 0
+                for fid in labels[d]
+            )
+            for gid in labels[d + 1]
+        )
+        for d in range(len(labels) - 1)
+    ]
+
+
+def _sign_change(complex_, dense):
+    """The +-1 per face with complex entry [G:F] == eps[G] * dense[G][F] *
+    eps[F] for every pair of faces in consecutive degrees. eps is 1 on each
+    vertex and fixed on each higher face by its first covering pair; every
+    entry is then checked, zeros included."""
+    labels = complex_.basis_labels
+    eps = dict.fromkeys(labels[0], 1)
+    for d, (m, old) in enumerate(zip(complex_.maps, dense)):
+        for gid, row, old_row in zip(labels[d + 1], m.entries, old):
+            c = next(j for j, x in enumerate(old_row) if x)
+            eps[gid] = row[c] * old_row[c] * eps[labels[d][c]]
+            want = tuple(eps[gid] * x * eps[fid] for fid, x in zip(labels[d], old_row))
+            assert row == want, (d, gid)
+    return eps
+
+
+def test_integer_row_basis_spans_the_row_space():
+    rng = random.Random(31)
+    for _ in range(200):
+        nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [[rng.choice((0, 0, 1, -1, rng.randint(-6, 6))) for _ in range(nc)] for _ in range(nr)]
+        if nr > 1 and rng.random() < 0.4:
+            rows[0] = [2 * x - y for x, y in zip(rows[1], rows[-1])]
+        basis = integer_row_basis(rows)
+        assert all(isinstance(x, int) for row in basis for x in row)
+        assert len(basis) == rank_rational(rows)
+        # same space: adding the input rows to the basis raises no rank
+        assert rank_rational(list(basis) + rows) == len(basis)
+    assert integer_row_basis([(0, 0)]) == ()
+    assert integer_row_basis([]) == ()
+
+
+def test_orientation_bases(sq, seg):
+    orients = orient_faces(seg)
+    for fid in seg.faces_of_dim(0):
+        assert orients[fid] == ()
+    assert orients[seg.top_id] == ((1,),)
+
+    orients = orient_faces(sq)
+    bottom = face_id(sq, (0, 0), (1, 0))
+    assert orients[bottom] == ((1, 0),)
+    assert orients[sq.top_id] == ((1, 0), (0, 1))
+
+
+def test_incidence_segment_signs(seg):
+    v0 = face_id(seg, (0,))
+    v1 = face_id(seg, (1,))
+    s0 = incidence(seg, v0, seg.top_id)
+    s1 = incidence(seg, v1, seg.top_id)
+    assert {s0, s1} == {1, -1}
+    assert s0 == 1  # w = +1/2 in the basis (1,)
+
+
+def test_incidence_square_example(sq):
+    v00 = face_id(sq, (0, 0))
+    bottom = face_id(sq, (0, 0), (1, 0))
+    assert incidence(sq, v00, bottom) == 1
+
+
+def test_incidence_rejects_non_covers(sq):
+    v00 = face_id(sq, (0, 0))
+    v11 = face_id(sq, (1, 1))
+    with pytest.raises(ValueError):
+        incidence(sq, v00, v11)
+    with pytest.raises(ValueError):
+        incidence(sq, v00, sq.top_id)
+
+
 def test_incidence_matches_solved_coordinates(shapes):
     covers = 0
     for name, lat in shapes.items():
+        orientations = orient_faces(lat)
         for g in lat.faces:
             for fid in lat.below(g.id):
                 if lat.face(fid).dim + 1 == g.dim:
                     covers += 1
-                    want = _solved_incidence(lat, fid, g.id)
-                    assert hm.incidence(lat, fid, g.id) == want, (name, fid, g.id)
+                    want = _solved_incidence(lat, fid, g.id, orientations)
+                    assert incidence(lat, fid, g.id, orientations) == want, (name, fid, g.id)
     assert covers > 500
 
 
 def test_face_complex_matches_leq_built_complex(shapes):
-    for name, lat in shapes.items():
+    # the lattice-only signs equal the geometric ones up to a +-1 change of
+    # basis per face, so every Smith form is the same
+    cloud = random.Random(1)
+    rand4 = [tuple(cloud.randint(-5, 5) for _ in range(4)) for _ in range(12)]
+    corpus = dict(shapes)
+    corpus.update({f"random 1-4D {i}": lat for i, lat in enumerate(_random_lattices(9, 24, (1, 4)))})
+    corpus["segment"] = face_lattice(build_polytope([[-2], [3]]))
+    corpus["4D cloud"] = face_lattice(build_polytope(rand4))
+    dims = set()
+    for name, lat in corpus.items():
         c = hm.face_cochain_complex(lat)
         for m in c.maps:
             _assert_sparse_layout(m)
-        assert [m.entries for m in c.maps] == _leq_face_complex(lat), name
+        dense = _leq_face_complex(lat)
+        eps = _sign_change(c, dense)
+        assert set(eps) == set(range(len(lat.faces))) and set(eps.values()) <= {1, -1}, name
+        old_forms = [smith_normal_form(IntMatrix.from_rows(m)) for m in dense]
+        assert [smith_normal_form(m) for m in c.maps] == old_forms, name
+        dims.add(lat.polytope.dim)
+    assert dims == {1, 2, 3, 4} and len(corpus["4D cloud"].faces) > 150
+
+
+# ---------------------------------------------------------------------------
+# restrictions, nerves and the scan
 
 
 def test_sparse_restriction_matches_dense_restriction(shapes):
