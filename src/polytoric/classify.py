@@ -43,12 +43,10 @@ class Classification:
 
 
 def _faces_meeting(lattice: FaceLattice, facet_ids: set[int]) -> frozenset[int]:
-    """Proper faces contained in at least one of the given facets."""
-    return frozenset(
-        f.id
-        for f in lattice.faces
-        if f.id != lattice.top_id and f.facet_set & facet_ids
-    )
+    """Proper faces contained in at least one of the given facets (the top
+    face lies in none: its facet mask is 0)."""
+    wanted = sum(1 << j for j in facet_ids)
+    return frozenset(fid for fid, mask in enumerate(lattice.facet_masks) if mask & wanted)
 
 
 def _partition(lattice, kind, x, complex_facets) -> Classification:

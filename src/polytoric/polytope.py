@@ -2,8 +2,11 @@
 
 A polytope is built from its integer vertices; its facets are the extreme
 rays of the dual of the cone over the homogenized points (1, p), computed by
-the exact double description in ``lp.dual_cone_rays``. Faces are the
-intersections of facet vertex sets, graded by affine dimension.
+the exact double description in ``lp.dual_cone_rays``. After the hull, no
+linear algebra is needed: an input point is a vertex iff it is the only
+input point on all of the facets through it, faces are the intersections
+of facet vertex sets (int bitmasks of vertex ids), and each face is graded
+as one more than the largest dimension below it.
 """
 
 from __future__ import annotations
@@ -95,14 +98,16 @@ def build_polytope(points: Iterable[Sequence[int]]) -> LatticePolytope:
     # facets are the rays (offset, normal) of the dual of the cone over {(1, p)}
     rays = dual_cone_rays([(1,) + p for p in dedup], dim + 1)
     facets = [Facet(nrm, off) for nrm, off in sorted((r[1:], r[0]) for r in rays)]
+    # p is a vertex iff it is the only input point on all of the facets through it
+    on = [sum(1 << i for i, q in enumerate(dedup) if f.value(q) == 0) for f in facets]
     vertices = []
     discarded = []
-    for p in dedup:
-        active = [f.normal for f in facets if f.value(p) == 0]
-        if len(active) >= dim and rank_rational(active) == dim:
-            vertices.append(p)
-        else:
-            discarded.append(p)
+    for i, p in enumerate(dedup):
+        common = (1 << len(dedup)) - 1
+        for m in on:
+            if m >> i & 1:
+                common &= m
+        (vertices if common == 1 << i else discarded).append(p)
     vertices.sort()
     discarded.sort()
 
@@ -132,6 +137,10 @@ def negate_polytope(poly: LatticePolytope) -> LatticePolytope:
 # face lattice
 
 
+def _bits(mask: int) -> frozenset[int]:
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 @dataclass(frozen=True)
 class Face:
     id: int
@@ -143,58 +152,53 @@ class Face:
 class FaceLattice:
     """All non-empty faces of a polytope, graded by dimension.
 
-    Faces are indexed in a fixed order (by dimension, then by vertex set), so
-    face ids form a linear extension of the partial order. The join of two
-    faces is the face whose facet set is the intersection of theirs; the top
-    face has the empty facet set.
+    Faces are the intersections of facet vertex sets, found as int bitmasks
+    of vertex ids with no linear algebra. The face poset is graded, so a
+    face's dimension is one more than the largest dimension strictly below
+    it, and vertices have dimension 0 (Ziegler, *Lectures on Polytopes*,
+    1995, Sec. 2.2). Faces are indexed in a fixed order (by dimension, then
+    by vertex set), so face ids form a linear extension of the partial
+    order. ``facet_masks[f]`` has bit j set iff facet j passes through face
+    f. The join of two faces is the face whose facet set is the
+    intersection of theirs; the top face has the empty facet set.
     """
 
     def __init__(self, polytope: LatticePolytope):
         self.polytope = polytope
-        n = polytope.dim
-        verts = polytope.vertices
-        all_ids = frozenset(range(len(verts)))
-        facet_members = [
-            frozenset(i for i, v in enumerate(verts) if f.value(v) == 0)
+        members = [
+            sum(1 << i for i, v in enumerate(polytope.vertices) if f.value(v) == 0)
             for f in polytope.facets
         ]
-        vertex_sets = {all_ids}
-        frontier = {fm for fm in facet_members if fm}
-        vertex_sets |= frontier
+        masks = {(1 << len(polytope.vertices)) - 1}
+        frontier = {m for m in members if m}
         while frontier:
-            fresh = set()
-            for vs in frontier:
-                for fm in facet_members:
-                    cap = vs & fm
-                    if cap and cap not in vertex_sets:
-                        fresh.add(cap)
-            vertex_sets |= fresh
-            frontier = fresh
+            masks |= frontier
+            frontier = {vs & m for vs in frontier for m in members if vs & m} - masks
 
-        def face_dim(vs: frozenset[int]) -> int:
-            pts = sorted(verts[i] for i in vs)
-            return rank_rational([vec_sub(p, pts[0]) for p in pts[1:]])
-
-        records = []
-        for vs in vertex_sets:
-            fs = frozenset(j for j, fm in enumerate(facet_members) if vs <= fm)
-            records.append((face_dim(vs), tuple(sorted(vs)), vs, fs))
-        records.sort(key=lambda r: (r[0], r[1]))
+        by_size = sorted(masks, key=int.bit_count)
+        below: dict[int, list[int]] = {}
+        above: dict[int, list[int]] = {m: [] for m in masks}
+        dims = {}
+        for i, m in enumerate(by_size):
+            below[m] = [s for s in by_size[:i] if s & m == s]
+            dims[m] = 1 + max((dims[s] for s in below[m]), default=-1)
+            below[m].append(m)
+            for s in below[m]:
+                above[s].append(m)
+        order = sorted(masks, key=lambda m: (dims[m], sorted(_bits(m))))
+        fid = {m: i for i, m in enumerate(order)}
+        self.facet_masks = tuple(
+            sum(1 << j for j, fm in enumerate(members) if m & fm == m) for m in order
+        )
         self.faces = tuple(
-            Face(i, vs, fs, d) for i, (d, _key, vs, fs) in enumerate(records)
+            Face(i, _bits(m), _bits(self.facet_masks[i]), dims[m]) for i, m in enumerate(order)
         )
         self.top_id = len(self.faces) - 1
-        self.facet_members = tuple(facet_members)
+        self.facet_members = tuple(map(_bits, members))
         self._by_vertex_set = {f.vertex_set: f.id for f in self.faces}
         self._by_facet_set = {f.facet_set: f.id for f in self.faces}
-        self._above = tuple(
-            frozenset(g.id for g in self.faces if f.vertex_set <= g.vertex_set)
-            for f in self.faces
-        )
-        self._below = tuple(
-            frozenset(g.id for g in self.faces if g.vertex_set <= f.vertex_set)
-            for f in self.faces
-        )
+        self._above = tuple(frozenset(map(fid.get, above[m])) for m in order)
+        self._below = tuple(frozenset(map(fid.get, below[m])) for m in order)
         self._cache: dict = {}
 
     # -- basic queries ------------------------------------------------------

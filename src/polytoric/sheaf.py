@@ -19,9 +19,9 @@ contributors come from the lattice-point sweep of ``ehrhart``, and the scan
 walks the box in the same order, one line along the last coordinate at a
 time: each facet value is set once per line and stepped by the last
 coordinate of its normal, so a point costs no dot product. A class's face
-set is read from cached facet bitmasks, and only points of non-trivial
+set is read from the lattice's facet bitmasks, and only points of non-trivial
 classes are decoded from their box index. ``class_points`` reads the first
-box point of each realized class off the same cache; ``verify`` runs its
+box point of each realized class off the cached scan; ``verify`` runs its
 twist checks on those alone.
 
 Membership is decided two ways: by facet inequalities (fast formula) and by
@@ -266,15 +266,10 @@ def _signature(poly, k: int, x) -> tuple[bool, ...]:
 
 
 def _face_set_from_signature(lattice: FaceLattice, sig) -> frozenset[int]:
-    """Faces all of whose facets hold in the signature, tested against a
-    cached bitmask of the facets through each face."""
-    masks = lattice._cache.get("facet_masks")
-    if masks is None:
-        masks = lattice._cache["facet_masks"] = tuple(
-            (f.id, sum(1 << i for i in f.facet_set)) for f in lattice.faces
-        )
+    """Faces all of whose facets hold in the signature, tested against the
+    lattice's bitmask of the facets through each face."""
     missing = ~sum(1 << i for i, ok in enumerate(sig) if ok)
-    return frozenset([fid for fid, mask in masks if not mask & missing])
+    return frozenset([fid for fid, mask in enumerate(lattice.facet_masks) if not mask & missing])
 
 
 def _class_complexes(lattice: FaceLattice, sigs) -> list[IntegerChainComplex]:

@@ -4,8 +4,10 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from polytoric import build_polytope
-from polytoric.linalg import dot, kernel_line, vec_neg, vec_sub
+import polytoric.polytope as polytope_module
+from polytoric import build_polytope, face_lattice
+from polytoric.linalg import dot, kernel_line, rank_rational, vec_neg, vec_sub
+from polytoric.polytope import Facet, FaceLattice, LatticePolytope
 from conftest import face_id
 
 
@@ -208,6 +210,107 @@ def test_hasse_pairs_are_covers(cube):
         assert fa.vertex_set < fb.vertex_set
     # cube has 8*3 vertex-edge + 12*2 edge-facet + 6 facet-top covers
     assert len(covers) == 24 + 24 + 6
+
+
+# the 5D cross-polytope of radius 2, its centre and an edge midpoint
+CROSS5 = [
+    tuple(s * 2 * int(i == j) for j in range(5)) for i in range(5) for s in (1, -1)
+] + [(0, 0, 0, 0, 0), (1, 1, 0, 0, 0)]
+
+
+def _assert_matches_rank_route(points, lat):
+    """Reference: the vertex test and grading by rank over Q, and the order
+    by vertex-set containment."""
+    poly = lat.polytope
+    dedup = set(map(tuple, points))
+    assert sorted(poly.vertices + poly.discarded) == sorted(dedup)
+    for p in dedup:
+        active = [f.normal for f in poly.facets if f.value(p) == 0]
+        assert (p in poly.vertices) == (rank_rational(active) == poly.dim), p
+    for f in lat.faces:
+        pts = [poly.vertices[i] for i in sorted(f.vertex_set)]
+        assert f.dim == rank_rational([vec_sub(p, pts[0]) for p in pts[1:]])
+        assert lat.facet_masks[f.id] == sum(1 << j for j in f.facet_set)
+        assert lat.above(f.id) == frozenset(g.id for g in lat.faces if f.vertex_set <= g.vertex_set)
+        assert lat.below(f.id) == frozenset(g.id for g in lat.faces if g.vertex_set <= f.vertex_set)
+    keys = [(f.dim, sorted(f.vertex_set)) for f in lat.faces]
+    assert keys == sorted(keys)
+    # the faces are the vertex set and the non-empty intersections of facets
+    vertex_sets = {f.vertex_set for f in lat.faces}
+    assert vertex_sets >= {fm for fm in lat.facet_members if fm}
+    assert all(a & b in vertex_sets for a in vertex_sets for b in vertex_sets if a & b)
+
+
+def _clouds_with_non_vertices(count):
+    """Seeded 1-4D clouds scaled by 2(n + 1), each with a repeated point, the
+    barycenter of n + 1 affinely independent vertices (an interior point)
+    and the midpoint of an edge."""
+    rng = random.Random(12)
+    clouds = []
+    while len(clouds) < count:
+        n = len(clouds) % 4 + 1
+        s = 2 * (n + 1)
+        pts = [tuple(s * rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(n + 1, n + 7))]
+        try:
+            lat = face_lattice(build_polytope(pts))
+        except ValueError:
+            continue
+        verts = lat.polytope.vertices
+        basis = [verts[0]]
+        for v in verts[1:]:
+            if rank_rational([vec_sub(w, basis[0]) for w in basis[1:] + [v]]) == len(basis):
+                basis.append(v)
+        centre = tuple(sum(c) // (n + 1) for c in zip(*basis))
+        a, b = (verts[i] for i in sorted(lat.face(rng.choice(lat.faces_of_dim(1))).vertex_set))
+        midpoint = tuple((x + y) // 2 for x, y in zip(a, b))
+        clouds.append((pts + [pts[0], centre, midpoint], (centre, midpoint)))
+    return clouds
+
+
+def test_lattice_matches_rank_route(lattices):
+    for lat in lattices.values():
+        _assert_matches_rank_route(lat.polytope.vertices, lat)
+    clouds = _clouds_with_non_vertices(44)
+    assert {len(pts[0]) for pts, _ in clouds} == {1, 2, 3, 4}
+    for pts, non_vertices in clouds:
+        poly = build_polytope(pts)
+        assert set(non_vertices) <= set(poly.discarded), pts
+        _assert_matches_rank_route(pts, face_lattice(poly))
+    lat = face_lattice(build_polytope(CROSS5))
+    assert lat.polytope.discarded == ((0, 0, 0, 0, 0), (1, 1, 0, 0, 0))
+    assert [len(lat.faces_of_dim(d)) for d in range(6)] == [10, 40, 80, 80, 32, 1]
+    _assert_matches_rank_route(CROSS5, lat)
+
+
+def test_facet_tight_on_no_vertex_adds_no_face(corpus, sq):
+    poly = corpus["SQ"]
+    extra = LatticePolytope(poly.dim, poly.vertices, poly.facets + (Facet((1, 1), 5),))
+    lat = FaceLattice(extra)
+    assert lat.faces == sq.faces
+    for f in lat.faces:
+        assert lat.above(f.id) == sq.above(f.id)
+        assert lat.below(f.id) == sq.below(f.id)
+    assert lat.facet_members == sq.facet_members + (frozenset(),)
+
+
+def test_lattice_and_vertex_test_use_no_rank(lattices, monkeypatch):
+    calls = []
+
+    def counting_rank(vectors):
+        calls.append(len(vectors))
+        return rank_rational(vectors)
+
+    monkeypatch.setattr(polytope_module, "rank_rational", counting_rank)
+    # one rank for full-dimensionality, one per facet in _validate, none per point
+    poly = build_polytope(CROSS5)
+    assert len(calls) == 1 + len(poly.facets)
+
+    def refuse(vectors):
+        raise AssertionError("the face lattice took a rank")
+
+    monkeypatch.setattr(polytope_module, "rank_rational", refuse)
+    for lat in lattices.values():
+        assert FaceLattice(lat.polytope).faces == lat.faces
 
 
 def test_vertices_deterministic_order():
