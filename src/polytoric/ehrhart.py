@@ -1,11 +1,11 @@
 """Lattice-point counting, Ehrhart polynomials, reciprocity, splitting index.
 
-Every lattice-point question goes through one line sweep, ``lattice_points``:
-the first n-1 coordinates run over a box and the last one over the exact
-integer interval the inequalities leave it. The counting function accepts
-any integer dilation factor, including negative ones, which is what
-reciprocity is about: (-1)^n E(-k) equals the number of interior lattice
-points of -kP, with the dilate taken literally.
+Every lattice-point question goes through one line kernel, ``line_spans``:
+the first n-1 coordinates run over a box, and each inequality holds on one
+exact interval of the last. The counting function accepts any integer
+dilation factor, including negative ones, which is what reciprocity is
+about: (-1)^n E(-k) equals the number of interior lattice points of -kP,
+with the dilate taken literally.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import prod
+from operator import mul
 
 from .polytope import LatticePolytope
 
@@ -21,27 +22,35 @@ from .polytope import LatticePolytope
 MAX_RECIPROCITY_POINTS = 10**8
 
 
-def lattice_points(inequalities, box):
-    """Integer points x of the box with <x, a> + b >= 0 for every (a, b).
-
-    ``box`` is one inclusive (lo, hi) pair per coordinate. Points come in the
-    lexicographic order of ``itertools.product``; with no inequalities the
-    whole box is enumerated.
+def line_spans(inequalities, box):
+    """``(prefix, spans)`` per line of the box, prefixes of the first n-1
+    coordinates in ``itertools.product`` order; ``box`` is one inclusive
+    (lo, hi) per coordinate. Row (a, b) holds on the span ``(first, last)``
+    of t in [lo, hi] with <prefix + (t,), a> + b >= 0, empty if first > last.
     """
     *head, (lo, hi) = box
     rows = [(a[:-1], a[-1], b) for a, b in inequalities]
     for prefix in product(*(range(l, h + 1) for l, h in head)):
-        first, last = lo, hi
+        spans = []
         for a, c, b in rows:
             # s + c*t >= 0 for the last coordinate t
-            s = sum(p * q for p, q in zip(prefix, a)) + b
+            s = sum(map(mul, prefix, a)) + b
             if c > 0:
-                first = max(first, -(s // c))
+                spans.append((max(lo, -(s // c)), hi))
             elif c < 0:
-                last = min(last, s // -c)
-            elif s < 0:
-                last = first - 1
-        for t in range(first, last + 1):
+                spans.append((lo, min(hi, s // -c)))
+            else:
+                spans.append((lo, hi if s >= 0 else lo - 1))
+        yield prefix, spans
+
+
+def lattice_points(inequalities, box):
+    """Integer points x of the box with <x, a> + b >= 0 for every (a, b), in
+    ``line_spans`` order: the spans of each line intersected. With no
+    inequalities the whole box is enumerated."""
+    for prefix, spans in line_spans(inequalities, box):
+        firsts, lasts = zip(box[-1], *spans)
+        for t in range(max(firsts), min(lasts) + 1):
             yield prefix + (t,)
 
 

@@ -15,14 +15,14 @@ vertex and an interior point of -kP the top face. Classes with one
 remainder share one complex, and each distinct complex's cohomology over
 Z, Q and Z/p is computed once, from its Smith forms (``homology.cohomology``).
 ``graded_piece`` builds the full restriction on request. The closed-form
-contributors come from the lattice-point sweep of ``ehrhart``, and the scan
-walks the box in the same order, one line along the last coordinate at a
-time: each facet value is set once per line and stepped by the last
-coordinate of its normal, so a point costs no dot product. A class's face
-set is read from the lattice's facet bitmasks, and only points of non-trivial
-classes are decoded from their box index. ``class_points`` reads the first
-box point of each realized class off the cached scan; ``verify`` runs its
-twist checks on those alone.
+contributors and the scan both read ``ehrhart.line_spans``: on each line of
+the box every facet holds on one interval, so the scan cuts the line at the
+interval ends into at most F + 1 runs of one class (F facets). A class is
+keyed by its facet bitmask (bit i set iff facet i holds), its face set is
+read against the lattice's facet bitmasks, and only runs of non-trivial
+classes are expanded into points. ``class_points`` reads the first point of
+each realized class off the cached runs; ``verify`` runs its twist checks on
+those alone.
 
 Membership is decided two ways: by facet inequalities (fast formula) and by
 an oracle on the barrier-cone generators. ``membership_certificate`` proves
@@ -38,12 +38,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import compress, product
 from math import prod
-from operator import add, mul
 
 from .classify import classify_front_back, classify_lower_upper, classify_visibility
-from .ehrhart import dilate_points
+from .ehrhart import dilate_points, line_spans
 from .homology import (
     CohomologyResult,
     IntegerChainComplex,
@@ -261,21 +259,21 @@ def scan_box(poly, k: int, margin: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _signature(poly, k: int, x) -> tuple[bool, ...]:
-    return tuple(dot(x, f.normal) + k * f.offset >= 0 for f in poly.facets)
+def _signature(poly, k: int, x) -> int:
+    """Bitmask of the facets that hold at x: bit i set iff <x, n_i> + k*c_i >= 0."""
+    return sum(1 << i for i, f in enumerate(poly.facets) if dot(x, f.normal) + k * f.offset >= 0)
 
 
-def _face_set_from_signature(lattice: FaceLattice, sig) -> frozenset[int]:
+def _face_set_from_signature(lattice: FaceLattice, sig: int) -> frozenset[int]:
     """Faces all of whose facets hold in the signature, tested against the
     lattice's bitmask of the facets through each face."""
-    missing = ~sum(1 << i for i, ok in enumerate(sig) if ok)
-    return frozenset([fid for fid, mask in enumerate(lattice.facet_masks) if not mask & missing])
+    return frozenset([fid for fid, mask in enumerate(lattice.facet_masks) if not mask & ~sig])
 
 
 def _class_complexes(lattice: FaceLattice, sigs) -> list[IntegerChainComplex]:
     """Coreduced complex of each facet-sign class, kept once per lattice.
 
-    Signature entry i says whether facet i holds; the class's face set
+    Signature bit i says whether facet i holds; the class's face set
     depends on nothing else, so its complex is shared by every twist and
     ring. The face set is coreduced first (``homology.coreduce``) and the
     ambient complex restricted to what is left, which has the same
@@ -314,56 +312,46 @@ def _distant_points(poly, k: int, box) -> list[tuple[int, ...]]:
 
 def _scan(lattice: FaceLattice, k: int, box):
     """Ring-free part of ``global_cohomology``, kept on the lattice per twist
-    and box (so per (k, margin)): the signature of each class, and the class
-    id of every box point and of every distant point.
-
-    Box points run in ``lattice_points`` order, one line per prefix of the
-    first n-1 coordinates. Each facet's value is set once at the start of a
-    line and then stepped by its normal's last coordinate, so no point costs
-    a dot product.
+    and box (so per (k, margin)): the signature of each class, the box's runs
+    ``(class id, prefix, first, last)`` of one class each, and the class id of
+    every distant point. A line is cut where a facet span starts or ends, so
+    its runs tile it in order and neighbours differ. Classes are numbered by
+    first appearance, box before distant points.
     """
     cache = lattice._cache.setdefault("scans", {})
     if (k, box) in cache:
         return cache[k, box]
     poly = lattice.polytope
-    *head, (lo, hi) = box
-    normals = [f.normal for f in poly.facets]
-    steps = [nv[-1] for nv in normals]
-    bases = [k * f.offset + lo * nv[-1] for f, nv in zip(poly.facets, normals)]
-    holds = (0).__le__  # holds(v) is v >= 0
-    # one signature per point, stored as the index of its class
-    classes: dict[tuple[bool, ...], int] = {}
-    box_ids = []
-    for prefix in product(*(range(l, h + 1) for l, h in head)):
-        # <(prefix, lo), n> + k*c; map stops at the n-1 prefix coordinates
-        values = [b + sum(map(mul, prefix, nv)) for b, nv in zip(bases, normals)]
-        for _ in range(lo, hi + 1):
-            box_ids.append(classes.setdefault(tuple(map(holds, values)), len(classes)))
-            values = list(map(add, values, steps))
+    lo, hi = box[-1]
+    classes: dict[int, int] = {}
+    runs = []
+    for prefix, spans in line_spans([(f.normal, k * f.offset) for f in poly.facets], box):
+        flips = {lo: 0}  # the facet bits that switch on or off at each cut
+        for i, (a, b) in enumerate(spans):
+            if a <= b:
+                flips[a] = flips.get(a, 0) ^ 1 << i
+                if b < hi:
+                    flips[b + 1] = flips.get(b + 1, 0) ^ 1 << i
+        cuts = sorted(flips)
+        sig = 0
+        for first, end in zip(cuts, cuts[1:] + [hi + 1]):
+            sig ^= flips[first]
+            runs.append((classes.setdefault(sig, len(classes)), prefix, first, end - 1))
     distant_ids = [
         classes.setdefault(_signature(poly, k, x), len(classes))
         for x in _distant_points(poly, k, box)
     ]
-    cache[k, box] = (list(classes), box_ids, distant_ids)
+    cache[k, box] = (list(classes), runs, distant_ids)
     return cache[k, box]
-
-
-def box_point(box, index: int) -> tuple[int, ...]:
-    """Point ``index`` of ``lattice_points((), box)`` (last coordinate fastest)."""
-    x = []
-    for lo, hi in reversed(box):
-        index, offset = divmod(index, hi - lo + 1)
-        x.append(lo + offset)
-    return tuple(reversed(x))
 
 
 def class_points(lattice: FaceLattice, k: int, box) -> list[tuple]:
     """(signature, first box point) of each class realized in the box, in
-    scan order, read off ``_scan``'s cached class ids."""
-    sigs, box_ids, _ = _scan(lattice, k, box)
-    # walking backwards, the last index written for a class is its first
-    first = dict(zip(reversed(box_ids), range(len(box_ids) - 1, -1, -1)))
-    return [(sigs[c], box_point(box, first[c])) for c in range(len(first))]
+    scan order, read off the first run of each class in ``_scan``."""
+    sigs, runs, _ = _scan(lattice, k, box)
+    # walking backwards, the last run written for a class is its first
+    first = {c: prefix + (t,) for c, prefix, t, _ in reversed(runs)}
+    return [(sigs[c], first[c]) for c in range(len(first))]
 
 
 def global_cohomology(
@@ -378,9 +366,9 @@ def global_cohomology(
     passed; it is not a proof that nothing outside the box contributes.
     Sampled: a fixed set of ``DISTANT_POINT_COUNT`` pseudo-random points
     outside the box must be acyclic too, a spot check and not a proof. A box
-    of more than ``MAX_SCAN_POINTS`` points is refused before it is
-    enumerated. The class of each point is computed once per (k, margin)
-    and shared by every ring.
+    of more than ``MAX_SCAN_POINTS`` points is refused before it is swept.
+    The facet-sign runs of the box are computed once per (k, margin) and
+    shared by every ring.
     """
     if margin < 1:
         raise ValueError("margin must be at least 1")
@@ -389,7 +377,7 @@ def global_cohomology(
     size = prod(hi - lo + 1 for lo, hi in box)
     if size > MAX_SCAN_POINTS:
         raise ValueError(f"scan box has {size} points, more than the {MAX_SCAN_POINTS} allowed")
-    sigs, box_ids, distant_ids = _scan(lattice, k, box)
+    sigs, runs, distant_ids = _scan(lattice, k, box)
     complexes = _class_complexes(lattice, sigs)
     # one cohomology per distinct complex; most classes share the empty one
     distinct = {id(c): c for c in complexes}
@@ -400,19 +388,22 @@ def global_cohomology(
     torsion: list[list[int]] = [[] for _ in range(n + 1)]
     contributors = []
     trivial = [res.is_trivial() for res in results]
-    # only the points of non-trivial classes are decoded, picked out in C
-    for index in compress(range(len(box_ids)), map([not t for t in trivial].__getitem__, box_ids)):
-        x = box_point(box, index)
-        res = results[box_ids[index]]
-        if any(xi in (lo, hi) for xi, (lo, hi) in zip(x, box)):
+    lo, hi = box[-1]
+    # only the runs of non-trivial classes are expanded into points
+    for c, prefix, first, last in runs:
+        if trivial[c]:
+            continue
+        if first == lo or last == hi or any(xi in b for xi, b in zip(prefix, box)):
             raise RuntimeError("margin too small: scan shell is not acyclic")
+        res = results[c]
+        length = last - first + 1
         for d in range(n + 1):
             fr = res.free_rank(d)
             tor = res.torsion_at(d)
             if fr or tor:
-                free[d] += fr
-                torsion[d].extend(tor)
-                contributors.append((x, d))
+                free[d] += fr * length
+                torsion[d].extend(tor * length)
+                contributors.extend((prefix + (t,), d) for t in range(first, last + 1))
     if not all(trivial[i] for i in distant_ids):
         raise RuntimeError("distant lattice point is not acyclic")
     return GlobalCohomology(

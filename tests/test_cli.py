@@ -184,6 +184,7 @@ def test_cohomology_over_work_budget_exits_2(capsys, tri_file, monkeypatch):
     def no_enumeration(*args):
         raise AssertionError("box enumerated despite the budget")
 
+    monkeypatch.setattr(sh, "line_spans", no_enumeration)
     monkeypatch.setattr(sh, "_signature", no_enumeration)
     code, out, err = run_main(capsys, "cohomology", "--input", tri_file, "--twist", "100000")
     assert code == 2 and out == ""

@@ -30,11 +30,38 @@ def box_scan(box):
     return product(*(range(lo, hi + 1) for lo, hi in box))
 
 
+def dot(x, a):
+    return sum(p * q for p, q in zip(x, a))
+
+
 def box_filter(rows, box):
     """Every point of the box, kept when <x, a> + b >= 0 for all rows."""
-    return [
-        x for x in box_scan(box) if all(sum(p * q for p, q in zip(x, a)) + b >= 0 for a, b in rows)
-    ]
+    return [x for x in box_scan(box) if all(dot(x, a) + b >= 0 for a, b in rows)]
+
+
+def check_line_spans(rows, box):
+    """Every span of every line of ``line_spans`` against the per-row box
+    filter of that line; returns the kinds of span seen."""
+    *head, (lo, hi) = box
+    lines = list(eh.line_spans(rows, box))
+    assert [prefix for prefix, _ in lines] == list(box_scan(head)), box
+    seen = set()
+    for prefix, spans in lines:
+        assert len(spans) == len(rows), (prefix, box)
+        for (a, b), (first, last) in zip(rows, spans):
+            holds = [t for t in range(lo, hi + 1) if dot(prefix + (t,), a) + b >= 0]
+            assert holds == list(range(first, last + 1)), (a, b, prefix, box)
+            c = a[-1]
+            if c:
+                seen.add("span c > 0" if c > 0 else "span c < 0")
+                # the row holds beyond both ends of the line
+                if all(dot(prefix + (t,), a) + b >= 0 for t in (lo - 1, hi + 1)):
+                    seen.add("span clipped at both ends")
+            else:
+                seen.add("span c = 0 holds" if holds else "span c = 0 fails")
+            if not holds:
+                seen.add("empty span")
+    return seen
 
 
 def test_lattice_points_match_box_filter():
@@ -71,6 +98,7 @@ def test_lattice_points_match_box_filter():
             box = [(c, c) for c in (rng.randint(lo - 1, hi + 1) for lo, hi in box)]
         got = list(eh.lattice_points(rows, box))
         assert got == box_filter(rows, box), (rows, box)
+        drawn |= check_line_spans(rows, box)
         drawn |= {("dim", n), ("k", (k > 0) - (k < 0)), ("strict", strict), case}
         drawn.add("empty" if not got else "non-empty")
         drawn |= {"last > 0" if a[-1] > 0 else "last < 0" if a[-1] < 0 else "last = 0" for a, _ in rows}
@@ -89,6 +117,12 @@ def test_lattice_points_match_box_filter():
         "last > 0",
         "last < 0",
         "last = 0",
+        "span c > 0",
+        "span c < 0",
+        "span c = 0 holds",
+        "span c = 0 fails",
+        "span clipped at both ends",
+        "empty span",
     }
 
 

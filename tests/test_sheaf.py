@@ -319,19 +319,6 @@ def test_dedup_check_detects_a_point_filed_under_the_wrong_class(monkeypatch):
     assert by_name["equal facet-sign vectors give equal twist face sets"] is False
 
 
-def test_box_point_decodes_the_lattice_points_order():
-    rng = random.Random(23)
-    boxes = [((0, 0),), ((-3, -3), (2, 4)), ((-2, 1), (5, 5), (-1, 0), (0, 0))]
-    for n in (1, 2, 3, 4):
-        for _ in range(6):
-            # negative bounds and width-1 axes turn up on purpose
-            lows = [rng.randint(-4, 2) for _ in range(n)]
-            boxes.append(tuple((lo, lo + rng.choice((0, 0, 1, 2, 3))) for lo in lows))
-    for box in boxes:
-        points = list(eh.lattice_points((), box))
-        assert [sh.box_point(box, i) for i in range(len(points))] == points, box
-
-
 @pytest.mark.parametrize("shape", ["corpus", "extended"])
 def test_twist_face_set_is_constant_on_each_k1_scan_class(lattices, shape):
     # the per-class dedup check in verify decides the per-point statement
@@ -340,11 +327,12 @@ def test_twist_face_set_is_constant_on_each_k1_scan_class(lattices, shape):
         lattices = {name: face_lattice(build_polytope(v)) for name, v in EXTENDED.items()}
     for name, lat in lattices.items():
         box = sh.scan_box(lat.polytope, 1, 2)
-        sigs, box_ids, _ = sh._scan(lat, 1, box)
+        sigs, runs, _ = sh._scan(lat, 1, box)
         by_class = {}
-        for x, i in zip(eh.lattice_points((), box), box_ids):
-            members = sh.twist_face_set(lat, 1, x).members
-            assert by_class.setdefault(i, members) == members, (name, x)
+        for i, prefix, first, last in runs:
+            for t in range(first, last + 1):
+                members = sh.twist_face_set(lat, 1, prefix + (t,)).members
+                assert by_class.setdefault(i, members) == members, (name, prefix, t)
         assert sorted(by_class) == list(range(len(by_class)))
         for i, members in by_class.items():
             assert members == sh._face_set_from_signature(lat, sigs[i]), (name, i)
@@ -415,15 +403,34 @@ def test_global_cohomology_margin_validation(sq):
         sh.global_cohomology(sq, 1, "Z", margin=0)
 
 
+@pytest.mark.parametrize("tight", ["last axis", "head axes"])
+@pytest.mark.parametrize("name", ["SQ", "CUBE"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_shell_check_refuses_a_box_tight_on_one_side(lattices, name, k, tight, monkeypatch):
+    # kP touches every side of its bounding box; a scan box that is that tight
+    # box on some axes puts contributors on the shell, which must be refused
+    original = sh.scan_box
+
+    def box(poly, k, margin):
+        wide, bare = original(poly, k, margin), original(poly, k, 0)
+        return wide[:-1] + bare[-1:] if tight == "last axis" else bare[:-1] + wide[-1:]
+
+    monkeypatch.setattr(sh, "scan_box", box)
+    with pytest.raises(RuntimeError, match="margin too small"):
+        sh.global_cohomology(lattices[name], k, "Z")
+
+
 def test_scan_box_over_budget_is_refused_before_enumeration(sq, monkeypatch):
     # SQ at k = 1 with margin 2 scans the 6 x 6 box [-2, 3]^2
     monkeypatch.setattr(sh, "MAX_SCAN_POINTS", 36)
     assert sh.global_cohomology(sq, 1, "Z").free == (4, 0, 0)
     monkeypatch.setattr(sh, "MAX_SCAN_POINTS", 35)
+    sq = face_lattice(build_polytope(CORPUS_VERTICES["SQ"]))  # a cold scan cache
 
     def no_enumeration(*args):
         raise AssertionError("box enumerated despite the budget")
 
+    monkeypatch.setattr(sh, "line_spans", no_enumeration)
     monkeypatch.setattr(sh, "_signature", no_enumeration)
     with pytest.raises(ValueError, match="36 points"):
         sh.global_cohomology(sq, 1, "Z")
@@ -451,11 +458,11 @@ def test_class_complexes_are_shared_by_rings_and_twists(monkeypatch):
 
 def test_rings_at_one_twist_share_one_signature_sweep(monkeypatch):
     calls = []
-    original = sh._signature
-    monkeypatch.setattr(sh, "_signature", lambda *a: calls.append(a) or original(*a))
+    original = sh.line_spans
+    monkeypatch.setattr(sh, "line_spans", lambda *a: calls.append(a) or original(*a))
     warm = face_lattice(build_polytope(CORPUS_VERTICES["CUBE"]))
     sh.global_cohomology(warm, -2, "Z")
-    assert calls
+    assert len(calls) == 1
     for ring in ("Q", "Z/2", "Z/3"):
         calls.clear()
         got = sh.global_cohomology(warm, -2, ring)
@@ -465,7 +472,7 @@ def test_rings_at_one_twist_share_one_signature_sweep(monkeypatch):
     # another margin is another box
     calls.clear()
     sh.global_cohomology(warm, -2, "Z", margin=3)
-    assert calls
+    assert len(calls) == 1
 
 
 def test_graded_pieces_reuse_the_scan_class_complexes(monkeypatch):
@@ -509,6 +516,21 @@ def test_global_matches_ehrhart_closed_form(lattices):
                 for d in range(n + 1):
                     if d != expect_deg:
                         assert g.free_rank(d) == 0, (name, k, ring, d)
+
+
+# the cyclic permutations of (0, +-1, +-2), an icosahedron with 20 facets
+ICOSA12 = sorted({p for a in (1, -1) for b in (2, -2) for p in ((0, a, b), (a, b, 0), (b, 0, a))})
+
+
+@pytest.mark.parametrize("k, degree, rank", [(10, 0, 29241), (-10, 3, 26839)])
+def test_icosa12_at_large_twists(k, degree, rank):
+    # a scan box of 45^3 points, read as facet-sign runs; every contributor decoded
+    lat = face_lattice(build_polytope(ICOSA12))
+    assert abs(eh.ehrhart_polynomial(lat.polytope).value_at_integer(k)) == rank
+    g = sh.global_cohomology(lat, k, "Z")
+    assert g.free == tuple(rank if d == degree else 0 for d in range(4))
+    assert not g.has_torsion()
+    assert g.contributors == sh.expected_contributors(lat, k)
 
 
 def test_contributors_are_dilate_points(lattices):

@@ -1,9 +1,9 @@
-"""Reference oracles for the sparse coboundary pipeline and the stepped scan.
+"""Reference oracles for the sparse coboundary pipeline and the run scan.
 
 Each fast path is compared with the dense or per-point route it replaced:
 the sparse product with a dense triple loop, the sparse restriction with a
 dense submatrix copy, the simplicial coboundaries with dense rows, and the
-line-stepped class ids of ``sheaf._scan`` with one ``_signature`` per point.
+facet-sign runs of ``sheaf._scan`` with one ``_signature`` per point.
 The face cochain complex, whose signs come from the face lattice alone, is
 compared with one built from the full F x F order relation and geometric
 incidence signs (the determinant route: an integer basis of each face's
@@ -346,20 +346,31 @@ def test_simplicial_rows_match_dense_rows(shapes):
             assert m.entries == dense, (name, k)
 
 
-def test_stepped_scan_matches_per_point_signatures(shapes):
-    # the class id of every box point must name the signature of that point
+def test_scan_runs_match_per_point_signatures(shapes):
+    # the runs tile the box in order, at most F + 1 to a line with neighbours
+    # of different classes, and every point of a run has the run's signature
     zero_last = 0
     for name, lat in shapes.items():
         poly = lat.polytope
         zero_last += sum(f.normal[-1] == 0 for f in poly.facets)
         for k in range(-3, 4):
             box = sh.scan_box(poly, k, 1)
-            sigs, box_ids, distant_ids = sh._scan(lat, k, box)
-            points = list(product(*(range(lo, hi + 1) for lo, hi in box)))
-            assert len(box_ids) == len(points), (name, k)
-            for x, i in zip(points, box_ids):
-                assert sigs[i] == sh._signature(poly, k, x), (name, k, x)
+            sigs, runs, distant_ids = sh._scan(lat, k, box)
+            points = [p + (t,) for _, p, first, last in runs for t in range(first, last + 1)]
+            assert points == list(product(*(range(lo, hi + 1) for lo, hi in box))), (name, k)
+            lines = {}
+            for c, prefix, first, last in runs:
+                assert first <= last, (name, k, prefix)
+                lines.setdefault(prefix, []).append(c)
+            for prefix, ids in lines.items():
+                assert len(ids) <= len(poly.facets) + 1, (name, k, prefix)
+                assert all(a != b for a, b in zip(ids, ids[1:])), (name, k, prefix)
+            ids = [c for c, _, first, last in runs for _ in range(first, last + 1)]
+            for x, c in zip(points, ids):
+                assert sigs[c] == sh._signature(poly, k, x), (name, k, x)
             distant = sh._distant_points(poly, k, box)
             assert [sigs[i] for i in distant_ids] == [sh._signature(poly, k, x) for x in distant]
+            # classes are numbered by first appearance, box before distant
+            assert list(dict.fromkeys(ids + distant_ids)) == list(range(len(sigs)))
             assert len(set(sigs)) == len(sigs)
     assert zero_last >= 10
