@@ -15,12 +15,14 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 
 from . import boundary as bd
 from . import classify as cl
 from . import ehrhart as eh
 from . import sheaf as sh
 from . import verify as vf
+from .linalg import normalize_ring
 from .polytope import build_polytope, face_lattice
 
 SAFE_INT = 2**53
@@ -204,17 +206,21 @@ def cmd_ehrhart(args):
 
 
 def _parse_ring(tag: str) -> str:
+    """Ring of a ``--ring`` tag (Zp:<p> is Z/<p>); an error names the tag as given."""
     if tag in ("Z", "Q"):
         return tag
-    if tag.startswith("Zp:"):
-        return "Z/" + tag[3:]
-    raise InputError(f"bad ring tag {tag!r} (expected Z, Q or Zp:<p>)")
+    try:
+        if tag.startswith("Zp:") and normalize_ring("Z/" + tag[3:]):
+            return "Z/" + tag[3:]
+    except ValueError:
+        pass
+    raise InputError(f"bad ring tag {tag!r} (expected Z, Q or Zp:<p>, p prime)")
 
 
 def cmd_cohomology(args):
+    ring = _parse_ring(args.ring)
     poly, digest = load_polytope(args.input)
     lat = face_lattice(poly)
-    ring = _parse_ring(args.ring)
     try:
         g = sh.global_cohomology(lat, args.twist, ring, margin=args.margin)
     except (ValueError, RuntimeError) as err:
@@ -277,7 +283,9 @@ def cmd_verify(args):
 # ---------------------------------------------------------------------------
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built on first use, then shared by every ``main`` call in the process."""
     parser = argparse.ArgumentParser(
         prog="polytoric",
         description="Exact combinatorics and sheaf cohomology of lattice polytopes",

@@ -20,9 +20,10 @@ checks d∘d = 0 on construction with the sparse product.
 
 ``coreduce`` shrinks a kept set before it is restricted: it removes free
 pairs joined by a +-1 entry (Kaczynski-Mischaikow-Mrozek, *Computational
-Homology*, 2004; Mrozek-Batko, *Discrete Comput. Geom.* 41, 2009) on
-bitmasks cached on the ambient complex, with no matrix, and the restriction
-to what is left has the same cohomology over every ring.
+Homology*, 2004; Mrozek-Batko, *Discrete Comput. Geom.* 41, 2009) with no
+matrix, on int cell bitmasks (bit i is cell i of the ``basis_labels``, read
+degree by degree) cached on the ambient complex, and the restriction to
+what is left has the same cohomology over every ring.
 """
 
 from __future__ import annotations
@@ -59,14 +60,13 @@ class IntegerChainComplex:
                 raise ValueError("orientation bug: d∘d != 0")
 
     @cached_property
-    def _adjacency(self) -> tuple[tuple, dict, list[int], list[int], list[int]]:
-        """Cells numbered degree by degree: their labels, the bit of each
-        label, and per cell bitmasks of its cofaces and faces (nonzero
-        entries of the maps next to it) and of the cells it meets by a +-1
-        entry. Kept for ``coreduce``."""
-        labels = tuple(x for layer in self.basis_labels for x in layer)
-        bit = {x: 1 << i for i, x in enumerate(labels)}
-        up, down, unit = [0] * len(labels), [0] * len(labels), [0] * len(labels)
+    def _adjacency(self) -> tuple[list[int], list[int], list[int]]:
+        """Per cell, numbered degree by degree in ``basis_labels`` order,
+        bitmasks of its cofaces and faces (nonzero entries of the maps next
+        to it) and of the cells it meets by a +-1 entry. Kept for
+        ``coreduce``."""
+        cells = sum(map(len, self.basis_labels))
+        up, down, unit = [0] * cells, [0] * cells, [0] * cells
         src = 0
         for layer, m in zip(self.basis_labels, self.maps):
             dst = src + len(layer)
@@ -78,7 +78,7 @@ class IntegerChainComplex:
                         unit[src + c] |= 1 << r
                         unit[r] |= 1 << src + c
             src = dst
-        return labels, bit, up, down, unit
+        return up, down, unit
 
     @cached_property
     def smith_forms(self) -> tuple[SmithForm, ...]:
@@ -224,21 +224,22 @@ def restrict_cochain_complex(
     return IntegerChainComplex(complex_.start_degree, labels, tuple(maps))
 
 
-def coreduce(complex_: IntegerChainComplex, keep: frozenset) -> frozenset:
-    """Labels of ``keep`` left after free-pair coreductions.
+def coreduce(complex_: IntegerChainComplex, keep: int) -> int:
+    """Cells of ``keep`` left after free-pair coreductions.
 
-    ``keep`` holds labels of the complex and spans a subcomplex, as an
-    upward-closed face set does. While a live cell has exactly one live
-    coface, or exactly one live face, and the entry between the two is +-1,
-    both cells are removed. That is Gaussian elimination on a unit pivot
-    whose correction term is zero (the pivot's row or column has no other
-    live entry), so the restriction of the complex to the remainder has the
-    cohomology of its restriction to ``keep``, over Z and so over every
-    ring. Labels must be distinct across degrees, as face ids and simplices
-    are.
+    ``keep`` and the result are int cell bitmasks: bit i is cell i, the
+    cells numbered degree by degree in ``basis_labels`` order, so in the
+    face cochain complex cell i is face id i. ``keep`` spans a subcomplex,
+    as an upward-closed face set does. While a live cell has exactly one
+    live coface, or exactly one live face, and the entry between the two is
+    +-1, both cells are removed. That is Gaussian elimination on a unit
+    pivot whose correction term is zero (the pivot's row or column has no
+    other live entry), so the restriction of the complex to the remainder
+    has the cohomology of its restriction to ``keep``, over Z and so over
+    every ring.
     """
-    labels, bit, up, down, unit = complex_._adjacency
-    live = pending = sum(map(bit.__getitem__, keep))
+    up, down, unit = complex_._adjacency
+    live = pending = keep
     while pending:  # highest cell first, measured faster than lowest first
         i = pending.bit_length() - 1
         pending ^= 1 << i
@@ -251,9 +252,7 @@ def coreduce(complex_: IntegerChainComplex, keep: frozenset) -> frozenset:
         live ^= 1 << i | near
         # a neighbour of the pair may now have one live neighbour
         pending = (pending | up[i] | down[i] | up[j] | down[j]) & live
-    if not live:
-        return frozenset()
-    return frozenset(x for i, x in enumerate(labels) if live >> i & 1)
+    return live
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 
@@ -40,7 +41,7 @@ from typing import Iterable, Sequence
 def dot(u: Sequence, v: Sequence):
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vec_sub(u, v):
@@ -172,16 +173,17 @@ def is_prime(p: int) -> bool:
 
 
 def normalize_ring(ring: str) -> tuple:
-    """Parse a ring tag: ``"Z"``, ``"Q"`` or ``"Z/p"`` with p prime."""
+    """Parse a ring tag: ``"Z"``, ``"Q"`` or ``"Z/p"`` with p prime, written
+    in ASCII decimal digits with no leading zero."""
     if ring == "Z":
         return ("Z",)
     if ring == "Q":
         return ("Q",)
     if ring.startswith("Z/"):
-        try:
-            p = int(ring[2:])
-        except ValueError:
-            raise ValueError(f"bad ring tag {ring!r}") from None
+        digits = ring[2:]
+        if not (digits.isascii() and digits.isdigit() and digits[0] != "0"):
+            raise ValueError(f"bad ring tag {ring!r}")
+        p = int(digits)
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         return ("Zp", p)

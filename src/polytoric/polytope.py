@@ -137,7 +137,8 @@ def negate_polytope(poly: LatticePolytope) -> LatticePolytope:
 # face lattice
 
 
-def _bits(mask: int) -> frozenset[int]:
+def mask_bits(mask: int) -> frozenset[int]:
+    """The positions of the set bits of an int bitmask."""
     return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
@@ -185,16 +186,17 @@ class FaceLattice:
             below[m].append(m)
             for s in below[m]:
                 above[s].append(m)
-        order = sorted(masks, key=lambda m: (dims[m], sorted(_bits(m))))
+        order = sorted(masks, key=lambda m: (dims[m], sorted(mask_bits(m))))
         fid = {m: i for i, m in enumerate(order)}
         self.facet_masks = tuple(
             sum(1 << j for j, fm in enumerate(members) if m & fm == m) for m in order
         )
         self.faces = tuple(
-            Face(i, _bits(m), _bits(self.facet_masks[i]), dims[m]) for i, m in enumerate(order)
+            Face(i, mask_bits(m), mask_bits(fm), dims[m])
+            for i, (m, fm) in enumerate(zip(order, self.facet_masks))
         )
         self.top_id = len(self.faces) - 1
-        self.facet_members = tuple(map(_bits, members))
+        self.facet_members = tuple(map(mask_bits, members))
         self._by_vertex_set = {f.vertex_set: f.id for f in self.faces}
         self._by_facet_set = {f.facet_set: f.id for f in self.faces}
         self._above = tuple(frozenset(map(fid.get, above[m])) for m in order)

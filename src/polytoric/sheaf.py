@@ -19,10 +19,10 @@ contributors and the scan both read ``ehrhart.line_spans``: on each line of
 the box every facet holds on one interval, so the scan cuts the line at the
 interval ends into at most F + 1 runs of one class (F facets). A class is
 keyed by its facet bitmask (bit i set iff facet i holds), its face set is
-read against the lattice's facet bitmasks, and only runs of non-trivial
-classes are expanded into points. ``class_points`` reads the first point of
-each realized class off the cached runs; ``verify`` runs its twist checks on
-those alone.
+a face-id bitmask (the faces on no failing facet), and only runs of
+non-trivial classes are expanded into points. ``class_points`` reads the
+first point of each realized class off the cached runs; ``verify`` runs its
+twist checks on those alone.
 
 Membership is decided two ways: by facet inequalities (fast formula) and by
 an oracle on the barrier-cone generators. ``membership_certificate`` proves
@@ -53,7 +53,7 @@ from .homology import (
 from .linalg import dot, primitive_vector, vec_neg, vec_sub
 from .lp import dual_cone_rays
 from .parallel import parallel_map
-from .polytope import FaceLattice, face_lattice, negate_polytope
+from .polytope import FaceLattice, face_lattice, mask_bits, negate_polytope
 
 DISTANT_POINT_COUNT = 32
 DISTANT_COORD_BOUND = 50
@@ -181,7 +181,7 @@ def graded_piece(lattice: FaceLattice, k: int, x) -> GradedPiece:
     sig = _signature(lattice.polytope, k, x)
     pieces = lattice._cache.setdefault("graded_pieces", {})
     if sig not in pieces:
-        keep = _face_set_from_signature(lattice, sig)
+        keep = mask_bits(_face_set_from_signature(lattice, sig))
         pieces[sig] = restrict_cochain_complex(face_cochain_complex(lattice), keep)
     return GradedPiece(base, pieces[sig])
 
@@ -264,10 +264,20 @@ def _signature(poly, k: int, x) -> int:
     return sum(1 << i for i, f in enumerate(poly.facets) if dot(x, f.normal) + k * f.offset >= 0)
 
 
-def _face_set_from_signature(lattice: FaceLattice, sig: int) -> frozenset[int]:
-    """Faces all of whose facets hold in the signature, tested against the
-    lattice's bitmask of the facets through each face."""
-    return frozenset([fid for fid, mask in enumerate(lattice.facet_masks) if not mask & ~sig])
+def _face_set_from_signature(lattice: FaceLattice, sig: int) -> int:
+    """Face-id bitmask (bit f for face f) of the faces on no facet that fails
+    in the signature; the mask of the faces on each facet is kept per lattice."""
+    on_facet = lattice._cache.get("faces_on_facet")
+    if on_facet is None:
+        on_facet = lattice._cache["faces_on_facet"] = [
+            sum(1 << f for f, mask in enumerate(lattice.facet_masks) if mask >> j & 1)
+            for j in range(len(lattice.polytope.facets))
+        ]
+    keep = (1 << len(lattice.faces)) - 1
+    for j, faces in enumerate(on_facet):
+        if not sig >> j & 1:
+            keep &= ~faces
+    return keep
 
 
 def _class_complexes(lattice: FaceLattice, sigs) -> list[IntegerChainComplex]:
@@ -275,10 +285,11 @@ def _class_complexes(lattice: FaceLattice, sigs) -> list[IntegerChainComplex]:
 
     Signature bit i says whether facet i holds; the class's face set
     depends on nothing else, so its complex is shared by every twist and
-    ring. The face set is coreduced first (``homology.coreduce``) and the
-    ambient complex restricted to what is left, which has the same
-    cohomology; almost every class leaves nothing. Classes with one
-    remainder share one complex and its Smith forms. New remainders are
+    ring. The class's face-id bitmask is coreduced first (``coreduce``;
+    cell i of the face complex is face i) and the ambient complex
+    restricted to what is left, which has the same cohomology; almost every
+    class leaves nothing. Classes with one remainder mask share one complex
+    and its Smith forms. New remainders are decoded to face ids and
     restricted on the thread pool; the merge is ordered, so reports are
     identical for every degree of parallelism.
     """
@@ -288,7 +299,8 @@ def _class_complexes(lattice: FaceLattice, sigs) -> list[IntegerChainComplex]:
     todo = [sig for sig in sigs if sig not in cache]
     rests = [coreduce(ambient, _face_set_from_signature(lattice, sig)) for sig in todo]
     new = [r for r in dict.fromkeys(rests) if r not in by_rest]
-    by_rest.update(zip(new, parallel_map(lambda r: restrict_cochain_complex(ambient, r), new)))
+    restricted = parallel_map(lambda r: restrict_cochain_complex(ambient, mask_bits(r)), new)
+    by_rest.update(zip(new, restricted))
     cache.update((sig, by_rest[r]) for sig, r in zip(todo, rests))
     return [cache[sig] for sig in sigs]
 

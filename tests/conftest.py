@@ -49,3 +49,9 @@ def face_id(lattice, *coords):
     fid = lattice.face_by_vertices(ids)
     assert fid is not None, f"no face with vertices {coords}"
     return fid
+
+
+def face_ids(mask):
+    """Face ids of a face-id bitmask, such as ``sheaf._face_set_from_signature``
+    returns: bit f is face f."""
+    return frozenset(f for f in range(mask.bit_length()) if mask >> f & 1)

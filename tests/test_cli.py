@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from polytoric import cli
 from polytoric import sheaf as sh
 from polytoric.cli import canonical_json, main, parse_point
 
@@ -196,6 +197,71 @@ def test_cohomology_bad_ring(capsys, sq_file):
         capsys, "cohomology", "--input", sq_file, "--twist", "1", "--ring", "Zp:4"
     )
     assert code == 2
+
+
+# "\u0661\u0663" is 13 in Arabic-Indic digits, which int() would accept
+@pytest.mark.parametrize(
+    "tag",
+    ["Zp:4", "Zp:1_3", "Zp: 3", "Zp:+13", "Zp:013", "Zp:abc", "Zp:", "Zp:\u0661\u0663", "Z/3", "z"],
+)
+def test_cohomology_ring_tag_is_not_coerced(capsys, tag):
+    # checked before the input is read: the file does not exist, and the
+    # one-line message names the tag as typed
+    code, out, err = run_main(
+        capsys, "cohomology", "--input", "missing.json", "--twist", "1", "--ring", tag
+    )
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and f"bad ring tag {tag!r}" in err
+
+
+def test_cohomology_valid_ring_tags_keep_their_reports(capsys, sq_file):
+    for tag, ring in (("Z", "Z"), ("Q", "Q"), ("Zp:2", "Z/2"), ("Zp:13", "Z/13")):
+        code, out, _ = run_main(
+            capsys, "cohomology", "--input", sq_file, "--twist", "1", "--ring", tag, "--json"
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["ring"] == ring
+        assert [d["free_rank"] for d in report["perDegree"]] == [4, 0, 0]
+
+
+def test_one_cached_parser_serves_every_call(capsys, sq_file):
+    # a parser reused across main calls must not carry state from one call
+    # into the next: run the sequence twice and compare every report
+    calls = [
+        ("faces", "--input", sq_file, "--bogus"),
+        ("--help",),
+        ("faces", "--input", sq_file, "--star", "0,0", "--json"),
+        ("faces", "--input", sq_file, "--json"),
+        ("cohomology", "--input", sq_file, "--twist", "-1", "--json"),
+        ("cohomology", "--input", sq_file, "--twist", "-1", "--json"),
+    ]
+    cli.build_parser.cache_clear()
+    first = [run_main(capsys, *argv)[:2] for argv in calls]
+    again = [run_main(capsys, *argv)[:2] for argv in calls]
+    assert cli.build_parser.cache_info().misses == 1
+    assert [code for code, _ in first] == [2, 0, 0, 0, 0, 0]
+    assert again == first
+    assert "star_of" in json.loads(first[2][1])
+    assert "star_of" not in json.loads(first[3][1])
+    assert first[5][1] == first[4][1]
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *a, **k):\n"
+        "    built.append(1)\n"
+        "    init(self, *a, **k)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import polytoric.cli\n"
+        "assert built == [], built\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def test_verify_suites_pass(capsys, tri_file):

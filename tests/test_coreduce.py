@@ -16,7 +16,7 @@ from polytoric import build_polytope, face_lattice
 from polytoric import homology as hm
 from polytoric import sheaf as sh
 from polytoric.linalg import IntMatrix
-from conftest import CORPUS_VERTICES
+from conftest import CORPUS_VERTICES, face_ids
 from test_extended import EXTENDED
 from test_homology import _projective_plane_nerve
 
@@ -41,17 +41,30 @@ def _random_polytopes(count=40, seed=7):
     return out
 
 
+def _signatures(lat):
+    """Signature of every facet-sign class the scans of k in -3..3 meet."""
+    sigs = set()
+    for k in TWISTS:
+        sigs.update(sh._scan(lat, k, sh.scan_box(lat.polytope, k, 2))[0])
+    return sorted(sigs)
+
+
 def _classes(lat):
     """Face set of every facet-sign class the scans of k in -3..3 meet."""
-    sets = set()
-    for k in TWISTS:
-        sigs, _, _ = sh._scan(lat, k, sh.scan_box(lat.polytope, k, 2))
-        sets.update(sh._face_set_from_signature(lat, sig) for sig in sigs)
+    sets = {face_ids(sh._face_set_from_signature(lat, sig)) for sig in _signatures(lat)}
     return sorted(sets, key=sorted)
 
 
+def _coreduce(complex_, keep):
+    """``hm.coreduce`` on a set of labels: encoded as the cell bitmask (bit i
+    for cell i of the ``basis_labels``, degree by degree) and decoded back."""
+    cells = [x for layer in complex_.basis_labels for x in layer]
+    rest = hm.coreduce(complex_, sum(1 << i for i, x in enumerate(cells) if x in keep))
+    return frozenset(x for i, x in enumerate(cells) if rest >> i & 1)
+
+
 def _assert_same_cohomology(ambient, keep, label):
-    rest = hm.coreduce(ambient, keep)
+    rest = _coreduce(ambient, keep)
     assert rest <= keep, label
     full = hm.restrict_cochain_complex(ambient, keep)
     reduced = hm.restrict_cochain_complex(ambient, rest)
@@ -64,6 +77,20 @@ def _assert_same_cohomology(ambient, keep, label):
 def named_lattices():
     shapes = {**CORPUS_VERTICES, **EXTENDED}
     return {name: face_lattice(build_polytope(v)) for name, v in shapes.items()}
+
+
+def test_face_set_mask_is_the_definitional_face_set(named_lattices):
+    # the faces F with every facet through F holding, {F : facets(F) <= held}
+    lattices = [*named_lattices.values(), *_random_polytopes()]
+    checked = 0
+    for lat in lattices:
+        for sig in _signatures(lat):
+            held = {i for i in range(len(lat.polytope.facets)) if sig >> i & 1}
+            expected = frozenset(f.id for f in lat.faces if f.facet_set <= held)
+            got = face_ids(sh._face_set_from_signature(lat, sig))
+            assert got == expected, (lat.polytope.vertices, sig)
+            checked += 1
+    assert checked > 1000
 
 
 def test_class_remainders_match_full_restriction_on_named_shapes(named_lattices):
@@ -92,7 +119,7 @@ def test_corpus_remainders_have_at_most_one_cell(named_lattices):
     for name, lat in named_lattices.items():
         ambient = hm.face_cochain_complex(lat)
         for keep in _classes(lat):
-            rest = hm.coreduce(ambient, keep)
+            rest = _coreduce(ambient, keep)
             assert len(rest) <= 1, (name, sorted(keep), sorted(rest))
             if rest:
                 (cell,) = rest
@@ -138,7 +165,7 @@ def test_no_pair_along_a_non_unit_entry():
     # d(a) = 2b: H^1 = Z/2, so neither cell may go
     times_two = _complex([["a"], ["b"]], [[[2]]])
     keep = frozenset("ab")
-    assert hm.coreduce(times_two, keep) == keep
+    assert _coreduce(times_two, keep) == keep
     assert hm.cohomology(times_two, "Z").torsion_at(1) == (2,)
     # d(a) = 2b, d(c) = b: c is paired with b, and a is left as H^0 = Z
     mixed = _complex([["a", "c"], ["b"]], [[[2, 1]]])

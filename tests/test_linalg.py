@@ -8,11 +8,24 @@ from polytoric.linalg import (
     IntMatrix,
     coordinates_in_basis,
     det_sign,
+    dot,
     kernel_line,
     rank_over_field,
     rank_rational,
     smith_normal_form,
 )
+
+
+def test_dot():
+    assert dot((), ()) == 0
+    assert dot((1, -2, 3), (4, 5, -6)) == -24
+    assert dot((Fraction(1, 2), 3), (Fraction(2, 3), Fraction(-1, 6))) == Fraction(-1, 6)
+    big = 2**64 + 1
+    assert dot((big, big), (big, -3)) == big * big - 3 * big
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        dot((1, 2), (1, 2, 3))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        dot((), (1,))
 
 
 def M(rows, ncols=None):

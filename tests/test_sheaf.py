@@ -13,7 +13,7 @@ from polytoric import verify as vf
 from polytoric.linalg import primitive_vector, vec_neg, vec_sub
 from polytoric.polytope import Facet, FaceLattice
 from polytoric.lp import cone_contains
-from conftest import CORPUS_VERTICES, face_id
+from conftest import CORPUS_VERTICES, face_id, face_ids
 from test_ehrhart import dilate_contains
 from test_extended import EXTENDED
 
@@ -288,12 +288,12 @@ def test_signature_dedup_check_detects_a_wrong_class_face_set(monkeypatch):
     name = "equal facet-sign vectors give equal twist face sets"
     assert {r.name: r.passed for r in vf.cohomology_suite(lat)}[name] is True
     # every class complex is cached now; a wrong signature-to-face-set map
-    # (the lowest face dropped) must be caught by the check alone
+    # (the lowest face id's bit dropped) must be caught by the check alone
     original = sh._face_set_from_signature
 
     def wrong(lattice, sig):
         members = original(lattice, sig)
-        return members - {min(members)}
+        return members & (members - 1)
 
     monkeypatch.setattr(sh, "_face_set_from_signature", wrong)
     by_name = {r.name: r.passed for r in vf.cohomology_suite(lat)}
@@ -335,7 +335,7 @@ def test_twist_face_set_is_constant_on_each_k1_scan_class(lattices, shape):
                 assert by_class.setdefault(i, members) == members, (name, prefix, t)
         assert sorted(by_class) == list(range(len(by_class)))
         for i, members in by_class.items():
-            assert members == sh._face_set_from_signature(lat, sigs[i]), (name, i)
+            assert members == face_ids(sh._face_set_from_signature(lat, sigs[i])), (name, i)
         assert [sig for sig, _ in sh.class_points(lat, 1, box)] == sigs[: len(by_class)]
 
 
@@ -445,7 +445,7 @@ def test_class_complexes_are_shared_by_rings_and_twists(monkeypatch):
     # one restriction per distinct coreduced remainder, shared by its classes
     classes = cube._cache["sign_classes"]
     distinct = {id(c) for c in classes.values()}
-    assert [keep for _, keep in built] == list(cube._cache["remainders"])
+    assert [keep for _, keep in built] == list(map(face_ids, cube._cache["remainders"]))
     assert len(built) == len(distinct) > 1
     assert len(classes) > len(distinct)
     built.clear()

@@ -33,7 +33,7 @@ from polytoric.linalg import (
     vec_sub,
 )
 
-from conftest import face_id
+from conftest import face_id, face_ids
 from test_extended import EXTENDED
 
 
@@ -113,7 +113,7 @@ def _upward_closed_sets(lattice, rng, count):
     sets = {frozenset(range(len(lattice.faces)))}
     for k in (-1, 2):
         sigs = sh._scan(lattice, k, sh.scan_box(poly, k, 1))[0]
-        sets.update(sh._face_set_from_signature(lattice, sig) for sig in sigs)
+        sets.update(face_ids(sh._face_set_from_signature(lattice, sig)) for sig in sigs)
     for _ in range(count):
         seeds = rng.sample(range(len(lattice.faces)), rng.randint(1, 3))
         sets.add(frozenset().union(*(lattice.above(f) for f in seeds)))
