@@ -20,7 +20,7 @@ from operator import mul
 
 from .boundary import FaceSubset, closure
 from .linalg import dot, scale_to_integers
-from .polytope import FaceLattice
+from .polytope import FaceLattice, mask_bits
 
 KINDS = ("visibility", "frontback", "lowerupper")
 
@@ -42,18 +42,9 @@ class Classification:
     boundary: FaceSubset
 
 
-def _faces_meeting(lattice: FaceLattice, facet_ids: set[int]) -> frozenset[int]:
-    """Proper faces contained in at least one of the given facets (the top
-    face lies in none: its facet mask is 0)."""
-    wanted = sum(1 << j for j in facet_ids)
-    return frozenset(fid for fid, mask in enumerate(lattice.facet_masks) if mask & wanted)
-
-
-def _partition(lattice, kind, x, complex_facets) -> Classification:
-    complex_members = _faces_meeting(lattice, complex_facets)
-    filter_members = lattice.proper_ids() - complex_members
-    filter_side = FaceSubset(lattice, filter_members)
-    complex_side = FaceSubset(lattice, complex_members)
+def _partition(lattice, kind, x, complex_facets: int) -> Classification:
+    complex_side = FaceSubset(lattice, mask_bits(lattice.faces_on(complex_facets)))
+    filter_side = complex_side.complement()
     bd = closure(filter_side).intersection(complex_side)
     return Classification(kind, tuple(x), filter_side, complex_side, bd)
 
@@ -63,7 +54,7 @@ def classify_visibility(lattice: FaceLattice, x) -> Classification:
     poly = lattice.polytope
     if poly.contains(x):
         raise ValueError("viewpoint inside polytope")
-    visible = {i for i, f in enumerate(poly.facets) if f.value(x) < 0}
+    visible = sum(1 << i for i, f in enumerate(poly.facets) if f.value(x) < 0)
     return _partition(lattice, "visibility", x, visible)
 
 
@@ -72,7 +63,7 @@ def classify_front_back(lattice: FaceLattice, x) -> Classification:
     poly = lattice.polytope
     if poly.contains(x, strict=True):
         raise ValueError("point inside the interior")
-    back = {i for i, f in enumerate(poly.facets) if f.value(x) > 0}
+    back = sum(1 << i for i, f in enumerate(poly.facets) if f.value(x) > 0)
     return _partition(lattice, "frontback", x, back)
 
 
@@ -81,7 +72,7 @@ def classify_lower_upper(lattice: FaceLattice, x) -> Classification:
     poly = lattice.polytope
     if all(c == 0 for c in x):
         raise ValueError("zero direction")
-    lower = {i for i, f in enumerate(poly.facets) if dot(x, f.normal) > 0}
+    lower = sum(1 << i for i, f in enumerate(poly.facets) if dot(x, f.normal) > 0)
     return _partition(lattice, "lowerupper", x, lower)
 
 

@@ -4,7 +4,8 @@ Polytopes are read from JSON files of the form {"vertices": [[int, ...], ...]};
 the ambient dimension is inferred from the first vertex. Reports are emitted
 as canonical JSON (sorted keys, rationals as "p/q" strings, integers beyond
 the 53-bit safe range as strings) so that parsing and re-serialising a report
-is byte-identical. Exit codes: 0 success, 1 verification failure, 2 bad input.
+is byte-identical. Exit codes: 0 success, 1 a failed check (a verify FAIL
+or an internal ``RuntimeError``), 2 bad input.
 """
 
 from __future__ import annotations
@@ -222,8 +223,8 @@ def cmd_cohomology(args):
     poly, digest = load_polytope(args.input)
     lat = face_lattice(poly)
     try:
-        g = sh.global_cohomology(lat, args.twist, ring, margin=args.margin)
-    except (ValueError, RuntimeError) as err:
+        g = sh.global_cohomology(lat, args.twist, ring)
+    except ValueError as err:
         raise InputError(str(err)) from None
     lines = [f"H^*(X_P; F({args.twist})) over {ring}"]
     per_degree = []
@@ -316,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--twist", type=int, required=True)
     p.add_argument("--ring", default="Z", help="Z, Q or Zp:<p>")
-    p.add_argument("--margin", type=int, default=2)
     p.set_defaults(func=cmd_cohomology)
 
     p = sub.add_parser("verify", help="run an invariant suite")
@@ -338,6 +338,9 @@ def main(argv=None) -> int:
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except RuntimeError as err:
+        print(f"error: internal check failed: {err}", file=sys.stderr)
+        return 1
     if args.json:
         print(canonical_json(report))
     else:

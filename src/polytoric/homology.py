@@ -18,12 +18,12 @@ face, a restriction keeps the rows of kept faces and renumbers their kept
 columns, and a nerve's row holds its k+1 alternating signs. Each complex
 checks d∘d = 0 on construction with the sparse product.
 
-``coreduce`` shrinks a kept set before it is restricted: it removes free
-pairs joined by a +-1 entry (Kaczynski-Mischaikow-Mrozek, *Computational
-Homology*, 2004; Mrozek-Batko, *Discrete Comput. Geom.* 41, 2009) with no
-matrix, on int cell bitmasks (bit i is cell i of the ``basis_labels``, read
-degree by degree) cached on the ambient complex, and the restriction to
-what is left has the same cohomology over every ring.
+A kept set is an int cell bitmask (bit i is cell i of the ``basis_labels``,
+read degree by degree). ``coreduce`` shrinks it before it is restricted: it
+removes free pairs joined by a +-1 entry (Kaczynski-Mischaikow-Mrozek,
+*Computational Homology*, 2004; Mrozek-Batko, *Discrete Comput. Geom.* 41,
+2009) with no matrix, and the restriction to what is left has the same
+cohomology over every ring.
 """
 
 from __future__ import annotations
@@ -198,21 +198,17 @@ def face_cochain_complex(lattice: FaceLattice) -> IntegerChainComplex:
     return complex_
 
 
-def restrict_cochain_complex(
-    complex_: IntegerChainComplex, keep: frozenset
-) -> IntegerChainComplex:
-    """Subcomplex spanned by the kept labels, with the ambient coboundaries.
+def restrict_cochain_complex(complex_: IntegerChainComplex, keep: int) -> IntegerChainComplex:
+    """Subcomplex on the cells of the bitmask ``keep`` (numbered as in ``coreduce``).
 
     Kept rows are copied with their kept columns renumbered; the order of the
     kept generators is the ambient order, so every row stays sorted.
     """
     index = []  # per degree: ambient position -> restricted position of a kept generator
     for layer in complex_.basis_labels:
-        pos: dict[int, int] = {}
-        for j, x in enumerate(layer):
-            if x in keep:
-                pos[j] = len(pos)
-        index.append(pos)
+        kept = [j for j in range(len(layer)) if keep >> j & 1]
+        keep >>= len(layer)
+        index.append({j: i for i, j in enumerate(kept)})
     labels = tuple(
         tuple(layer[j] for j in pos) for layer, pos in zip(complex_.basis_labels, index)
     )

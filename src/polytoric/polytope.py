@@ -6,13 +6,15 @@ the exact double description in ``lp.dual_cone_rays``. After the hull, no
 linear algebra is needed: an input point is a vertex iff it is the only
 input point on all of the facets through it, faces are the intersections
 of facet vertex sets (int bitmasks of vertex ids), and each face is graded
-as one more than the largest dimension below it.
+as one more than the largest dimension below it. ``faces_on`` answers
+"which faces lie on these facets" for ``sheaf`` and ``classify``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .linalg import dot, rank_rational, vec_neg, vec_sub
@@ -196,6 +198,7 @@ class FaceLattice:
             for i, (m, fm) in enumerate(zip(order, self.facet_masks))
         )
         self.top_id = len(self.faces) - 1
+        self._proper_ids = frozenset(range(self.top_id))
         self.facet_members = tuple(map(mask_bits, members))
         self._by_vertex_set = {f.vertex_set: f.id for f in self.faces}
         self._by_facet_set = {f.facet_set: f.id for f in self.faces}
@@ -226,7 +229,24 @@ class FaceLattice:
         return self._by_facet_set[self.face(a).facet_set & self.face(b).facet_set]
 
     def proper_ids(self) -> frozenset[int]:
-        return frozenset(range(self.top_id))
+        return self._proper_ids
+
+    @cached_property
+    def _faces_on_facet(self) -> tuple[int, ...]:
+        """Per facet, the face-id bitmask of the faces on it (``facet_masks`` transposed)."""
+        return tuple(
+            sum(1 << f for f, mask in enumerate(self.facet_masks) if mask >> j & 1)
+            for j in range(len(self.polytope.facets))
+        )
+
+    def faces_on(self, facets: int) -> int:
+        """Face-id bitmask (bit f for face f) of the faces on at least one facet
+        of the facet bitmask (bit j for facet j); the top face is on none."""
+        out = 0
+        for j, faces in enumerate(self._faces_on_facet):
+            if facets >> j & 1:
+                out |= faces
+        return out
 
     def faces_of_dim(self, d: int) -> tuple[int, ...]:
         return tuple(f.id for f in self.faces if f.dim == d)

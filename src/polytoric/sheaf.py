@@ -18,11 +18,11 @@ Z, Q and Z/p is computed once, from its Smith forms (``homology.cohomology``).
 contributors and the scan both read ``ehrhart.line_spans``: on each line of
 the box every facet holds on one interval, so the scan cuts the line at the
 interval ends into at most F + 1 runs of one class (F facets). A class is
-keyed by its facet bitmask (bit i set iff facet i holds), its face set is
-a face-id bitmask (the faces on no failing facet), and only runs of
-non-trivial classes are expanded into points. ``class_points`` reads the
-first point of each realized class off the cached runs; ``verify`` runs its
-twist checks on those alone.
+keyed by its facet bitmask (bit i set iff facet i holds); its face set (the
+faces on no failing facet, ``FaceLattice.faces_on``) is one face-id bitmask
+through ``coreduce`` to the restriction. Only runs of non-trivial classes
+are expanded into points. ``class_points`` reads the first point of each
+realized class off the cached runs; ``verify`` runs its checks on those.
 
 Membership is decided two ways: by facet inequalities (fast formula) and by
 an oracle on the barrier-cone generators. ``membership_certificate`` proves
@@ -53,8 +53,9 @@ from .homology import (
 from .linalg import dot, primitive_vector, vec_neg, vec_sub
 from .lp import dual_cone_rays
 from .parallel import parallel_map
-from .polytope import FaceLattice, face_lattice, mask_bits, negate_polytope
+from .polytope import FaceLattice, face_lattice, negate_polytope
 
+MARGIN = 2  # scan box reach beyond kP; reports carry the box, so it is fixed
 DISTANT_POINT_COUNT = 32
 DISTANT_COORD_BOUND = 50
 # most points global_cohomology enumerates; a 3D box of edge 100 fits
@@ -174,16 +175,12 @@ def graded_piece(lattice: FaceLattice, k: int, x) -> GradedPiece:
     """Subcomplex of the face cochain complex spanned by the faces seeing x.
 
     The complex is the full restriction to the twist face set, built on
-    first use and kept per facet-sign class. ``graded_cohomology`` and
-    ``global_cohomology`` read the class's coreduced complex instead.
+    every call. ``graded_cohomology`` and ``global_cohomology`` read the
+    class's coreduced complex instead.
     """
     base = twist_face_set(lattice, k, x)
-    sig = _signature(lattice.polytope, k, x)
-    pieces = lattice._cache.setdefault("graded_pieces", {})
-    if sig not in pieces:
-        keep = mask_bits(_face_set_from_signature(lattice, sig))
-        pieces[sig] = restrict_cochain_complex(face_cochain_complex(lattice), keep)
-    return GradedPiece(base, pieces[sig])
+    keep = _face_set_from_signature(lattice, _signature(lattice.polytope, k, x))
+    return GradedPiece(base, restrict_cochain_complex(face_cochain_complex(lattice), keep))
 
 
 def graded_cohomology(lattice: FaceLattice, k: int, x, ring: str = "Z") -> CohomologyResult:
@@ -248,14 +245,14 @@ def classification_crosscheck(lattice: FaceLattice, k: int, x) -> bool:
 # global cohomology over a certified box
 
 
-def scan_box(poly, k: int, margin: int) -> tuple[tuple[int, int], ...]:
-    """Bounding box of kP (unit box around 0 for k = 0), inflated by margin."""
+def scan_box(poly, k: int) -> tuple[tuple[int, int], ...]:
+    """Bounding box of kP (unit box around 0 for k = 0), inflated by ``MARGIN``."""
     if k == 0:
-        return tuple((-1 - margin, 1 + margin) for _ in range(poly.dim))
+        return tuple((-1 - MARGIN, 1 + MARGIN) for _ in range(poly.dim))
     out = []
     for lo, hi in poly.bounding_box():
         a, b = sorted((k * lo, k * hi))
-        out.append((a - margin, b + margin))
+        out.append((a - MARGIN, b + MARGIN))
     return tuple(out)
 
 
@@ -266,18 +263,8 @@ def _signature(poly, k: int, x) -> int:
 
 def _face_set_from_signature(lattice: FaceLattice, sig: int) -> int:
     """Face-id bitmask (bit f for face f) of the faces on no facet that fails
-    in the signature; the mask of the faces on each facet is kept per lattice."""
-    on_facet = lattice._cache.get("faces_on_facet")
-    if on_facet is None:
-        on_facet = lattice._cache["faces_on_facet"] = [
-            sum(1 << f for f, mask in enumerate(lattice.facet_masks) if mask >> j & 1)
-            for j in range(len(lattice.polytope.facets))
-        ]
-    keep = (1 << len(lattice.faces)) - 1
-    for j, faces in enumerate(on_facet):
-        if not sig >> j & 1:
-            keep &= ~faces
-    return keep
+    in the signature; bit j of ~sig is set iff facet j fails."""
+    return (1 << len(lattice.faces)) - 1 & ~lattice.faces_on(~sig)
 
 
 def _class_complexes(lattice: FaceLattice, sigs) -> list[IntegerChainComplex]:
@@ -289,9 +276,9 @@ def _class_complexes(lattice: FaceLattice, sigs) -> list[IntegerChainComplex]:
     cell i of the face complex is face i) and the ambient complex
     restricted to what is left, which has the same cohomology; almost every
     class leaves nothing. Classes with one remainder mask share one complex
-    and its Smith forms. New remainders are decoded to face ids and
-    restricted on the thread pool; the merge is ordered, so reports are
-    identical for every degree of parallelism.
+    and its Smith forms. New remainder masks are restricted on the thread
+    pool; the merge is ordered, so reports are identical for every degree of
+    parallelism.
     """
     cache = lattice._cache.setdefault("sign_classes", {})
     by_rest = lattice._cache.setdefault("remainders", {})
@@ -299,7 +286,7 @@ def _class_complexes(lattice: FaceLattice, sigs) -> list[IntegerChainComplex]:
     todo = [sig for sig in sigs if sig not in cache]
     rests = [coreduce(ambient, _face_set_from_signature(lattice, sig)) for sig in todo]
     new = [r for r in dict.fromkeys(rests) if r not in by_rest]
-    restricted = parallel_map(lambda r: restrict_cochain_complex(ambient, mask_bits(r)), new)
+    restricted = parallel_map(lambda r: restrict_cochain_complex(ambient, r), new)
     by_rest.update(zip(new, restricted))
     cache.update((sig, by_rest[r]) for sig, r in zip(todo, rests))
     return [cache[sig] for sig in sigs]
@@ -322,18 +309,19 @@ def _distant_points(poly, k: int, box) -> list[tuple[int, ...]]:
     return distant
 
 
-def _scan(lattice: FaceLattice, k: int, box):
-    """Ring-free part of ``global_cohomology``, kept on the lattice per twist
-    and box (so per (k, margin)): the signature of each class, the box's runs
-    ``(class id, prefix, first, last)`` of one class each, and the class id of
-    every distant point. A line is cut where a facet span starts or ends, so
-    its runs tile it in order and neighbours differ. Classes are numbered by
+def _scan(lattice: FaceLattice, k: int):
+    """Ring-free part of ``global_cohomology``, kept on the lattice per twist:
+    the signature of each class, the runs ``(class id, prefix, first, last)``
+    of one class each that tile ``scan_box(P, k)``, and the class id of every
+    distant point. A line is cut where a facet span starts or ends, so its
+    runs tile it in order and neighbours differ. Classes are numbered by
     first appearance, box before distant points.
     """
     cache = lattice._cache.setdefault("scans", {})
-    if (k, box) in cache:
-        return cache[k, box]
+    if k in cache:
+        return cache[k]
     poly = lattice.polytope
+    box = scan_box(poly, k)
     lo, hi = box[-1]
     classes: dict[int, int] = {}
     runs = []
@@ -353,43 +341,39 @@ def _scan(lattice: FaceLattice, k: int, box):
         classes.setdefault(_signature(poly, k, x), len(classes))
         for x in _distant_points(poly, k, box)
     ]
-    cache[k, box] = (list(classes), runs, distant_ids)
-    return cache[k, box]
+    cache[k] = (list(classes), runs, distant_ids)
+    return cache[k]
 
 
-def class_points(lattice: FaceLattice, k: int, box) -> list[tuple]:
-    """(signature, first box point) of each class realized in the box, in
+def class_points(lattice: FaceLattice, k: int) -> list[tuple]:
+    """(signature, first box point) of each class realized in the scan box, in
     scan order, read off the first run of each class in ``_scan``."""
-    sigs, runs, _ = _scan(lattice, k, box)
+    sigs, runs, _ = _scan(lattice, k)
     # walking backwards, the last run written for a class is its first
     first = {c: prefix + (t,) for c, prefix, t, _ in reversed(runs)}
     return [(sigs[c], first[c]) for c in range(len(first))]
 
 
-def global_cohomology(
-    lattice: FaceLattice, k: int, ring: str = "Z", margin: int = 2
-) -> GlobalCohomology:
+def global_cohomology(lattice: FaceLattice, k: int, ring: str = "Z") -> GlobalCohomology:
     """Degreewise sum of the graded cohomology over all lattice points.
 
-    The scan covers the bounding box of kP inflated by ``margin``, and every
-    point in it is computed exactly. Checked: every point on the box's
-    outermost shell is acyclic, else ``RuntimeError`` (margin too small).
+    The scan covers ``scan_box(P, k)``, the bounding box of kP inflated by
+    ``MARGIN``, and every point in it is computed exactly. Checked: every
+    point on the box's outermost shell is acyclic, else ``RuntimeError``.
     ``shell_certified`` (``shellCertified`` in reports) means this check
     passed; it is not a proof that nothing outside the box contributes.
     Sampled: a fixed set of ``DISTANT_POINT_COUNT`` pseudo-random points
     outside the box must be acyclic too, a spot check and not a proof. A box
     of more than ``MAX_SCAN_POINTS`` points is refused before it is swept.
-    The facet-sign runs of the box are computed once per (k, margin) and
-    shared by every ring.
+    The facet-sign runs of the box are computed once per twist and shared
+    by every ring.
     """
-    if margin < 1:
-        raise ValueError("margin must be at least 1")
     n = lattice.polytope.dim
-    box = scan_box(lattice.polytope, k, margin)
+    box = scan_box(lattice.polytope, k)
     size = prod(hi - lo + 1 for lo, hi in box)
     if size > MAX_SCAN_POINTS:
         raise ValueError(f"scan box has {size} points, more than the {MAX_SCAN_POINTS} allowed")
-    sigs, runs, distant_ids = _scan(lattice, k, box)
+    sigs, runs, distant_ids = _scan(lattice, k)
     complexes = _class_complexes(lattice, sigs)
     # one cohomology per distinct complex; most classes share the empty one
     distinct = {id(c): c for c in complexes}
@@ -406,7 +390,7 @@ def global_cohomology(
         if trivial[c]:
             continue
         if first == lo or last == hi or any(xi in b for xi, b in zip(prefix, box)):
-            raise RuntimeError("margin too small: scan shell is not acyclic")
+            raise RuntimeError("scan shell is not acyclic")
         res = results[c]
         length = last - first + 1
         for d in range(n + 1):

@@ -26,6 +26,7 @@ class CheckResult:
 
 
 SUITES = ("all", "combinatorics", "ehrhart", "cohomology", "classify")
+VIEWPOINTS = 4  # sampled per classification kind by the classify suite
 
 
 def _check(results: list[CheckResult], name: str, passed: bool, detail: str = "") -> None:
@@ -172,7 +173,7 @@ def ehrhart_suite(lattice: FaceLattice) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def classify_suite(lattice: FaceLattice, seed: int = 0, viewpoints: int = 4) -> list[CheckResult]:
+def classify_suite(lattice: FaceLattice, seed: int = 0) -> list[CheckResult]:
     out: list[CheckResult] = []
     poly = lattice.polytope
     n = poly.dim
@@ -180,7 +181,7 @@ def classify_suite(lattice: FaceLattice, seed: int = 0, viewpoints: int = 4) -> 
         halves_ok = True
         homology_ok = True
         rays_ok = True
-        for x in cl.sample_viewpoints(poly, kind, count=viewpoints, seed=seed):
+        for x in cl.sample_viewpoints(poly, kind, count=VIEWPOINTS, seed=seed):
             c = cl.cached_classification(lattice, kind, x)
             halves_ok = halves_ok and c.filter_side.members and c.complex_side.members
             halves_ok = halves_ok and bd.is_order_filter(c.filter_side)
@@ -211,7 +212,7 @@ def classify_suite(lattice: FaceLattice, seed: int = 0, viewpoints: int = 4) -> 
         _check(out, f"{kind}: ball/sphere homology of nerves", bool(homology_ok))
         _check(out, f"{kind}: ray definition consistent", bool(rays_ok))
     vis_sign = True
-    for x in cl.sample_viewpoints(poly, "visibility", count=viewpoints, seed=seed):
+    for x in cl.sample_viewpoints(poly, "visibility", count=VIEWPOINTS, seed=seed):
         c = cl.cached_classification(lattice, "visibility", x)
         for i, f in enumerate(poly.facets):
             fid = lattice.face_by_vertices(lattice.facet_members[i])
@@ -223,7 +224,7 @@ def classify_suite(lattice: FaceLattice, seed: int = 0, viewpoints: int = 4) -> 
 # ---------------------------------------------------------------------------
 
 
-def cohomology_suite(lattice: FaceLattice, seed: int = 0) -> list[CheckResult]:
+def cohomology_suite(lattice: FaceLattice) -> list[CheckResult]:
     out: list[CheckResult] = []
     poly = lattice.polytope
     n = poly.dim
@@ -243,7 +244,7 @@ def cohomology_suite(lattice: FaceLattice, seed: int = 0) -> list[CheckResult]:
         expect_deg = 0 if k >= 0 else n
         expected_contrib = sh.expected_contributors(lattice, k)
         for ring in ("Z", "Q", "Z/2", "Z/3"):
-            g = sh.global_cohomology(lattice, k, ring, margin=2)
+            g = sh.global_cohomology(lattice, k, ring)
             concentrated = all(
                 g.free_rank(d) == 0 for d in range(n + 1) if d != expect_deg
             )
@@ -267,7 +268,7 @@ def cohomology_suite(lattice: FaceLattice, seed: int = 0) -> list[CheckResult]:
     # decides it; the exclusions (x in P, 0, int(-P)) depend on it alone too.
     cross_ok = True
     neg_poly = sh.negate_polytope(poly)
-    classes = {k: sh.class_points(lattice, k, sh.scan_box(poly, k, 2)) for k in (1, 0, -1)}
+    classes = {k: sh.class_points(lattice, k) for k in (1, 0, -1)}
     for k, reps in classes.items():
         for _, x in reps:
             if k == 1 and poly.contains(x):
@@ -310,5 +311,5 @@ def run_suite(lattice: FaceLattice, suite: str, seed: int = 0) -> list[CheckResu
     if suite in ("all", "classify"):
         out.extend(classify_suite(lattice, seed=seed))
     if suite in ("all", "cohomology"):
-        out.extend(cohomology_suite(lattice, seed=seed))
+        out.extend(cohomology_suite(lattice))
     return out

@@ -55,3 +55,18 @@ def face_ids(mask):
     """Face ids of a face-id bitmask, such as ``sheaf._face_set_from_signature``
     returns: bit f is face f."""
     return frozenset(f for f in range(mask.bit_length()) if mask >> f & 1)
+
+
+def face_mask(ids):
+    """Face-id bitmask of a set of face ids, the cell bitmask that
+    ``homology.restrict_cochain_complex`` takes for a face complex."""
+    return sum(1 << f for f in ids)
+
+
+def dilate_box(poly, k, margin):
+    """Bounding box of kP inflated by margin, for tests that walk a box
+    other than ``sheaf.scan_box``."""
+    return tuple(
+        (min(k * lo, k * hi) - margin, max(k * lo, k * hi) + margin)
+        for lo, hi in poly.bounding_box()
+    )

@@ -60,7 +60,7 @@ def test_criterion_3_cohomology_closed_form(lattices):
             expect_deg = 0 if k >= 0 else n
             expected_contrib = sh.expected_contributors(lat, k)
             for ring in RINGS:
-                g = sh.global_cohomology(lat, k, ring, margin=2)
+                g = sh.global_cohomology(lat, k, ring)
                 if g.has_torsion() or not g.shell_certified:
                     ok = False
                 if g.free_rank(expect_deg) != expect_rank:
@@ -96,7 +96,7 @@ def test_criterion_5_classification_crosschecks(lattices):
         poly = lat.polytope
         neg = sh.negate_polytope(poly)
         for k in (1, 0, -1):
-            box = sh.scan_box(poly, k, 2)
+            box = sh.scan_box(poly, k)
             for x in product(*(range(lo, hi + 1) for lo, hi in box)):
                 if k == 1 and poly.contains(x):
                     continue

@@ -8,6 +8,7 @@ import pytest
 from polytoric import cli
 from polytoric import sheaf as sh
 from polytoric.cli import canonical_json, main, parse_point
+from conftest import dilate_box
 
 SQ_JSON = '{"vertices": [[0,0],[1,0],[0,1],[1,1]]}'
 TRI_JSON = '{"vertices": [[0,0],[1,0],[0,1]]}'
@@ -330,6 +331,18 @@ def test_twist_face_set_not_upward_closed_is_a_fail_line(capsys, sq, sq_file, mo
     assert "FAIL twist face sets are upward closed" in out
     assert "FAIL equal facet-sign vectors give equal twist face sets" in out
     assert out.rstrip().splitlines()[-1].startswith("FAIL:")
+
+
+@pytest.mark.parametrize(
+    "argv", [("cohomology", "--twist", "1"), ("verify", "--suite", "cohomology")]
+)
+def test_failed_internal_check_exits_1_on_one_line(capsys, tri_file, monkeypatch, argv):
+    # a scan box as tight as kP puts contributors on its shell, so the shell
+    # check raises; that is a failed check (exit 1), not bad input or a traceback
+    monkeypatch.setattr(sh, "scan_box", lambda poly, k: dilate_box(poly, k, 0))
+    code, out, err = run_main(capsys, argv[0], "--input", tri_file, *argv[1:])
+    assert (code, out) == (1, "")
+    assert err == "error: internal check failed: scan shell is not acyclic\n"
 
 
 def test_parse_point_rationals():

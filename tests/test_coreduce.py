@@ -16,6 +16,7 @@ from polytoric import build_polytope, face_lattice
 from polytoric import homology as hm
 from polytoric import sheaf as sh
 from polytoric.linalg import IntMatrix
+from polytoric.polytope import Facet, FaceLattice, LatticePolytope
 from conftest import CORPUS_VERTICES, face_ids
 from test_extended import EXTENDED
 from test_homology import _projective_plane_nerve
@@ -45,7 +46,7 @@ def _signatures(lat):
     """Signature of every facet-sign class the scans of k in -3..3 meet."""
     sigs = set()
     for k in TWISTS:
-        sigs.update(sh._scan(lat, k, sh.scan_box(lat.polytope, k, 2))[0])
+        sigs.update(sh._scan(lat, k)[0])
     return sorted(sigs)
 
 
@@ -64,13 +65,17 @@ def _coreduce(complex_, keep):
 
 
 def _assert_same_cohomology(ambient, keep, label):
-    rest = _coreduce(ambient, keep)
-    assert rest <= keep, label
-    full = hm.restrict_cochain_complex(ambient, keep)
+    """Coreduce a set of labels and compare the two restrictions; returns the
+    labels left."""
+    cells = [x for layer in ambient.basis_labels for x in layer]
+    mask = sum(1 << i for i, x in enumerate(cells) if x in keep)
+    rest = hm.coreduce(ambient, mask)
+    assert rest & ~mask == 0, label
+    full = hm.restrict_cochain_complex(ambient, mask)
     reduced = hm.restrict_cochain_complex(ambient, rest)
     for ring in RINGS:
         assert hm.cohomology(reduced, ring) == hm.cohomology(full, ring), (label, ring)
-    return rest
+    return frozenset(x for i, x in enumerate(cells) if rest >> i & 1)
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +94,27 @@ def test_face_set_mask_is_the_definitional_face_set(named_lattices):
             expected = frozenset(f.id for f in lat.faces if f.facet_set <= held)
             got = face_ids(sh._face_set_from_signature(lat, sig))
             assert got == expected, (lat.polytope.vertices, sig)
+            checked += 1
+    assert checked > 1000
+
+
+def test_faces_on_is_the_faces_meeting_the_facets(named_lattices):
+    # faces_on(S) is {f : facets(f) meets S}, for random facet bitmasks S;
+    # the square with an extra facet tight on no vertex has no face on it
+    sq = named_lattices["SQ"].polytope
+    extra = FaceLattice(LatticePolytope(2, sq.vertices, sq.facets + (Facet((1, 1), 5),)))
+    assert extra.faces_on(1 << len(sq.facets)) == 0
+    lattices = [extra, *named_lattices.values(), *_random_polytopes()]
+    rng = random.Random(5)
+    checked = 0
+    for lat in lattices:
+        count = len(lat.polytope.facets)
+        masks = [0, (1 << count) - 1, *(1 << j for j in range(count))]
+        masks += [rng.getrandbits(count) for _ in range(20)]
+        for mask in masks:
+            chosen = {j for j in range(count) if mask >> j & 1}
+            expected = frozenset(f.id for f in lat.faces if f.facet_set & chosen)
+            assert face_ids(lat.faces_on(mask)) == expected, (lat.polytope.vertices, mask)
             checked += 1
     assert checked > 1000
 
@@ -146,7 +172,7 @@ def test_global_cohomology_reads_each_distinct_complex_once(monkeypatch):
     monkeypatch.setattr(sh, "cohomology", lambda c, ring: seen.append(c) or original(c, ring))
     g = sh.global_cohomology(cube, 2, "Q")
     assert g.free == (27, 0, 0, 0)
-    sigs, _, _ = sh._scan(cube, 2, g.scan_box)
+    sigs, _, _ = sh._scan(cube, 2)
     distinct = {id(c) for c in sh._class_complexes(cube, sigs)}
     assert len(seen) == len({id(c) for c in seen}) == len(distinct) == 2
 

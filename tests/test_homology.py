@@ -6,7 +6,7 @@ from polytoric import boundary as bd
 from polytoric import homology as hm
 from polytoric import sheaf as sh
 from polytoric.linalg import IntMatrix, rank_over_field
-from conftest import face_id
+from conftest import face_id, face_mask
 
 
 def test_face_cochain_complex_shapes(seg, tri, sq):
@@ -122,7 +122,7 @@ def test_restriction_keeps_ambient_incidences(sq):
     c = hm.face_cochain_complex(sq)
     v00 = face_id(sq, (0, 0))
     keep = sq.above(v00)  # upward-closed, so the restriction is a complex
-    sub = hm.restrict_cochain_complex(c, keep)
+    sub = hm.restrict_cochain_complex(c, face_mask(keep))
     assert [len(layer) for layer in sub.basis_labels] == [1, 2, 1]
     bottom = face_id(sq, (0, 0), (1, 0))
     col = sub.basis_labels[0].index(v00)
@@ -158,7 +158,7 @@ def _oracle_complexes(lattices):
     for name in ("SQ", "CUBE"):
         lat = lattices[name]
         for k in range(-2, 3):
-            for x in product(*(range(lo, hi + 1) for lo, hi in sh.scan_box(lat.polytope, k, 2))):
+            for x in product(*(range(lo, hi + 1) for lo, hi in sh.scan_box(lat.polytope, k))):
                 piece = sh.graded_piece(lat, k, x)
                 out.setdefault(f"{name} class {sorted(piece.base.members)}", piece.complex)
     rp2 = _projective_plane_nerve()
@@ -186,7 +186,7 @@ def test_every_ring_reads_one_smith_form_per_map(cube, monkeypatch):
     calls = []
     original = hm.smith_normal_form
     monkeypatch.setattr(hm, "smith_normal_form", lambda m: calls.append(m) or original(m))
-    c = hm.restrict_cochain_complex(hm.face_cochain_complex(cube), frozenset(cube.above(0)))
+    c = hm.restrict_cochain_complex(hm.face_cochain_complex(cube), face_mask(cube.above(0)))
     for ring in ("Z",) + FIELDS:
         hm.cohomology(c, ring)
     assert len(calls) == len(c.maps)

@@ -318,3 +318,9 @@ def test_vertices_deterministic_order():
     p2 = build_polytope([[0, 0], [1, 0], [0, 1], [1, 1]])
     assert p1.vertices == p2.vertices
     assert p1.facets == p2.facets
+
+
+def test_proper_ids_is_built_once(lattices):
+    for lat in lattices.values():
+        assert lat.proper_ids() == frozenset(range(lat.top_id))
+        assert lat.proper_ids() is lat.proper_ids()

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from dataclasses import replace
 from itertools import product
+from math import prod
 
 import pytest
 
@@ -13,7 +14,7 @@ from polytoric import verify as vf
 from polytoric.linalg import primitive_vector, vec_neg, vec_sub
 from polytoric.polytope import Facet, FaceLattice
 from polytoric.lp import cone_contains
-from conftest import CORPUS_VERTICES, face_id, face_ids
+from conftest import CORPUS_VERTICES, dilate_box, face_id, face_ids, face_mask
 from test_ehrhart import dilate_contains
 from test_extended import EXTENDED
 
@@ -224,7 +225,7 @@ def test_crosscheck_over_scan_boxes(lattices):
         poly = lat.polytope
         neg = sh.negate_polytope(poly)
         for k in (1, 0, -1):
-            box = sh.scan_box(poly, k, 2)
+            box = sh.scan_box(poly, k)
             for x in product(*(range(lo, hi + 1) for lo, hi in box)):
                 if k == 1 and poly.contains(x):
                     continue
@@ -246,7 +247,7 @@ def test_crosscheck_verdict_depends_only_on_the_signature(lattices, name, monkey
     classes = {}
     for k in (1, 0, -1):
         by_class = classes[k] = {}
-        for x in product(*(range(lo, hi + 1) for lo, hi in sh.scan_box(poly, k, 2))):
+        for x in product(*(range(lo, hi + 1) for lo, hi in sh.scan_box(poly, k))):
             if k == 1 and poly.contains(x):
                 continue
             if k == 0 and all(c == 0 for c in x):
@@ -307,8 +308,8 @@ def test_dedup_check_detects_a_point_filed_under_the_wrong_class(monkeypatch):
     lat = face_lattice(build_polytope(CORPUS_VERTICES["SQ"]))
     original = sh.class_points
 
-    def shifted(lattice, k, box):
-        reps = original(lattice, k, box)
+    def shifted(lattice, k):
+        reps = original(lattice, k)
         if k != 1:
             return reps
         sigs = [sig for sig, _ in reps]
@@ -326,8 +327,7 @@ def test_twist_face_set_is_constant_on_each_k1_scan_class(lattices, shape):
     if shape == "extended":
         lattices = {name: face_lattice(build_polytope(v)) for name, v in EXTENDED.items()}
     for name, lat in lattices.items():
-        box = sh.scan_box(lat.polytope, 1, 2)
-        sigs, runs, _ = sh._scan(lat, 1, box)
+        sigs, runs, _ = sh._scan(lat, 1)
         by_class = {}
         for i, prefix, first, last in runs:
             for t in range(first, last + 1):
@@ -336,14 +336,14 @@ def test_twist_face_set_is_constant_on_each_k1_scan_class(lattices, shape):
         assert sorted(by_class) == list(range(len(by_class)))
         for i, members in by_class.items():
             assert members == face_ids(sh._face_set_from_signature(lat, sigs[i])), (name, i)
-        assert [sig for sig, _ in sh.class_points(lat, 1, box)] == sigs[: len(by_class)]
+        assert [sig for sig, _ in sh.class_points(lat, 1)] == sigs[: len(by_class)]
 
 
 @pytest.mark.parametrize("name", ["SQ", "CUBE", "TRI2"])
 def test_cohomology_suite_runs_one_twist_face_set_per_k1_class(name, monkeypatch):
     lat = face_lattice(build_polytope(CORPUS_VERTICES[name]))  # a cold cache
     poly = lat.polytope
-    box = sh.scan_box(poly, 1, 2)
+    box = sh.scan_box(poly, 1)
     realized = {sh._signature(poly, 1, x) for x in product(*(range(lo, hi + 1) for lo, hi in box))}
     twists = []
     crosschecks = []
@@ -398,30 +398,26 @@ def test_global_cohomology_examples(sq, tri, seg):
     assert g.free == (0, 0) and g.contributors == ()
 
 
-def test_global_cohomology_margin_validation(sq):
-    with pytest.raises(ValueError):
-        sh.global_cohomology(sq, 1, "Z", margin=0)
-
-
 @pytest.mark.parametrize("tight", ["last axis", "head axes"])
 @pytest.mark.parametrize("name", ["SQ", "CUBE"])
 @pytest.mark.parametrize("k", [1, 2])
-def test_shell_check_refuses_a_box_tight_on_one_side(lattices, name, k, tight, monkeypatch):
+def test_shell_check_refuses_a_box_tight_on_one_side(name, k, tight, monkeypatch):
     # kP touches every side of its bounding box; a scan box that is that tight
     # box on some axes puts contributors on the shell, which must be refused
     original = sh.scan_box
 
-    def box(poly, k, margin):
-        wide, bare = original(poly, k, margin), original(poly, k, 0)
+    def box(poly, k):
+        wide, bare = original(poly, k), dilate_box(poly, k, 0)
         return wide[:-1] + bare[-1:] if tight == "last axis" else bare[:-1] + wide[-1:]
 
     monkeypatch.setattr(sh, "scan_box", box)
-    with pytest.raises(RuntimeError, match="margin too small"):
-        sh.global_cohomology(lattices[name], k, "Z")
+    lat = face_lattice(build_polytope(CORPUS_VERTICES[name]))  # a cold scan cache
+    with pytest.raises(RuntimeError, match="^scan shell is not acyclic$"):
+        sh.global_cohomology(lat, k, "Z")
 
 
 def test_scan_box_over_budget_is_refused_before_enumeration(sq, monkeypatch):
-    # SQ at k = 1 with margin 2 scans the 6 x 6 box [-2, 3]^2
+    # SQ at k = 1 scans the 6 x 6 box [-2, 3]^2
     monkeypatch.setattr(sh, "MAX_SCAN_POINTS", 36)
     assert sh.global_cohomology(sq, 1, "Z").free == (4, 0, 0)
     monkeypatch.setattr(sh, "MAX_SCAN_POINTS", 35)
@@ -445,7 +441,7 @@ def test_class_complexes_are_shared_by_rings_and_twists(monkeypatch):
     # one restriction per distinct coreduced remainder, shared by its classes
     classes = cube._cache["sign_classes"]
     distinct = {id(c) for c in classes.values()}
-    assert [keep for _, keep in built] == list(map(face_ids, cube._cache["remainders"]))
+    assert [keep for _, keep in built] == list(cube._cache["remainders"])
     assert len(built) == len(distinct) > 1
     assert len(classes) > len(distinct)
     built.clear()
@@ -469,9 +465,9 @@ def test_rings_at_one_twist_share_one_signature_sweep(monkeypatch):
         assert calls == [], ring
         cold = face_lattice(build_polytope(CORPUS_VERTICES["CUBE"]))
         assert got == sh.global_cohomology(cold, -2, ring), ring
-    # another margin is another box
+    # another twist is another sweep
     calls.clear()
-    sh.global_cohomology(warm, -2, "Z", margin=3)
+    sh.global_cohomology(warm, 2, "Z")
     assert len(calls) == 1
 
 
@@ -484,21 +480,22 @@ def test_graded_pieces_reuse_the_scan_class_complexes(monkeypatch):
     built = []
     original = sh.restrict_cochain_complex
     monkeypatch.setattr(sh, "restrict_cochain_complex", lambda *a: built.append(a) or original(*a))
-    pieces = {}
+    pieces = set()
     for k in (-1, 1):
-        for x in product(*(range(lo, hi + 1) for lo, hi in sh.scan_box(poly, k, 2))):
+        for x in product(*(range(lo, hi + 1) for lo, hi in sh.scan_box(poly, k))):
             sig = sh._signature(poly, k, x)
             res = sh.graded_cohomology(cube, k, x, "Z")
             assert res == hm.cohomology(cached[sig], "Z"), (k, x)
-            # the full restriction, built once per class and then shared
+            # the full restriction, built on every call
             piece = sh.graded_piece(cube, k, x)
-            assert pieces.setdefault(sig, piece.complex) is piece.complex, (k, x)
+            pieces.add(sig)
             kept = {f for layer in piece.complex.basis_labels for f in layer}
             assert kept == piece.base.members, (k, x)
             assert hm.cohomology(piece.complex, "Z") == res, (k, x)
     # graded_cohomology built nothing: it read the scan's class complexes
     assert cube._cache["sign_classes"] == cached
-    assert len(built) == len(pieces) and set(pieces) <= set(cached)
+    points = sum(prod(hi - lo + 1 for lo, hi in sh.scan_box(poly, k)) for k in (-1, 1))
+    assert len(built) == points and pieces <= set(cached)
 
 
 def test_global_matches_ehrhart_closed_form(lattices):
@@ -567,14 +564,14 @@ def test_quotient_by_graded_piece_is_ball_cohomology(sq, cube):
     # one free generator in degree 0, nothing else (when any face is outside)
     for lat in (sq, cube):
         n = lat.polytope.dim
-        box = sh.scan_box(lat.polytope, -1, 1)
+        box = dilate_box(lat.polytope, -1, 1)
         ambient = hm.face_cochain_complex(lat)
         for x in product(*(range(lo, hi + 1) for lo, hi in box)):
             members = sh.twist_face_set(lat, -1, x).members
             rest = frozenset(f.id for f in lat.faces) - members
             if not rest:
                 continue
-            quotient = hm.restrict_cochain_complex(ambient, rest)
+            quotient = hm.restrict_cochain_complex(ambient, face_mask(rest))
             res = hm.cohomology(quotient, "Z")
             if members == {lat.top_id}:
                 # interior point: the quotient is the full boundary complex,
@@ -602,7 +599,7 @@ def test_distant_points_unchanged_while_the_box_leaves_room(lattices):
     for name, lat in lattices.items():
         poly = lat.polytope
         for k in (-3, 0, 2, 20):
-            box = sh.scan_box(poly, k, 2)
+            box = sh.scan_box(poly, k)
             assert sh._distant_points(poly, k, box) == _rejection_draw(poly, k, box), (name, k)
     # a box that covers [-B, B] on one axis only still leaves room
     sq = lattices["SQ"].polytope
@@ -624,6 +621,6 @@ def test_scan_box_covering_the_distant_cube_does_not_hang():
     # the same on the square with vertices (+-1, +-1), whose box at k = 48
     # is exactly [-50, 50]^2
     sq = face_lattice(build_polytope([[1, 1], [1, -1], [-1, 1], [-1, -1]]))
-    box = sh.scan_box(sq.polytope, 48, 2)
+    box = sh.scan_box(sq.polytope, 48)
     assert box == ((-50, 50), (-50, 50))
     assert all(max(map(abs, x)) > 50 for x in sh._distant_points(sq.polytope, 48, box))

@@ -33,7 +33,7 @@ from polytoric.linalg import (
     vec_sub,
 )
 
-from conftest import face_id, face_ids
+from conftest import face_id, face_ids, face_mask
 from test_extended import EXTENDED
 
 
@@ -109,10 +109,9 @@ def _dense_restriction(complex_, keep):
 def _upward_closed_sets(lattice, rng, count):
     """The face sets of the scan's classes, seeded random upward closures and
     the whole lattice."""
-    poly = lattice.polytope
     sets = {frozenset(range(len(lattice.faces)))}
     for k in (-1, 2):
-        sigs = sh._scan(lattice, k, sh.scan_box(poly, k, 1))[0]
+        sigs = sh._scan(lattice, k)[0]
         sets.update(face_ids(sh._face_set_from_signature(lattice, sig)) for sig in sigs)
     for _ in range(count):
         seeds = rng.sample(range(len(lattice.faces)), rng.randint(1, 3))
@@ -316,7 +315,7 @@ def test_sparse_restriction_matches_dense_restriction(shapes):
     for name, lat in shapes.items():
         ambient = hm.face_cochain_complex(lat)
         for keep in _upward_closed_sets(lat, rng, 6):
-            sub = hm.restrict_cochain_complex(ambient, keep)
+            sub = hm.restrict_cochain_complex(ambient, face_mask(keep))
             assert sub.basis_labels == tuple(
                 tuple(x for x in layer if x in keep) for layer in ambient.basis_labels
             )
@@ -324,6 +323,48 @@ def test_sparse_restriction_matches_dense_restriction(shapes):
                 _assert_sparse_layout(m)
             want = _dense_restriction(ambient, keep)
             assert [m.entries for m in sub.maps] == want, (name, sorted(keep))
+
+
+def _label_restriction(complex_, keep):
+    """Restriction to a set of labels: the route the cell-bitmask
+    ``restrict_cochain_complex`` replaced, kept as its oracle."""
+    index = []
+    for layer in complex_.basis_labels:
+        pos = {}
+        for j, x in enumerate(layer):
+            if x in keep:
+                pos[j] = len(pos)
+        index.append(pos)
+    labels = tuple(
+        tuple(layer[j] for j in pos) for layer, pos in zip(complex_.basis_labels, index)
+    )
+    maps = []
+    for i, m in enumerate(complex_.maps):
+        src = index[i]
+        rows = tuple(tuple((src[c], v) for c, v in m.rows[r] if c in src) for r in index[i + 1])
+        maps.append(IntMatrix(len(rows), len(src), rows))
+    return hm.IntegerChainComplex(complex_.start_degree, labels, tuple(maps))
+
+
+def test_mask_restriction_matches_label_restriction(shapes):
+    # every class face set of the scans at k in -2..2 and its coreduced
+    # remainder, restricted by cell bitmask and by face-id labels
+    checked = set()
+    for name, lat in shapes.items():
+        ambient = hm.face_cochain_complex(lat)
+        for k in range(-2, 3):
+            for sig in sh._scan(lat, k)[0]:
+                mask = sh._face_set_from_signature(lat, sig)
+                for keep in (mask, hm.coreduce(ambient, mask)):
+                    got = hm.restrict_cochain_complex(ambient, keep)
+                    want = _label_restriction(ambient, face_ids(keep))
+                    assert got.basis_labels == want.basis_labels, (name, k, keep)
+                    assert [m.rows for m in got.maps] == [m.rows for m in want.maps]
+                    assert [m.ncols for m in got.maps] == [m.ncols for m in want.maps]
+                    for ring in ("Z", "Q", "Z/2"):
+                        assert hm.cohomology(got, ring) == hm.cohomology(want, ring)
+                    checked.add((name, keep))
+    assert len(checked) > 500
 
 
 def test_simplicial_rows_match_dense_rows(shapes):
@@ -354,8 +395,8 @@ def test_scan_runs_match_per_point_signatures(shapes):
         poly = lat.polytope
         zero_last += sum(f.normal[-1] == 0 for f in poly.facets)
         for k in range(-3, 4):
-            box = sh.scan_box(poly, k, 1)
-            sigs, runs, distant_ids = sh._scan(lat, k, box)
+            box = sh.scan_box(poly, k)
+            sigs, runs, distant_ids = sh._scan(lat, k)
             points = [p + (t,) for _, p, first, last in runs for t in range(first, last + 1)]
             assert points == list(product(*(range(lo, hi + 1) for lo, hi in box))), (name, k)
             lines = {}
