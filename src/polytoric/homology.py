@@ -1,16 +1,16 @@
 """Chain complexes and their (co)homology over Z, Q and Z/p.
 
-Two sources of complexes: the face cochain complex of a polytope (one basis
-element per face, coboundaries given by +-1 incidence numbers that the
-diamond rule reads off the face lattice, with no coordinates) and simplicial
-complexes of nerves. Integer matrices are interpreted over the requested
-ring only when cohomology is computed, and one kernel answers every ring:
-the Smith normal form of each coboundary, computed once per complex by a
-sparse Euclid that eliminates unit pivots first (``linalg``). Ranks
-over Q and Z/p follow from its elementary divisors by universal
-coefficients, and over Z the torsion is the incoming coboundary's divisors
-above 1. The field elimination ``linalg.rank_over_field`` is not used here;
-the tests keep it as an independent route to the field answers.
+The face cochain complex of a polytope has one basis element per face and
++-1 incidence numbers that the diamond rule reads off the face lattice,
+with no coordinates; the simplicial complexes of nerves are the tests'
+oracle for its ball and sphere answers. Integer matrices are interpreted
+over the requested ring only when cohomology is computed, and one kernel
+answers every ring: the Smith normal form of each coboundary, computed once
+per complex by a sparse Euclid that eliminates unit pivots first
+(``linalg``). Ranks over Q and Z/p follow from its elementary divisors by
+universal coefficients, and over Z the torsion is the incoming coboundary's
+divisors above 1. The field elimination ``linalg.rank_over_field`` is not
+used here; the tests keep it as an independent route to the field answers.
 
 Every coboundary is a sparse ``IntMatrix`` (rows of ``(col, value)`` pairs)
 from the start: the face complex builds each row from the faces below a
@@ -225,14 +225,16 @@ def coreduce(complex_: IntegerChainComplex, keep: int) -> int:
 
     ``keep`` and the result are int cell bitmasks: bit i is cell i, the
     cells numbered degree by degree in ``basis_labels`` order, so in the
-    face cochain complex cell i is face id i. ``keep`` spans a subcomplex,
-    as an upward-closed face set does. While a live cell has exactly one
-    live coface, or exactly one live face, and the entry between the two is
-    +-1, both cells are removed. That is Gaussian elimination on a unit
-    pivot whose correction term is zero (the pivot's row or column has no
-    other live entry), so the restriction of the complex to the remainder
-    has the cohomology of its restriction to ``keep``, over Z and so over
-    every ring.
+    face cochain complex cell i is face id i. ``keep`` must keep d∘d = 0,
+    as a convex face set does (one holding every face between two of its
+    faces, as an upward- or downward-closed set does). While a live cell has
+    exactly one live coface, or exactly one live face, and the entry between
+    the two is +-1, both cells are removed. That is Gaussian elimination on
+    a unit pivot whose correction term is zero (the pivot's row or column
+    has no other live entry), so the restriction of the complex to the
+    remainder has the cohomology of its restriction to ``keep``, over Z and
+    so over every ring. The live faces stay convex: by the diamond property
+    a face with one live coface has no live face two levels above it.
     """
     up, down, unit = complex_._adjacency
     live = pending = keep
@@ -280,23 +282,3 @@ def simplicial_chain_complex(nerve: NerveComplex, reduced: bool = False) -> Inte
         return IntegerChainComplex(-1, (((),),) + labels, (aug,) + tuple(maps))
     return IntegerChainComplex(0, labels, tuple(maps))
 
-
-def nerve_reduced_cohomology(nerve: NerveComplex, ring: str = "Z") -> CohomologyResult:
-    return cohomology(simplicial_chain_complex(nerve, reduced=True), ring)
-
-
-def is_reduced_acyclic(nerve: NerveComplex) -> bool:
-    """All reduced homology trivial over Z (free ranks and torsion)."""
-    return nerve_reduced_cohomology(nerve, "Z").is_trivial()
-
-
-def has_sphere_homology(nerve: NerveComplex, sphere_dim: int) -> bool:
-    """Reduced homology of S^d over Z: one free generator in degree d."""
-    res = nerve_reduced_cohomology(nerve, "Z")
-    if res.has_torsion():
-        return False
-    expected = {sphere_dim: 1}
-    for d in range(-1, nerve.top_dim() + 1):
-        if res.free_rank(d) != expected.get(d, 0):
-            return False
-    return True

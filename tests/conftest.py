@@ -1,6 +1,7 @@
 import pytest
 
 from polytoric import build_polytope, face_lattice
+from polytoric import homology as hm
 
 CORPUS_VERTICES = {
     "SEG": [[0], [1]],
@@ -69,4 +70,28 @@ def dilate_box(poly, k, margin):
     return tuple(
         (min(k * lo, k * hi) - margin, max(k * lo, k * hi) + margin)
         for lo, hi in poly.bounding_box()
+    )
+
+
+# Nerve oracles: the ball and sphere answers from simplicial complexes,
+# independent of the face cochain complex that ``verify`` decides them on.
+
+
+def nerve_reduced_cohomology(nerve, ring="Z"):
+    return hm.cohomology(hm.simplicial_chain_complex(nerve, reduced=True), ring)
+
+
+def is_reduced_acyclic(nerve):
+    """All reduced homology trivial over Z (free ranks and torsion)."""
+    return nerve_reduced_cohomology(nerve, "Z").is_trivial()
+
+
+def has_sphere_homology(nerve, sphere_dim):
+    """Reduced homology of S^d over Z: one free generator in degree d."""
+    res = nerve_reduced_cohomology(nerve, "Z")
+    if res.has_torsion():
+        return False
+    expected = {sphere_dim: 1}
+    return all(
+        res.free_rank(d) == expected.get(d, 0) for d in range(-1, nerve.top_dim() + 1)
     )

@@ -9,6 +9,7 @@ from polytoric import classify as cl
 from polytoric import ehrhart as eh
 from polytoric import homology as hm
 from polytoric import sheaf as sh
+from conftest import has_sphere_homology, is_reduced_acyclic
 
 RINGS = ("Z", "Q", "Z/2", "Z/3")
 
@@ -136,14 +137,14 @@ def test_criterion_7_nerve_homology(lattices):
     ok = True
     for name, lat in lattices.items():
         n = lat.polytope.dim
-        if not hm.has_sphere_homology(bd.nerve(bd.boundary_complex(lat)), n - 1):
+        if not has_sphere_homology(bd.nerve(bd.boundary_complex(lat)), n - 1):
             ok = False
         for kind in cl.KINDS:
             for x in cl.sample_viewpoints(lat.polytope, kind, count=8, seed=0):
                 c = cl.classify(lat, kind, x)
-                if not hm.is_reduced_acyclic(bd.nerve(c.filter_side)):
+                if not is_reduced_acyclic(bd.nerve(c.filter_side)):
                     ok = False
-                if n >= 2 and not hm.has_sphere_homology(bd.nerve(c.boundary), n - 2):
+                if n >= 2 and not has_sphere_homology(bd.nerve(c.boundary), n - 2):
                     ok = False
     _report(
         "criterion 7: boundary nerve S^(n-1); Inv/Front/Up acyclic; edges S^(n-2)", ok

@@ -8,10 +8,9 @@ import pytest
 from polytoric import boundary as bd
 from polytoric import build_polytope, face_lattice
 from polytoric import classify as cl
-from polytoric import homology as hm
 from polytoric.linalg import dot
 from polytoric.lp import lp_feasible
-from conftest import CORPUS_VERTICES, face_id
+from conftest import CORPUS_VERTICES, face_id, has_sphere_homology, is_reduced_acyclic
 
 LAMBDA_GRID = (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(8))
 
@@ -159,11 +158,11 @@ def test_ball_and_sphere_homology_shadows(lattices):
             for x in cl.sample_viewpoints(lat.polytope, kind, count=3, seed=3):
                 c = cl.classify(lat, kind, x)
                 # order filters and both ball-like sides are acyclic
-                assert hm.is_reduced_acyclic(bd.nerve(c.filter_side))
-                assert hm.is_reduced_acyclic(bd.nerve(c.complex_side))
-                assert hm.is_reduced_acyclic(bd.nerve(bd.closure(c.filter_side)))
+                assert is_reduced_acyclic(bd.nerve(c.filter_side))
+                assert is_reduced_acyclic(bd.nerve(c.complex_side))
+                assert is_reduced_acyclic(bd.nerve(bd.closure(c.filter_side)))
                 if n >= 2:
-                    assert hm.has_sphere_homology(bd.nerve(c.boundary), n - 2)
+                    assert has_sphere_homology(bd.nerve(c.boundary), n - 2)
                 else:
                     assert not c.boundary.members
 

@@ -3,8 +3,10 @@
 ``homology.coreduce`` must leave a remainder whose restricted complex has the
 cohomology of the whole kept set over Z (torsion included), Q, Z/2 and Z/3.
 The facet-sign classes of the corpus, the extended shapes and seeded random
-1-4D polytopes cover the face complexes; scaled nerves and hand-made
-complexes cover entries that are not units, where no pair may be taken.
+1-4D polytopes cover the face complexes, and the closed stars and
+classification sides cover face sets that are closed under going down;
+scaled nerves and hand-made complexes cover entries that are not units,
+where no pair may be taken.
 """
 
 import random
@@ -13,6 +15,7 @@ import pytest
 
 from polytoric import boundary as bd
 from polytoric import build_polytope, face_lattice
+from polytoric import classify as cl
 from polytoric import homology as hm
 from polytoric import sheaf as sh
 from polytoric.linalg import IntMatrix
@@ -175,6 +178,34 @@ def test_global_cohomology_reads_each_distinct_complex_once(monkeypatch):
     sigs, _, _ = sh._scan(cube, 2)
     distinct = {id(c) for c in sh._class_complexes(cube, sigs)}
     assert len(seen) == len({id(c) for c in seen}) == len(distinct) == 2
+
+
+def _is_convex(lat, ids):
+    """Every face between two faces of ``ids`` is in ``ids``."""
+    return all(lat.above(x) & lat.below(z) <= ids for x in ids for z in ids if lat.leq(x, z))
+
+
+def test_convex_face_sets_keep_their_cohomology_and_stay_convex(named_lattices):
+    # closed stars, classification sides and closures of filter sides are
+    # upward or downward closed; the remainder of each must stay convex
+    units = [[int(i == j) for j in range(4)] for i in range(4)]
+    shapes = {name: named_lattices[name] for name in ("CUBE", "OCTA")}
+    shapes["SIMPLEX4"] = face_lattice(build_polytope([[0] * 4] + units))
+    checked = 0
+    for name, lat in shapes.items():
+        ambient = hm.face_cochain_complex(lat)
+        sets = [bd.closed_star(lat, f).members for f in lat.proper_ids()]
+        for kind in cl.KINDS:
+            for x in cl.sample_viewpoints(lat.polytope, kind, count=4, seed=0):
+                c = cl.classify(lat, kind, x)
+                sets += [c.complex_side.members, c.filter_side.members]
+                sets.append(bd.closure(c.filter_side).members)
+        for keep in sets:
+            assert _is_convex(lat, keep), (name, sorted(keep))
+            rest = _assert_same_cohomology(ambient, keep, (name, sorted(keep)))
+            assert _is_convex(lat, rest), (name, sorted(keep), sorted(rest))
+            checked += 1
+    assert checked > 150
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,13 @@ from polytoric import boundary as bd
 from polytoric import homology as hm
 from polytoric import sheaf as sh
 from polytoric.linalg import IntMatrix, rank_over_field
-from conftest import face_id, face_mask
+from conftest import (
+    face_id,
+    face_mask,
+    has_sphere_homology,
+    is_reduced_acyclic,
+    nerve_reduced_cohomology,
+)
 
 
 def test_face_cochain_complex_shapes(seg, tri, sq):
@@ -44,22 +50,22 @@ def test_dd_violation_is_rejected():
 
 def test_nerve_homology_examples(sq, seg):
     eight_cycle = bd.nerve(bd.boundary_complex(sq))
-    res = hm.nerve_reduced_cohomology(eight_cycle, "Z")
+    res = nerve_reduced_cohomology(eight_cycle, "Z")
     assert res.free_rank(0) == 0 and res.free_rank(1) == 1
     assert not res.has_torsion()
 
     two_points = bd.nerve(bd.boundary_complex(seg))
-    res = hm.nerve_reduced_cohomology(two_points, "Z")
+    res = nerve_reduced_cohomology(two_points, "Z")
     assert res.free_rank(0) == 1
 
     single = bd.nerve(bd.FaceSubset(sq, frozenset([face_id(sq, (0, 0))])))
-    assert hm.is_reduced_acyclic(single)
+    assert is_reduced_acyclic(single)
 
 
 def test_boundary_nerve_is_a_sphere(lattices):
     for lat in lattices.values():
         n = lat.polytope.dim
-        assert hm.has_sphere_homology(bd.nerve(bd.boundary_complex(lat)), n - 1)
+        assert has_sphere_homology(bd.nerve(bd.boundary_complex(lat)), n - 1)
 
 
 def test_unreduced_vs_reduced(sq):
@@ -96,15 +102,15 @@ def test_torsion_is_reported():
     # an extra rank appears over Z/2, and Q / Z/3 see nothing
     n = _projective_plane_nerve()
     assert n.f_vector() == (6, 15, 10)
-    over_z = hm.nerve_reduced_cohomology(n, "Z")
+    over_z = nerve_reduced_cohomology(n, "Z")
     assert over_z.free == (0, 0, 0, 0)  # degrees -1 .. 2
     assert over_z.torsion_at(2) == (2,)
-    over_2 = hm.nerve_reduced_cohomology(n, "Z/2")
+    over_2 = nerve_reduced_cohomology(n, "Z/2")
     assert over_2.free_rank(1) == 1 and over_2.free_rank(2) == 1
-    assert hm.nerve_reduced_cohomology(n, "Q").is_trivial()
-    assert hm.nerve_reduced_cohomology(n, "Z/3").is_trivial()
-    assert not hm.is_reduced_acyclic(n)
-    assert not hm.has_sphere_homology(n, 2)
+    assert nerve_reduced_cohomology(n, "Q").is_trivial()
+    assert nerve_reduced_cohomology(n, "Z/3").is_trivial()
+    assert not is_reduced_acyclic(n)
+    assert not has_sphere_homology(n, 2)
 
 
 def test_field_ranks_match_integer_ranks_without_torsion(lattices):
