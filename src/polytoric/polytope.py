@@ -144,6 +144,17 @@ def mask_bits(mask: int) -> frozenset[int]:
     return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
+def transpose_bits(masks: Sequence[int], width: int) -> list[int]:
+    """Bit i of out[j] is bit j of masks[i], for j < width; one step per set
+    bit, so cheap on sparse masks."""
+    out = [0] * width
+    for i, mask in enumerate(masks):
+        while mask:
+            out[(mask & -mask).bit_length() - 1] |= 1 << i
+            mask &= mask - 1
+    return out
+
+
 @dataclass(frozen=True)
 class Face:
     id: int
@@ -243,9 +254,10 @@ class FaceLattice:
         """Face-id bitmask (bit f for face f) of the faces on at least one facet
         of the facet bitmask (bit j for facet j); the top face is on none."""
         out = 0
-        for j, faces in enumerate(self._faces_on_facet):
-            if facets >> j & 1:
-                out |= faces
+        facets &= (1 << len(self._faces_on_facet)) - 1  # callers may pass ~mask
+        while facets:
+            out |= self._faces_on_facet[(facets & -facets).bit_length() - 1]
+            facets &= facets - 1
         return out
 
     def faces_of_dim(self, d: int) -> tuple[int, ...]:

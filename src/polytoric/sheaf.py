@@ -17,12 +17,12 @@ Z, Q and Z/p is computed once, from its Smith forms (``homology.cohomology``).
 ``graded_piece`` builds the full restriction on request. The closed-form
 contributors and the scan both read ``ehrhart.line_spans``: on each line of
 the box every facet holds on one interval, so the scan cuts the line at the
-interval ends into at most F + 1 runs of one class (F facets). A class is
-keyed by its facet bitmask (bit i set iff facet i holds); its face set (the
-faces on no failing facet, ``FaceLattice.faces_on``) is one face-id bitmask
-through ``coreduce`` to the restriction. Only runs of non-trivial classes
-are expanded into points. ``class_points`` reads the first point of each
-realized class off the cached runs; ``verify`` runs its checks on those.
+interval ends into at most F + 1 runs of one class (F facets), keyed by its
+facet bitmask (bit j set iff facet j holds). The new classes of a scan are
+coreduced in one bit-sliced batch, read straight off those bitmasks. Only
+runs of non-trivial classes are expanded into points. ``class_points`` reads
+the first point of each realized class off the cached runs; ``verify`` runs
+its checks on those.
 
 Membership is decided two ways: by facet inequalities (fast formula) and by
 an oracle on the barrier-cone generators. ``membership_certificate`` proves
@@ -53,7 +53,7 @@ from .homology import (
 from .linalg import dot, primitive_vector, vec_neg, vec_sub
 from .lp import dual_cone_rays
 from .parallel import parallel_map
-from .polytope import FaceLattice, face_lattice, negate_polytope
+from .polytope import FaceLattice, face_lattice, negate_polytope, transpose_bits
 
 MARGIN = 2  # scan box reach beyond kP; reports carry the box, so it is fixed
 DISTANT_POINT_COUNT = 32
@@ -267,24 +267,41 @@ def _face_set_from_signature(lattice: FaceLattice, sig: int) -> int:
     return (1 << len(lattice.faces)) - 1 & ~lattice.faces_on(~sig)
 
 
+def _live_masks(lattice: FaceLattice, sigs: list[int]) -> list[int]:
+    """Per face f, the bitmask of the classes c whose face set holds f: those
+    where every facet through f holds in ``sigs[c]``. The signatures are
+    transposed into one class bitmask per facet by slicing each facet's
+    column out of one binary string, measured faster than bit loops."""
+    width = len(lattice.polytope.facets)
+    bits = "".join([format(sig, f"0{width}b") for sig in reversed(sigs)])
+    held = [int(bits[width - 1 - j :: width] or "0", 2) for j in range(width)]
+    live = [(1 << len(sigs)) - 1] * len(lattice.faces)  # the top face is on no facet
+    for face in lattice.faces:
+        for j in face.facet_set:
+            live[face.id] &= held[j]
+    return live
+
+
 def _class_complexes(lattice: FaceLattice, sigs) -> list[IntegerChainComplex]:
     """Coreduced complex of each facet-sign class, kept once per lattice.
 
-    Signature bit i says whether facet i holds; the class's face set
-    depends on nothing else, so its complex is shared by every twist and
-    ring. The class's face-id bitmask is coreduced first (``coreduce``;
-    cell i of the face complex is face i) and the ambient complex
-    restricted to what is left, which has the same cohomology; almost every
-    class leaves nothing. Classes with one remainder mask share one complex
-    and its Smith forms. New remainder masks are restricted on the thread
-    pool; the merge is ordered, so reports are identical for every degree of
-    parallelism.
+    Signature bit j says whether facet j holds; the class's face set (the
+    faces whose facets all hold) depends on nothing else, so its complex is
+    shared by every twist and ring. The new classes are coreduced in one
+    batch, read off ``_live_masks`` (``coreduce``; cell f of the face
+    complex is face f), and each keeps the restriction to its remainder,
+    which has the same cohomology; almost every class leaves nothing.
+    Classes with one remainder share one complex and its Smith forms. New
+    remainders are restricted on the thread pool; the merge is ordered, so
+    reports are identical for every degree of parallelism.
     """
     cache = lattice._cache.setdefault("sign_classes", {})
     by_rest = lattice._cache.setdefault("remainders", {})
-    ambient = face_cochain_complex(lattice)
     todo = [sig for sig in sigs if sig not in cache]
-    rests = [coreduce(ambient, _face_set_from_signature(lattice, sig)) for sig in todo]
+    if not todo:
+        return [cache[sig] for sig in sigs]
+    ambient = face_cochain_complex(lattice)
+    rests = transpose_bits(coreduce(ambient, _live_masks(lattice, todo)), len(todo))
     new = [r for r in dict.fromkeys(rests) if r not in by_rest]
     restricted = parallel_map(lambda r: restrict_cochain_complex(ambient, r), new)
     by_rest.update(zip(new, restricted))

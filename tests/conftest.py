@@ -64,6 +64,18 @@ def face_mask(ids):
     return sum(1 << f for f in ids)
 
 
+def coreduce_masks(complex_, masks):
+    """``homology.coreduce`` on a batch of cell bitmasks (bit i for cell i of
+    the ``basis_labels``, degree by degree): each mask's remainder, as a cell
+    bitmask. The batch is transposed by hand into one int per cell with bit
+    s for set s, and back."""
+    cells = sum(map(len, complex_.basis_labels))
+    live = [sum((m >> i & 1) << s for s, m in enumerate(masks)) for i in range(cells)]
+    out = hm.coreduce(complex_, live)
+    assert len(out) == cells
+    return [sum((out[i] >> s & 1) << i for i in range(cells)) for s in range(len(masks))]
+
+
 def dilate_box(poly, k, margin):
     """Bounding box of kP inflated by margin, for tests that walk a box
     other than ``sheaf.scan_box``."""

@@ -1,12 +1,14 @@
-"""Free-pair coreduction against the full restriction.
+"""Bit-sliced free-pair coreduction against the full restriction.
 
-``homology.coreduce`` must leave a remainder whose restricted complex has the
-cohomology of the whole kept set over Z (torsion included), Q, Z/2 and Z/3.
-The facet-sign classes of the corpus, the extended shapes and seeded random
-1-4D polytopes cover the face complexes, and the closed stars and
-classification sides cover face sets that are closed under going down;
-scaled nerves and hand-made complexes cover entries that are not units,
-where no pair may be taken.
+``homology.coreduce`` must leave each set of a batch a remainder whose
+restricted complex has the cohomology of the whole set over Z (torsion
+included), Q, Z/2 and Z/3, and the same remainder alone, in the batch and in
+the reversed batch. The facet-sign classes of the corpus, the extended
+shapes and seeded random 1-4D polytopes cover the face complexes, and the
+closed stars and classification sides cover face sets that are closed under
+going down; scaled nerves and hand-made complexes cover entries that are not
+units, where no pair may be taken. ``sheaf._live_masks`` must give each
+class its face set.
 """
 
 import random
@@ -20,7 +22,7 @@ from polytoric import homology as hm
 from polytoric import sheaf as sh
 from polytoric.linalg import IntMatrix
 from polytoric.polytope import Facet, FaceLattice, LatticePolytope
-from conftest import CORPUS_VERTICES, face_ids
+from conftest import CORPUS_VERTICES, coreduce_masks, face_ids
 from test_extended import EXTENDED
 from test_homology import _projective_plane_nerve
 
@@ -59,26 +61,28 @@ def _classes(lat):
     return sorted(sets, key=sorted)
 
 
-def _coreduce(complex_, keep):
-    """``hm.coreduce`` on a set of labels: encoded as the cell bitmask (bit i
-    for cell i of the ``basis_labels``, degree by degree) and decoded back."""
-    cells = [x for layer in complex_.basis_labels for x in layer]
-    rest = hm.coreduce(complex_, sum(1 << i for i, x in enumerate(cells) if x in keep))
-    return frozenset(x for i, x in enumerate(cells) if rest >> i & 1)
+def _coreduce_batch(ambient, sets, label):
+    """Coreduce sets of labels in one batch and compare each set's two
+    restrictions; each remainder must also be the set's remainder alone and
+    in the reversed batch. Returns the labels left of each set."""
+    cells = [x for layer in ambient.basis_labels for x in layer]
+    masks = [sum(1 << i for i, x in enumerate(cells) if x in keep) for keep in sets]
+    rests = coreduce_masks(ambient, masks)
+    assert coreduce_masks(ambient, masks[::-1]) == rests[::-1], label
+    for mask, rest in zip(masks, rests):
+        assert rest & ~mask == 0, label
+        assert coreduce_masks(ambient, [mask]) == [rest], (label, mask)
+        full = hm.restrict_cochain_complex(ambient, mask)
+        reduced = hm.restrict_cochain_complex(ambient, rest)
+        for ring in RINGS:
+            assert hm.cohomology(reduced, ring) == hm.cohomology(full, ring), (label, mask, ring)
+    return [frozenset(x for i, x in enumerate(cells) if rest >> i & 1) for rest in rests]
 
 
 def _assert_same_cohomology(ambient, keep, label):
-    """Coreduce a set of labels and compare the two restrictions; returns the
-    labels left."""
-    cells = [x for layer in ambient.basis_labels for x in layer]
-    mask = sum(1 << i for i, x in enumerate(cells) if x in keep)
-    rest = hm.coreduce(ambient, mask)
-    assert rest & ~mask == 0, label
-    full = hm.restrict_cochain_complex(ambient, mask)
-    reduced = hm.restrict_cochain_complex(ambient, rest)
-    for ring in RINGS:
-        assert hm.cohomology(reduced, ring) == hm.cohomology(full, ring), (label, ring)
-    return frozenset(x for i, x in enumerate(cells) if rest >> i & 1)
+    """``_coreduce_batch`` on one set of labels; returns the labels left."""
+    (rest,) = _coreduce_batch(ambient, [keep], label)
+    return rest
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +106,8 @@ def test_face_set_mask_is_the_definitional_face_set(named_lattices):
 
 
 def test_faces_on_is_the_faces_meeting_the_facets(named_lattices):
-    # faces_on(S) is {f : facets(f) meets S}, for random facet bitmasks S;
+    # faces_on(S) is {f : facets(f) meets S}, for random facet bitmasks S
+    # and their complements;
     # the square with an extra facet tight on no vertex has no face on it
     sq = named_lattices["SQ"].polytope
     extra = FaceLattice(LatticePolytope(2, sq.vertices, sq.facets + (Facet((1, 1), 5),)))
@@ -118,15 +123,37 @@ def test_faces_on_is_the_faces_meeting_the_facets(named_lattices):
             chosen = {j for j in range(count) if mask >> j & 1}
             expected = frozenset(f.id for f in lat.faces if f.facet_set & chosen)
             assert face_ids(lat.faces_on(mask)) == expected, (lat.polytope.vertices, mask)
+            # a negative mask, as ``~sig``, selects the facets outside it
+            others = frozenset(f.id for f in lat.faces if f.facet_set - chosen)
+            assert face_ids(lat.faces_on(~mask)) == others, (lat.polytope.vertices, ~mask)
             checked += 1
+    assert checked > 1000
+
+
+def test_live_masks_are_the_class_face_sets(named_lattices):
+    # bit c of live[f] is set iff face f is in the face set of class c; the
+    # square with an extra facet tight on no vertex gets every signature
+    sq = named_lattices["SQ"].polytope
+    extra = FaceLattice(LatticePolytope(2, sq.vertices, sq.facets + (Facet((1, 1), 5),)))
+    lattices = [extra, *named_lattices.values(), *_random_polytopes()]
+    checked = 0
+    for lat in lattices:
+        count = len(lat.polytope.facets)
+        sigs = list(range(1 << count)) if lat is extra else _signatures(lat)
+        live = sh._live_masks(lat, sigs)
+        assert len(live) == len(lat.faces) and live[lat.top_id] == (1 << len(sigs)) - 1
+        for c, sig in enumerate(sigs):
+            faces = sh._face_set_from_signature(lat, sig)
+            assert sum((m >> c & 1) << f for f, m in enumerate(live)) == faces, (lat, sig)
+            checked += 1
+        assert sh._live_masks(lat, []) == [0] * len(lat.faces)
+        assert sh._class_complexes(lat, []) == []
     assert checked > 1000
 
 
 def test_class_remainders_match_full_restriction_on_named_shapes(named_lattices):
     for name, lat in named_lattices.items():
-        ambient = hm.face_cochain_complex(lat)
-        for keep in _classes(lat):
-            _assert_same_cohomology(ambient, keep, (name, sorted(keep)))
+        _coreduce_batch(hm.face_cochain_complex(lat), _classes(lat), name)
 
 
 def test_class_remainders_match_full_restriction_on_random_polytopes():
@@ -134,10 +161,9 @@ def test_class_remainders_match_full_restriction_on_random_polytopes():
     assert {lat.polytope.dim for lat in lattices} == {1, 2, 3, 4}
     checked = 0
     for i, lat in enumerate(lattices):
-        ambient = hm.face_cochain_complex(lat)
-        for keep in _classes(lat):
-            _assert_same_cohomology(ambient, keep, (i, lat.polytope.vertices, sorted(keep)))
-            checked += 1
+        classes = _classes(lat)
+        _coreduce_batch(hm.face_cochain_complex(lat), classes, (i, lat.polytope.vertices))
+        checked += len(classes)
     assert checked > 1000
 
 
@@ -146,9 +172,9 @@ def test_corpus_remainders_have_at_most_one_cell(named_lattices):
     # vertex, an interior point of -kP leaves the top face
     seen = set()
     for name, lat in named_lattices.items():
-        ambient = hm.face_cochain_complex(lat)
-        for keep in _classes(lat):
-            rest = _coreduce(ambient, keep)
+        classes = _classes(lat)
+        rests = _coreduce_batch(hm.face_cochain_complex(lat), classes, name)
+        for keep, rest in zip(classes, rests):
             assert len(rest) <= 1, (name, sorted(keep), sorted(rest))
             if rest:
                 (cell,) = rest
@@ -200,9 +226,8 @@ def test_convex_face_sets_keep_their_cohomology_and_stay_convex(named_lattices):
                 c = cl.classify(lat, kind, x)
                 sets += [c.complex_side.members, c.filter_side.members]
                 sets.append(bd.closure(c.filter_side).members)
-        for keep in sets:
+        for keep, rest in zip(sets, _coreduce_batch(ambient, sets, name)):
             assert _is_convex(lat, keep), (name, sorted(keep))
-            rest = _assert_same_cohomology(ambient, keep, (name, sorted(keep)))
             assert _is_convex(lat, rest), (name, sorted(keep), sorted(rest))
             checked += 1
     assert checked > 150
@@ -222,7 +247,7 @@ def test_no_pair_along_a_non_unit_entry():
     # d(a) = 2b: H^1 = Z/2, so neither cell may go
     times_two = _complex([["a"], ["b"]], [[[2]]])
     keep = frozenset("ab")
-    assert _coreduce(times_two, keep) == keep
+    assert _assert_same_cohomology(times_two, keep, "times two") == keep
     assert hm.cohomology(times_two, "Z").torsion_at(1) == (2,)
     # d(a) = 2b, d(c) = b: c is paired with b, and a is left as H^0 = Z
     mixed = _complex([["a", "c"], ["b"]], [[[2, 1]]])

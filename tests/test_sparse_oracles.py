@@ -33,7 +33,7 @@ from polytoric.linalg import (
     vec_sub,
 )
 
-from conftest import face_id, face_ids, face_mask
+from conftest import coreduce_masks, face_id, face_ids, face_mask
 from test_extended import EXTENDED
 
 
@@ -355,7 +355,7 @@ def test_mask_restriction_matches_label_restriction(shapes):
         for k in range(-2, 3):
             for sig in sh._scan(lat, k)[0]:
                 mask = sh._face_set_from_signature(lat, sig)
-                for keep in (mask, hm.coreduce(ambient, mask)):
+                for keep in (mask, *coreduce_masks(ambient, [mask])):
                     got = hm.restrict_cochain_complex(ambient, keep)
                     want = _label_restriction(ambient, face_ids(keep))
                     assert got.basis_labels == want.basis_labels, (name, k, keep)
