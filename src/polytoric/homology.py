@@ -13,10 +13,10 @@ divisors above 1. The field elimination ``linalg.rank_over_field`` is not
 used here; the tests keep it as an independent route to the field answers.
 
 Every coboundary is a sparse ``IntMatrix`` (rows of ``(col, value)`` pairs)
-from the start: the face complex builds each row from the faces below a
-face, a restriction keeps the rows of kept faces and renumbers their kept
-columns, and a nerve's row holds its k+1 alternating signs. Each complex
-checks d∘d = 0 on construction with the sparse product.
+from the start: the face complex builds each row from the facets of a face
+(``FaceLattice.covers``), a restriction keeps the rows of kept faces and
+renumbers their kept columns, and a nerve's row holds its k+1 alternating
+signs. Each complex checks d∘d = 0 on construction with the sparse product.
 
 A kept set is an int cell bitmask (bit i is cell i of the ``basis_labels``,
 read degree by degree). ``coreduce`` shrinks many sets at once before they
@@ -166,7 +166,7 @@ def face_cochain_complex(lattice: FaceLattice) -> IntegerChainComplex:
     signs: dict[int, dict[int, int]] = {}  # signs[G][F] = [G:F] for each facet F of G
     for d in range(1, n + 1):
         for gid in labels[d]:
-            facets = sorted(f for f in lattice.below(gid) if lattice.faces[f].dim == d - 1)
+            facets = lattice.covers[gid]
             if d == 1:
                 signs[gid] = {facets[0]: -1, facets[1]: 1}
                 continue
@@ -189,8 +189,9 @@ def face_cochain_complex(lattice: FaceLattice) -> IntegerChainComplex:
     maps = []
     for d in range(n):
         col = {fid: j for j, fid in enumerate(labels[d])}
+        # covers are in ascending id order, so each row comes out sorted
         rows = tuple(
-            tuple(sorted((col[f], s) for f, s in signs[gid].items())) for gid in labels[d + 1]
+            tuple((col[f], signs[gid][f]) for f in lattice.covers[gid]) for gid in labels[d + 1]
         )
         maps.append(IntMatrix(len(rows), len(col), rows))
     complex_ = IntegerChainComplex(0, labels, tuple(maps))

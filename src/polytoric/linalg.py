@@ -13,15 +13,16 @@ Ranks over Q and Z/p, determinant signs, solves and kernel lines all come
 from one fraction-free integer elimination (``_eliminate``, in the style of
 Bareiss 1968): rational input rows are scaled to integer rows once, and no
 ``Fraction`` arithmetic runs inside it. At runtime it gives the ranks of
-point sets (``rank_rational``) and the rays of the double description
-(``kernel_line``). The one other reduction is the Smith normal form, a
-sparse Euclid on ``{col: value}`` rows copied from the sparse rows, taking
-unit pivots first; it is the one cohomology kernel, and ``homology`` reads
-the answers over Z, Q and Z/p from its elementary divisors.
-``rank_over_field``, ``det_sign`` and ``coordinates_in_basis`` answer
-nothing at runtime: the tests use the first as an independent route to the
-field ranks, and the other two for the geometric incidence signs that the
-face cochain complex is compared with.
+point sets (``rank_rational``), and the basis and first rays of the double
+description (``lp.dual_cone_rays``). The one other reduction is the Smith
+normal form, a sparse Euclid on ``{col: value}`` rows copied from the
+sparse rows, taking unit pivots first; it is the one cohomology kernel, and
+``homology`` reads the answers over Z, Q and Z/p from its elementary
+divisors. ``rank_over_field``, ``det_sign``, ``coordinates_in_basis`` and
+``kernel_line`` answer nothing at runtime: the tests use the first as an
+independent route to the field ranks, the next two for the geometric
+incidence signs that the face cochain complex is compared with, and the
+last for the double description's first rays and the brute-force hull.
 """
 
 from __future__ import annotations
@@ -200,15 +201,18 @@ def _eliminate(rows: Sequence[Sequence], ncols: int, p: int | None = None, reduc
     This is the one elimination behind every field rank, determinant sign,
     solve and kernel in this module. Each step replaces row_i by
     pv*row_i - f*row_r for the rows with f != 0 in the pivot column: the
-    rows below the pivot, or all other rows when ``reduced``. Over Q (``p`` is None) the int/Fraction input rows are first
-    scaled by positive factors to integers, and each new row is divided by
-    its content; over Z/p the integer entries are reduced mod p.
+    rows below the pivot, or all other rows when ``reduced``. Over Q (``p``
+    is None) the input rows that are not all ints are first scaled by
+    positive factors to primitive integer rows, and each new row is divided
+    by its content; over Z/p the integer entries are reduced mod p.
 
     Returns the echelon rows, the pivot columns and the sign of the
     determinant over Q (0 unless the matrix is square and invertible).
     """
     if p is None:
-        rows = [fractions_to_integer_vector(row) for row in rows]
+        rows = [
+            r if all(type(x) is int for x in r) else fractions_to_integer_vector(r) for r in rows
+        ]
     else:
         rows = [[x % p for x in row] for row in rows]
     nrows = len(rows)

@@ -12,9 +12,9 @@ no perturbation is ever needed.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .linalg import dot, kernel_line, primitive_vector, rank_rational, scale_to_integers, vec_neg
+from .linalg import _eliminate, dot, primitive_vector, scale_to_integers, vec_neg
 
 RELATIONS = (">=", ">", "=")
 
@@ -127,27 +127,28 @@ def dual_cone_rays(generators, dim: int) -> tuple[tuple[int, ...], ...]:
     Requires the generators to span R^dim, so the dual cone is pointed and is
     generated by these rays (none when it is {0}). Exact integer double
     description (Fukuda-Prodon, 1996): start from the simplicial cone of dim
-    independent generators, whose rays are kernel lines, then cut by the
-    other generators one at a time. Each ray keeps the set of generators it
-    is tight on; a ray on the positive side of a cut is combined with one on
-    the negative side only when the two are adjacent, that is when no third
-    ray is tight on every generator both are tight on.
+    independent generators (the pivot columns of the sorted generators),
+    whose rays are the columns of the inverse of the basis matrix, then cut
+    by the other generators one at a time. Each ray keeps the set of
+    generators it is tight on; a ray on the positive side of a cut is
+    combined with one on the negative side only when the two are adjacent,
+    that is when no third ray is tight on every generator both are tight on.
     """
     gens = sorted({primitive_vector(g) for g in generators if any(g)})
-    basis: list[tuple[int, ...]] = []
-    rest = []
-    for g in gens:
-        if len(basis) < dim and rank_rational(basis + [g]) > len(basis):
-            basis.append(g)
-        else:
-            rest.append(g)
-    if len(basis) < dim:
+    pivots = _eliminate(list(zip(*gens)), len(gens))[1]
+    if len(pivots) < dim:
         raise ValueError("generators do not span the ambient space")
+    rest = [g for c, g in enumerate(gens) if c not in pivots]
+    # reduced, row i of [B | I] is p_i (e_i | row i of B^-1), B the basis rows
+    unit = [(0,) * i + (1,) + (0,) * (dim - 1 - i) for i in range(dim)]
+    rows = _eliminate([gens[c] + e for c, e in zip(pivots, unit)], 2 * dim, reduced=True)[0]
+    scale = lcm(*(row[i] for i, row in enumerate(rows)))
     # (ray, bitmask of the tight generators, numbered basis first)
-    rays = []
-    for j, g in enumerate(basis):
-        r = kernel_line(basis[:j] + basis[j + 1:], dim)
-        rays.append((r if dot(g, r) > 0 else vec_neg(r), (1 << dim) - 1 - (1 << j)))
+    rays = [
+        (primitive_vector([row[dim + j] * (scale // row[i]) for i, row in enumerate(rows)]),
+         (1 << dim) - 1 - (1 << j))
+        for j in range(dim)
+    ]
     for i, g in enumerate(rest, start=dim):
         bit = 1 << i
         values = [dot(g, r) for r, _ in rays]

@@ -2,19 +2,20 @@
 
 A polytope is built from its integer vertices; its facets are the extreme
 rays of the dual of the cone over the homogenized points (1, p), computed by
-the exact double description in ``lp.dual_cone_rays``. After the hull, no
-linear algebra is needed: an input point is a vertex iff it is the only
-input point on all of the facets through it, faces are the intersections
-of facet vertex sets (int bitmasks of vertex ids), and each face is graded
-as one more than the largest dimension below it. ``faces_on`` answers
-"which faces lie on these facets" for ``sheaf`` and ``classify``.
+the exact double description in ``lp.dual_cone_rays``. One pass of facet
+values over the input points gives the vertices (the points alone on all of
+the facets through them), the checks of ``_validate`` and the incidence, per
+facet the int bitmask of the vertex ids on it, which the face lattice is
+read off with no linear algebra. ``faces_on`` answers "which faces lie on
+these facets" for ``sheaf`` and ``classify``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import and_, mul, or_
 from typing import Iterable, Sequence
 
 from .linalg import dot, rank_rational, vec_neg, vec_sub
@@ -32,12 +33,26 @@ class Facet:
         return dot(x, self.normal) + self.offset
 
 
+def _zero_masks(values: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Per row of facet values, the bitmask of the positions where it is 0."""
+    return tuple(sum(1 << i for i, v in enumerate(row) if not v) for row in values)
+
+
 @dataclass(frozen=True)
 class LatticePolytope:
     dim: int
     vertices: tuple[tuple[int, ...], ...]
     facets: tuple[Facet, ...]
     discarded: tuple[tuple[int, ...], ...] = ()
+    # bit i of incidence[j] says facet j passes through vertex i; the hull
+    # passes it in from its values pass, any other construction computes it
+    incidence: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    hull_incidence: InitVar[tuple[int, ...] | None] = None
+
+    def __post_init__(self, hull_incidence):
+        if hull_incidence is None:
+            hull_incidence = _zero_masks([[f.value(v) for v in self.vertices] for f in self.facets])
+        object.__setattr__(self, "incidence", hull_incidence)
 
     def contains(self, x: Sequence, strict: bool = False) -> bool:
         """Membership test; strict means the topological interior."""
@@ -78,55 +93,51 @@ def build_polytope(points: Iterable[Sequence[int]]) -> LatticePolytope:
     Input points that are not vertices of the hull are dropped and recorded
     in ``discarded``. Raises ValueError for degenerate input.
     """
-    dedup: list[tuple[int, ...]] = []
     seen = set()
     dim = None
     for p in points:
         tp = _check_integer_point(p, dim)
         dim = len(tp)
-        if tp not in seen:
-            seen.add(tp)
-            dedup.append(tp)
+        seen.add(tp)
     if dim is None:
         raise ValueError("no points given")
     if dim == 0:
         raise ValueError("points need at least one coordinate")
-    if len(dedup) < dim + 1:
+    if len(seen) < dim + 1:
         raise ValueError(f"need at least {dim + 1} distinct points in dimension {dim}")
-    base = dedup[0]
-    if rank_rational([vec_sub(p, base) for p in dedup[1:]]) < dim:
-        raise ValueError("degenerate polytope: points do not affinely span the space")
+    dedup = sorted(seen)
 
     # facets are the rays (offset, normal) of the dual of the cone over {(1, p)}
-    rays = dual_cone_rays([(1,) + p for p in dedup], dim + 1)
-    facets = [Facet(nrm, off) for nrm, off in sorted((r[1:], r[0]) for r in rays)]
+    try:
+        rays = dual_cone_rays([(1,) + p for p in dedup], dim + 1)
+    except ValueError:
+        raise ValueError("degenerate polytope: points do not affinely span the space") from None
+    facets = tuple(Facet(nrm, off) for nrm, off in sorted((r[1:], r[0]) for r in rays))
+    values = [[sum(map(mul, q, f.normal)) + f.offset for q in dedup] for f in facets]
+    on = _zero_masks(values)
     # p is a vertex iff it is the only input point on all of the facets through it
-    on = [sum(1 << i for i, q in enumerate(dedup) if f.value(q) == 0) for f in facets]
-    vertices = []
-    discarded = []
-    for i, p in enumerate(dedup):
-        common = (1 << len(dedup)) - 1
-        for m in on:
-            if m >> i & 1:
-                common &= m
-        (vertices if common == 1 << i else discarded).append(p)
-    vertices.sort()
-    discarded.sort()
-
-    poly = LatticePolytope(dim, tuple(vertices), tuple(facets), tuple(discarded))
-    _validate(poly)
+    keep = [
+        i for i in range(len(dedup)) if reduce(and_, (m for m in on if m >> i & 1), -1) == 1 << i
+    ]
+    if len(keep) < len(dedup):
+        values = [[row[i] for i in keep] for row in values]
+        on = _zero_masks(values)
+    kept = set(keep)
+    discarded = tuple(p for i, p in enumerate(dedup) if i not in kept)
+    poly = LatticePolytope(dim, tuple(dedup[i] for i in keep), facets, discarded, on)
+    _validate(poly, values)
     return poly
 
 
-def _validate(poly: LatticePolytope) -> None:
-    for f in poly.facets:
-        values = [f.value(v) for v in poly.vertices]
-        if any(v < 0 for v in values):
+def _validate(poly: LatticePolytope, values: Sequence[Sequence[int]]) -> None:
+    """Exact checks of the hull from ``values[j][i]``, facet j at vertex i."""
+    for row, on in zip(values, poly.incidence):
+        if min(row) < 0:
             raise ValueError("facet inequality violated by a vertex")
-        if not any(v > 0 for v in values):
+        if max(row) <= 0:
             raise ValueError("facet does not support the polytope properly")
-        on = [v for v, val in zip(poly.vertices, values) if val == 0]
-        if rank_rational([vec_sub(p, on[0]) for p in on[1:]]) != poly.dim - 1:
+        pts = [poly.vertices[i] for i in sorted(mask_bits(on))]
+        if rank_rational([vec_sub(p, pts[0]) for p in pts[1:]]) != poly.dim - 1:
             raise ValueError("supporting hyperplane does not span a facet")
 
 
@@ -155,6 +166,12 @@ def transpose_bits(masks: Sequence[int], width: int) -> list[int]:
     return out
 
 
+def _lex_key(mask: int) -> str:
+    """Sorts masks as their sorted bit lists: character i is bit i flipped, so
+    the least bit that only one mask has decides, and a prefix comes first."""
+    return format(mask ^ ((1 << mask.bit_length()) - 1), f"0{mask.bit_length()}b")[::-1]
+
+
 @dataclass(frozen=True)
 class Face:
     id: int
@@ -166,89 +183,102 @@ class Face:
 class FaceLattice:
     """All non-empty faces of a polytope, graded by dimension.
 
-    Faces are the intersections of facet vertex sets, found as int bitmasks
-    of vertex ids with no linear algebra. The face poset is graded, so a
-    face's dimension is one more than the largest dimension strictly below
-    it, and vertices have dimension 0 (Ziegler, *Lectures on Polytopes*,
-    1995, Sec. 2.2). Faces are indexed in a fixed order (by dimension, then
-    by vertex set), so face ids form a linear extension of the partial
-    order. ``facet_masks[f]`` has bit j set iff facet j passes through face
-    f. The join of two faces is the face whose facet set is the
-    intersection of theirs; the top face has the empty facet set.
+    Built top-down from the vertex-facet incidence (Kaibel-Pfetsch, *Comput.
+    Geom.* 23, 2002): the facets of a face H are the maximal non-empty H & m
+    over the facet vertex masks m, and lie on the facets through H and the m
+    that cut them out. Face ids are sorted by dimension, then by sorted
+    vertex ids, a linear extension of the face order. Per face id the
+    lattice keeps ints: ``vertex_masks``, ``facet_masks`` (bit j iff facet j
+    passes through the face), ``dims``, ``covers`` (the ids of its facets,
+    ascending) and ``below_masks`` (the ids of its faces, itself included),
+    so ``leq`` and ``join`` are mask operations. ``faces``, ``above``,
+    ``below`` and ``facet_members`` are frozenset views built on first use.
     """
 
     def __init__(self, polytope: LatticePolytope):
         self.polytope = polytope
-        members = [
-            sum(1 << i for i, v in enumerate(polytope.vertices) if f.value(v) == 0)
-            for f in polytope.facets
-        ]
-        masks = {(1 << len(polytope.vertices)) - 1}
-        frontier = {m for m in members if m}
-        while frontier:
-            masks |= frontier
-            frontier = {vs & m for vs in frontier for m in members if vs & m} - masks
-
-        by_size = sorted(masks, key=int.bit_count)
-        below: dict[int, list[int]] = {}
-        above: dict[int, list[int]] = {m: [] for m in masks}
-        dims = {}
-        for i, m in enumerate(by_size):
-            below[m] = [s for s in by_size[:i] if s & m == s]
-            dims[m] = 1 + max((dims[s] for s in below[m]), default=-1)
-            below[m].append(m)
-            for s in below[m]:
-                above[s].append(m)
-        order = sorted(masks, key=lambda m: (dims[m], sorted(mask_bits(m))))
+        top = (1 << len(polytope.vertices)) - 1
+        facets_of = {top: 0}  # vertex mask -> facet mask
+        covers_of: dict[int, list[int]] = {}  # vertex mask -> its facets' vertex masks
+        levels = [[top]]
+        while levels[-1]:
+            below: dict[int, None] = {}
+            for h in levels[-1]:
+                parts: dict[int, int] = {}  # H & m -> the facets through it
+                # a vertex (one bit) covers nothing
+                for j, m in enumerate(polytope.incidence if h & (h - 1) else ()):
+                    part = h & m
+                    if part and part != h:
+                        parts[part] = parts.get(part, facets_of[h]) | 1 << j
+                covers_of[h] = []
+                for part in sorted(parts, key=int.bit_count, reverse=True):
+                    if all(part & s != part for s in covers_of[h]):
+                        covers_of[h].append(part)
+                        facets_of[part] = parts[part]
+                below.update(dict.fromkeys(covers_of[h]))
+            levels.append(list(below))
+        levels.pop()
+        levels.reverse()  # by dimension
+        order = [m for level in levels for m in sorted(level, key=_lex_key)]
         fid = {m: i for i, m in enumerate(order)}
-        self.facet_masks = tuple(
-            sum(1 << j for j, fm in enumerate(members) if m & fm == m) for m in order
-        )
-        self.faces = tuple(
-            Face(i, mask_bits(m), mask_bits(fm), dims[m])
-            for i, (m, fm) in enumerate(zip(order, self.facet_masks))
-        )
-        self.top_id = len(self.faces) - 1
+        self.vertex_masks = tuple(order)
+        self.facet_masks = tuple(map(facets_of.get, order))
+        self.dims = tuple(d for d, level in enumerate(levels) for _ in level)
+        self.covers = tuple(tuple(sorted(map(fid.get, covers_of[m]))) for m in order)
+        below_masks: list[int] = []
+        for f, covers in enumerate(self.covers):
+            below_masks.append(reduce(or_, map(below_masks.__getitem__, covers), 1 << f))
+        self.below_masks = tuple(below_masks)
+        self.top_id = len(order) - 1
         self._proper_ids = frozenset(range(self.top_id))
-        self.facet_members = tuple(map(mask_bits, members))
-        self._by_vertex_set = {f.vertex_set: f.id for f in self.faces}
-        self._by_facet_set = {f.facet_set: f.id for f in self.faces}
-        self._above = tuple(frozenset(map(fid.get, above[m])) for m in order)
-        self._below = tuple(frozenset(map(fid.get, below[m])) for m in order)
+        self._by_vertex_mask = fid
+        self._by_facet_mask = dict(zip(self.facet_masks, range(len(order))))
         self._cache: dict = {}
 
     # -- basic queries ------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.faces)
+        return len(self.dims)
+
+    @cached_property
+    def faces(self) -> tuple[Face, ...]:
+        masks = zip(self.vertex_masks, self.facet_masks, self.dims)
+        return tuple(Face(f, mask_bits(v), mask_bits(m), d) for f, (v, m, d) in enumerate(masks))
 
     def face(self, fid: int) -> Face:
-        if not 0 <= fid < len(self.faces):
+        if not 0 <= fid < len(self.dims):
             raise ValueError(f"no face with id {fid}")
         return self.faces[fid]
 
     def leq(self, a: int, b: int) -> bool:
-        return b in self._above[a]
+        return self.below_masks[b] >> a & 1 == 1
+
+    @cached_property
+    def _above_below(self) -> tuple[tuple[frozenset[int], ...], ...]:
+        above = transpose_bits(self.below_masks, len(self.dims))
+        return tuple(map(mask_bits, above)), tuple(map(mask_bits, self.below_masks))
 
     def above(self, fid: int) -> frozenset[int]:
-        return self._above[fid]
+        return self._above_below[0][fid]
 
     def below(self, fid: int) -> frozenset[int]:
-        return self._below[fid]
+        return self._above_below[1][fid]
 
     def join(self, a: int, b: int) -> int:
-        return self._by_facet_set[self.face(a).facet_set & self.face(b).facet_set]
+        return self._by_facet_mask[self.facet_masks[a] & self.facet_masks[b]]
 
     def proper_ids(self) -> frozenset[int]:
         return self._proper_ids
 
     @cached_property
+    def facet_members(self) -> tuple[frozenset[int], ...]:
+        """Per facet of the polytope, the vertex ids on it."""
+        return tuple(map(mask_bits, self.polytope.incidence))
+
+    @cached_property
     def _faces_on_facet(self) -> tuple[int, ...]:
         """Per facet, the face-id bitmask of the faces on it (``facet_masks`` transposed)."""
-        return tuple(
-            sum(1 << f for f, mask in enumerate(self.facet_masks) if mask >> j & 1)
-            for j in range(len(self.polytope.facets))
-        )
+        return tuple(transpose_bits(self.facet_masks, len(self.polytope.facets)))
 
     def faces_on(self, facets: int) -> int:
         """Face-id bitmask (bit f for face f) of the faces on at least one facet
@@ -261,14 +291,14 @@ class FaceLattice:
         return out
 
     def faces_of_dim(self, d: int) -> tuple[int, ...]:
-        return tuple(f.id for f in self.faces if f.dim == d)
+        return tuple(f for f, e in enumerate(self.dims) if e == d)
 
     def face_by_vertices(self, vs: frozenset[int]) -> int | None:
-        return self._by_vertex_set.get(frozenset(vs))
+        return self._by_vertex_mask.get(sum(1 << i for i in set(vs)))
 
     def vertex_coords(self, fid: int) -> tuple[tuple[int, ...], ...]:
         verts = self.polytope.vertices
-        return tuple(sorted(verts[i] for i in self.face(fid).vertex_set))
+        return tuple(sorted(verts[i] for i in mask_bits(self.vertex_masks[fid])))
 
     def lex_min_vertex(self, fid: int) -> tuple[int, ...]:
         return self.vertex_coords(fid)[0]

@@ -39,6 +39,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import prod
+from operator import mul
 
 from .classify import classify_front_back, classify_lower_upper, classify_visibility
 from .ehrhart import dilate_points, line_spans
@@ -264,7 +265,7 @@ def _signature(poly, k: int, x) -> int:
 def _face_set_from_signature(lattice: FaceLattice, sig: int) -> int:
     """Face-id bitmask (bit f for face f) of the faces on no facet that fails
     in the signature; bit j of ~sig is set iff facet j fails."""
-    return (1 << len(lattice.faces)) - 1 & ~lattice.faces_on(~sig)
+    return (1 << len(lattice)) - 1 & ~lattice.faces_on(~sig)
 
 
 def _live_masks(lattice: FaceLattice, sigs: list[int]) -> list[int]:
@@ -275,10 +276,12 @@ def _live_masks(lattice: FaceLattice, sigs: list[int]) -> list[int]:
     width = len(lattice.polytope.facets)
     bits = "".join([format(sig, f"0{width}b") for sig in reversed(sigs)])
     held = [int(bits[width - 1 - j :: width] or "0", 2) for j in range(width)]
-    live = [(1 << len(sigs)) - 1] * len(lattice.faces)  # the top face is on no facet
-    for face in lattice.faces:
-        for j in face.facet_set:
-            live[face.id] &= held[j]
+    live = [(1 << len(sigs)) - 1] * len(lattice)  # the top face is on no facet
+    for f, on in enumerate(lattice.facet_masks):
+        while on:
+            low = on & -on
+            live[f] &= held[low.bit_length() - 1]
+            on ^= low
     return live
 
 
@@ -318,9 +321,10 @@ def _distant_points(poly, k: int, box) -> list[tuple[int, ...]]:
     if all(lo <= -bound and hi >= bound for lo, hi in box):
         bound += max(max(-lo, hi) for lo, hi in box)
     rng = random.Random(f"distant:{k}:{poly.vertices}")
+    draw, width = rng.randrange, 2 * bound + 1  # randint(-bound, bound), with less call overhead
     distant = []
     while len(distant) < DISTANT_POINT_COUNT:
-        x = tuple(rng.randint(-bound, bound) for _ in range(poly.dim))
+        x = tuple(draw(width) - bound for _ in range(poly.dim))
         if not all(lo <= xi <= hi for xi, (lo, hi) in zip(x, box)):
             distant.append(x)
     return distant
@@ -340,9 +344,10 @@ def _scan(lattice: FaceLattice, k: int):
     poly = lattice.polytope
     box = scan_box(poly, k)
     lo, hi = box[-1]
+    rows = [(f.normal, k * f.offset) for f in poly.facets]
     classes: dict[int, int] = {}
     runs = []
-    for prefix, spans in line_spans([(f.normal, k * f.offset) for f in poly.facets], box):
+    for prefix, spans in line_spans(rows, box):
         flips = {lo: 0}  # the facet bits that switch on or off at each cut
         for i, (a, b) in enumerate(spans):
             if a <= b:
@@ -354,10 +359,10 @@ def _scan(lattice: FaceLattice, k: int):
         for first, end in zip(cuts, cuts[1:] + [hi + 1]):
             sig ^= flips[first]
             runs.append((classes.setdefault(sig, len(classes)), prefix, first, end - 1))
-    distant_ids = [
-        classes.setdefault(_signature(poly, k, x), len(classes))
-        for x in _distant_points(poly, k, box)
-    ]
+    distant_ids = []
+    for x in _distant_points(poly, k, box):
+        sig = sum(1 << i for i, (a, b) in enumerate(rows) if sum(map(mul, x, a)) + b >= 0)
+        distant_ids.append(classes.setdefault(sig, len(classes)))
     cache[k] = (list(classes), runs, distant_ids)
     return cache[k]
 

@@ -1,12 +1,23 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
 import pytest
 
+import polytoric.lp as lp_module
 import polytoric.polytope as polytope_module
 from polytoric import build_polytope, face_lattice
-from polytoric.linalg import dot, kernel_line, rank_rational, vec_neg, vec_sub
+from polytoric.linalg import (
+    _eliminate,
+    dot,
+    kernel_line,
+    primitive_vector,
+    rank_rational,
+    vec_neg,
+    vec_sub,
+)
+from polytoric.lp import dual_cone_rays
 from polytoric.polytope import Facet, FaceLattice, LatticePolytope
 from conftest import face_id
 
@@ -218,9 +229,45 @@ CROSS5 = [
 ] + [(0, 0, 0, 0, 0), (1, 1, 0, 0, 0)]
 
 
+def _bits(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _bottom_up_lattice(poly):
+    """Reference lattice: the facet vertex masks closed under non-empty
+    intersection, each face graded as one more than the largest dimension
+    below it (O(faces^2)), in the order by dimension, then sorted vertex
+    ids. Per face: (vertex mask, dim, facet mask, covers, below mask)."""
+    members = [
+        sum(1 << i for i, v in enumerate(poly.vertices) if f.value(v) == 0) for f in poly.facets
+    ]
+    masks = {(1 << len(poly.vertices)) - 1}
+    frontier = {m for m in members if m}
+    while frontier:
+        masks |= frontier
+        frontier = {vs & m for vs in frontier for m in members if vs & m} - masks
+    by_size = sorted(masks, key=int.bit_count)
+    below, dims = {}, {}
+    for i, m in enumerate(by_size):
+        below[m] = [s for s in by_size[:i] if s & m == s]
+        dims[m] = 1 + max((dims[s] for s in below[m]), default=-1)
+    order = sorted(masks, key=lambda m: (dims[m], _bits(m)))
+    fid = {m: i for i, m in enumerate(order)}
+    return [
+        (
+            m,
+            dims[m],
+            sum(1 << j for j, fm in enumerate(members) if m & fm == m),
+            tuple(sorted(fid[s] for s in below[m] if dims[s] == dims[m] - 1)),
+            sum(1 << fid[s] for s in below[m]) | 1 << fid[m],
+        )
+        for m in order
+    ]
+
+
 def _assert_matches_rank_route(points, lat):
-    """Reference: the vertex test and grading by rank over Q, and the order
-    by vertex-set containment."""
+    """Reference: the vertex test and grading by rank over Q, the order by
+    vertex-set containment, and the bottom-up lattice."""
     poly = lat.polytope
     dedup = set(map(tuple, points))
     assert sorted(poly.vertices + poly.discarded) == sorted(dedup)
@@ -239,16 +286,23 @@ def _assert_matches_rank_route(points, lat):
     vertex_sets = {f.vertex_set for f in lat.faces}
     assert vertex_sets >= {fm for fm in lat.facet_members if fm}
     assert all(a & b in vertex_sets for a in vertex_sets for b in vertex_sets if a & b)
+    # face order, dims, facet masks, covers and below masks of the top-down walk
+    masks, dims, facet_masks, covers, below = zip(*_bottom_up_lattice(poly))
+    assert lat.vertex_masks == masks
+    assert lat.dims == dims
+    assert lat.facet_masks == facet_masks
+    assert lat.covers == covers
+    assert lat.below_masks == below
 
 
-def _clouds_with_non_vertices(count):
-    """Seeded 1-4D clouds scaled by 2(n + 1), each with a repeated point, the
-    barycenter of n + 1 affinely independent vertices (an interior point)
-    and the midpoint of an edge."""
-    rng = random.Random(12)
+def _clouds_with_non_vertices(count, dims=(1, 2, 3, 4), seed=12):
+    """Seeded clouds, cycling through the dimensions, scaled by 2(n + 1), each
+    with a repeated point, the barycenter of n + 1 affinely independent
+    vertices (an interior point) and the midpoint of an edge."""
+    rng = random.Random(seed)
     clouds = []
     while len(clouds) < count:
-        n = len(clouds) % 4 + 1
+        n = dims[len(clouds) % len(dims)]
         s = 2 * (n + 1)
         pts = [tuple(s * rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(n + 1, n + 7))]
         try:
@@ -270,8 +324,8 @@ def _clouds_with_non_vertices(count):
 def test_lattice_matches_rank_route(lattices):
     for lat in lattices.values():
         _assert_matches_rank_route(lat.polytope.vertices, lat)
-    clouds = _clouds_with_non_vertices(44)
-    assert {len(pts[0]) for pts, _ in clouds} == {1, 2, 3, 4}
+    clouds = _clouds_with_non_vertices(44) + _clouds_with_non_vertices(6, dims=(5,), seed=5)
+    assert {len(pts[0]) for pts, _ in clouds} == {1, 2, 3, 4, 5}
     for pts, non_vertices in clouds:
         poly = build_polytope(pts)
         assert set(non_vertices) <= set(poly.discarded), pts
@@ -293,6 +347,15 @@ def test_facet_tight_on_no_vertex_adds_no_face(corpus, sq):
     assert lat.facet_members == sq.facet_members + (frozenset(),)
 
 
+def test_incidence_follows_the_facets_of_a_replaced_polytope(corpus, sq):
+    # the hull passes its incidence in; a copy with other facets computes its own
+    poly = corpus["SQ"]
+    assert poly.incidence == tuple(sum(1 << i for i in m) for m in sq.facet_members)
+    moved = replace(poly, facets=poly.facets[1:] + poly.facets[:1])
+    assert moved.incidence == poly.incidence[1:] + poly.incidence[:1]
+    assert FaceLattice(moved).facet_members == sq.facet_members[1:] + sq.facet_members[:1]
+
+
 def test_lattice_and_vertex_test_use_no_rank(lattices, monkeypatch):
     calls = []
 
@@ -301,9 +364,10 @@ def test_lattice_and_vertex_test_use_no_rank(lattices, monkeypatch):
         return rank_rational(vectors)
 
     monkeypatch.setattr(polytope_module, "rank_rational", counting_rank)
-    # one rank for full-dimensionality, one per facet in _validate, none per point
+    # one rank per facet in _validate, none per point; the double description
+    # decides full-dimensionality with its own elimination
     poly = build_polytope(CROSS5)
-    assert len(calls) == 1 + len(poly.facets)
+    assert len(calls) == len(poly.facets)
 
     def refuse(vectors):
         raise AssertionError("the face lattice took a rank")
@@ -324,3 +388,81 @@ def test_proper_ids_is_built_once(lattices):
     for lat in lattices.values():
         assert lat.proper_ids() == frozenset(range(lat.top_id))
         assert lat.proper_ids() is lat.proper_ids()
+
+
+def _greedy_basis(gens, dim):
+    """Reference: the first generators, in order, that raise the rank."""
+    basis = []
+    for g in gens:
+        if len(basis) < dim and rank_rational(basis + [g]) > len(basis):
+            basis.append(g)
+    return basis
+
+
+def _seeded_generators(rng, dim):
+    """Generators of R^dim or of less: random rows, repeats and combinations."""
+    gens = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(rng.randint(1, dim + 4))]
+    if rng.random() < 0.5:
+        a, b = rng.choice(gens), rng.choice(gens)
+        gens.append(tuple(2 * x - y for x, y in zip(a, b)))
+    return gens
+
+
+def test_double_description_basis_is_the_greedy_rank_basis(monkeypatch):
+    # the basis the first rays come from is the pivot columns of one
+    # elimination: the first generators, in sorted order, that raise the
+    # rank one rank_rational call at a time
+    bases = []
+
+    def spy(rows, ncols, p=None, reduced=False):
+        if reduced:  # [B | I]
+            bases.append([tuple(row[: ncols // 2]) for row in rows])
+        return _eliminate(rows, ncols, p, reduced)
+
+    monkeypatch.setattr(lp_module, "_eliminate", spy)
+    rng = random.Random(8)
+    spanning = 0
+    for _ in range(300):
+        dim = rng.randint(1, 5)
+        gens = _seeded_generators(rng, dim)
+        expected = _greedy_basis(sorted({primitive_vector(g) for g in gens if any(g)}), dim)
+        bases.clear()
+        if len(expected) < dim:
+            with pytest.raises(ValueError):
+                dual_cone_rays(gens, dim)
+            assert not bases
+        else:
+            dual_cone_rays(gens, dim)
+            assert bases == [expected], gens
+            spanning += 1
+    assert 100 < spanning < 300
+
+
+def _kernel_line_rays(basis):
+    """Reference for the inverse-matrix rays: ray j spans the kernel of the
+    other basis rows, oriented positive on row j."""
+    dim = len(basis)
+    rays = []
+    for j, g in enumerate(basis):
+        r = kernel_line(basis[:j] + basis[j + 1:], dim)
+        rays.append(r if dot(g, r) > 0 else vec_neg(r))
+    return rays
+
+
+def test_inverse_matrix_rays_are_the_kernel_line_rays():
+    # on a basis alone the double description returns its first rays
+    rng = random.Random(31)
+    negative_pivot = 0
+    checked = {1: 0, 2: 0, 3: 0, 4: 0, 5: 0}
+    while min(checked.values()) < 20:
+        dim = rng.randint(1, 5)
+        basis = [tuple(rng.randint(-4, 4) for _ in range(dim)) for _ in range(dim)]
+        basis = sorted({primitive_vector(b) for b in basis if any(b)})
+        if len(basis) < dim or rank_rational(basis) < dim:
+            continue
+        unit = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+        rows = _eliminate([b + e for b, e in zip(basis, unit)], 2 * dim, reduced=True)[0]
+        negative_pivot += any(row[i] < 0 for i, row in enumerate(rows))
+        assert dual_cone_rays(basis, dim) == tuple(sorted(_kernel_line_rays(basis))), basis
+        checked[dim] += 1
+    assert negative_pivot > 10

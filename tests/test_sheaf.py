@@ -582,10 +582,9 @@ def test_quotient_by_graded_piece_is_ball_cohomology(sq, cube):
                 assert all(res.free_rank(d) == 0 for d in range(1, n + 1))
 
 
-def _rejection_draw(poly, k, box):
-    """The distant points as drawn before the cube could grow: rejection
-    from [-B, B]^n with B = DISTANT_COORD_BOUND."""
-    bound = sh.DISTANT_COORD_BOUND
+def _rejection_draw(poly, k, box, bound=sh.DISTANT_COORD_BOUND):
+    """Distant points drawn with ``randint``: rejection from [-bound, bound]^n,
+    by default the cube B = DISTANT_COORD_BOUND that has not grown."""
     rng = random.Random(f"distant:{k}:{poly.vertices}")
     out = []
     while len(out) < sh.DISTANT_POINT_COUNT:
@@ -605,6 +604,24 @@ def test_distant_points_unchanged_while_the_box_leaves_room(lattices):
     sq = lattices["SQ"].polytope
     box = ((-60, 60), (-1, 1))
     assert sh._distant_points(sq, 1, box) == _rejection_draw(sq, 1, box)
+
+
+def test_distant_points_and_classes_match_the_randint_oracle(lattices):
+    # randrange(2B + 1) - B draws what randint(-B, B) draws, and the scan's
+    # facet rows file each distant point under the class _signature gives it
+    seg = face_lattice(build_polytope([[-1], [1]]))
+    cases = [(lat, k) for lat in lattices.values() for k in range(-3, 4)] + [(seg, 60)]
+    for lat, k in cases:
+        poly = lat.polytope
+        box = sh.scan_box(poly, k)
+        bound = sh.DISTANT_COORD_BOUND
+        if all(lo <= -bound and hi >= bound for lo, hi in box):  # the box covers the cube
+            bound += max(max(-lo, hi) for lo, hi in box)
+        distant = sh._distant_points(poly, k, box)
+        assert distant == _rejection_draw(poly, k, box, bound), (poly.vertices, k)
+        sigs, _, ids = sh._scan(lat, k)
+        assert [sigs[c] for c in ids] == [sh._signature(poly, k, x) for x in distant]
+    assert bound == sh.DISTANT_COORD_BOUND + 62  # the segment's box [-62, 62] covers the cube
 
 
 def test_scan_box_covering_the_distant_cube_does_not_hang():
