@@ -1,95 +1,96 @@
 """Subsets of the boundary complex of a polytope.
 
-The boundary complex consists of all proper non-empty faces. Subsets are
-carried around as id sets; order filters, combinatorial closures, stars,
-links, antistars and nerves are all computed purely combinatorially on the
-face lattice. Star-type operators come in two modes: ``definitional``
-(straight from the definitions) and ``combinatorial`` (via joins), which must
-agree on face lattices of polytopes.
+The boundary complex consists of all proper non-empty faces. A subset is one
+int face-id bitmask (bit f for face f) of its lattice; order filters,
+closures, stars, links and antistars are mask operations on the lattice's
+``below_masks`` and ``above_masks``, and nerves are built on the face order.
+Star-type operators come in two modes: ``definitional`` (straight from the
+definitions, on masks) and ``combinatorial`` (face by face, via joins), which
+must agree on face lattices of polytopes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .polytope import FaceLattice
+from .polytope import FaceLattice, iter_bits, union_over
 
 
 @dataclass(frozen=True)
 class FaceSubset:
-    """A set of proper non-empty faces of a fixed lattice."""
+    """A set of proper non-empty faces of a fixed lattice, as a face-id bitmask."""
 
     lattice: FaceLattice
-    members: frozenset[int]
+    mask: int
 
     def __post_init__(self):
-        bad = self.members - self.lattice.proper_ids()
+        bad = self.mask & ~self.lattice.proper_mask  # negative for a negative mask
         if bad:
-            raise ValueError(f"not proper faces: {sorted(bad)}")
+            ids = [f for f in range(abs(bad).bit_length()) if bad >> f & 1]
+            raise ValueError(f"not proper faces: {ids}" + (" and beyond" if bad < 0 else ""))
+
+    @property
+    def members(self) -> frozenset[int]:
+        return frozenset(iter_bits(self.mask))
 
     def __contains__(self, fid: int) -> bool:
-        return fid in self.members
+        return self.mask >> fid & 1 == 1
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.mask.bit_count()
 
     def intersection(self, other: "FaceSubset") -> "FaceSubset":
-        return FaceSubset(self.lattice, self.members & other.members)
+        return FaceSubset(self.lattice, self.mask & other.mask)
 
     def complement(self) -> "FaceSubset":
-        return FaceSubset(self.lattice, self.lattice.proper_ids() - self.members)
+        return FaceSubset(self.lattice, self.lattice.proper_mask & ~self.mask)
 
     def labels(self) -> tuple[str, ...]:
-        return tuple(self.lattice.face_label(i) for i in sorted(self.members))
+        return tuple(map(self.lattice.face_label, iter_bits(self.mask)))
 
 
 def boundary_complex(lattice: FaceLattice) -> FaceSubset:
     """All proper non-empty faces."""
-    return FaceSubset(lattice, lattice.proper_ids())
+    return FaceSubset(lattice, lattice.proper_mask)
 
 
 def closure(subset: FaceSubset) -> FaceSubset:
     """Members together with all their non-empty faces."""
-    lat = subset.lattice
-    out = set()
-    for fid in subset.members:
-        out |= lat.below(fid)
-    return FaceSubset(lat, frozenset(out))
+    return FaceSubset(subset.lattice, union_over(subset.lattice.below_masks, subset.mask))
 
 
 def is_order_filter(subset: FaceSubset) -> bool:
     """Upward closed inside the boundary complex."""
     lat = subset.lattice
-    proper = lat.proper_ids()
-    for fid in subset.members:
-        if not (lat.above(fid) & proper) <= subset.members:
-            return False
-    return True
+    return union_over(lat.above_masks, subset.mask) & lat.proper_mask == subset.mask
 
 
 def is_subcomplex(subset: FaceSubset) -> bool:
-    return closure(subset).members == subset.members
+    return closure(subset).mask == subset.mask
 
 
 def _check_proper(lattice: FaceLattice, fid: int) -> None:
-    lattice.face(fid)
+    lattice.check_id(fid)
     if fid == lattice.top_id:
         raise ValueError("operation is defined for proper faces only")
+
+
+def _faces_where(lattice: FaceLattice, keep) -> FaceSubset:
+    """The proper faces g with keep(g), tested face by face."""
+    return FaceSubset(lattice, sum(1 << g for g in range(lattice.top_id) if keep(g)))
 
 
 def star(lattice: FaceLattice, fid: int, mode: str = "definitional") -> FaceSubset:
     """Open star: all proper faces containing the given one."""
     _check_proper(lattice, fid)
-    proper = lattice.proper_ids()
     if mode == "definitional":
-        members = lattice.above(fid) & proper
-    elif mode == "combinatorial":
-        members = frozenset(
-            g for g in proper if lattice.join(g, fid) != lattice.top_id and lattice.leq(fid, g)
+        return FaceSubset(lattice, lattice.above_masks[fid] & lattice.proper_mask)
+    if mode == "combinatorial":
+        top = lattice.top_id
+        return _faces_where(
+            lattice, lambda g: lattice.join(g, fid) != top and lattice.leq(fid, g)
         )
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return FaceSubset(lattice, members)
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def closed_star(lattice: FaceLattice, fid: int, mode: str = "definitional") -> FaceSubset:
@@ -98,10 +99,7 @@ def closed_star(lattice: FaceLattice, fid: int, mode: str = "definitional") -> F
     if mode == "definitional":
         return closure(star(lattice, fid))
     if mode == "combinatorial":
-        proper = lattice.proper_ids()
-        return FaceSubset(
-            lattice, frozenset(g for g in proper if lattice.join(g, fid) != lattice.top_id)
-        )
+        return _faces_where(lattice, lambda g: lattice.join(g, fid) != lattice.top_id)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -111,10 +109,7 @@ def open_antistar(lattice: FaceLattice, fid: int, mode: str = "definitional") ->
     if mode == "definitional":
         return closed_star(lattice, fid).complement()
     if mode == "combinatorial":
-        proper = lattice.proper_ids()
-        return FaceSubset(
-            lattice, frozenset(g for g in proper if lattice.join(g, fid) == lattice.top_id)
-        )
+        return _faces_where(lattice, lambda g: lattice.join(g, fid) == lattice.top_id)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -134,13 +129,9 @@ def link(lattice: FaceLattice, fid: int, mode: str = "definitional") -> FaceSubs
     if mode == "definitional":
         return closed_star(lattice, fid).intersection(closed_antistar(lattice, fid))
     if mode == "combinatorial":
-        proper = lattice.proper_ids()
         top = lattice.top_id
-        return FaceSubset(
-            lattice,
-            frozenset(
-                g for g in proper if lattice.join(g, fid) != top and not lattice.leq(fid, g)
-            ),
+        return _faces_where(
+            lattice, lambda g: lattice.join(g, fid) != top and not lattice.leq(fid, g)
         )
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -148,14 +139,13 @@ def link(lattice: FaceLattice, fid: int, mode: str = "definitional") -> FaceSubs
 def closed_star_within(subset: FaceSubset, fid: int) -> FaceSubset:
     """Closed star of a face computed inside an arbitrary sub-collection.
 
-    Members F such that some G in the collection has F <= G and fid <= G.
+    Members F such that some G in the collection has F <= G and fid <= G:
+    the faces of the members over fid, cut back to the collection.
     """
     lat = subset.lattice
-    over = [g for g in subset.members if lat.leq(fid, g)]
-    members = frozenset(
-        f for f in subset.members if any(lat.leq(f, g) for g in over)
-    )
-    return FaceSubset(lat, members)
+    lat.check_id(fid)
+    over = subset.mask & lat.above_masks[fid]
+    return FaceSubset(lat, union_over(lat.below_masks, over) & subset.mask)
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +175,10 @@ class NerveComplex:
 
 def nerve(subset: FaceSubset) -> NerveComplex:
     """All chains of the subset under face inclusion."""
-    if not subset.members:
+    if not subset.mask:
         raise ValueError("nerve of an empty subset")
     lat = subset.lattice
-    ids = sorted(subset.members)
+    ids = list(iter_bits(subset.mask))
     simplices: list[tuple[int, ...]] = []
 
     def extend(chain: list[int]) -> None:

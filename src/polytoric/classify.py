@@ -3,9 +3,10 @@
 Three partitions of the proper faces: visible/invisible from an outside
 point, front/back with respect to a point off the interior, and lower/upper
 with respect to a nonzero direction. Each one is decided by exact facet sign
-tests; the ray-based definitions are kept as a cross-check oracle on the
-vertices and barycenter of each face, each ray decided exactly in integers
-and once per start point and viewpoint, however many faces share it. ``sheaf``
+tests, its sides face-id bitmasks read off ``FaceLattice.faces_on``; the
+ray-based definitions are kept as a cross-check oracle on the vertices and
+barycenter of each face, each ray decided exactly in integers and once per
+start point and viewpoint, however many faces share it. ``sheaf``
 matches the twist face sets for k in {1, 0, -1} with these partitions, once
 per facet-sign class, and proves its membership formula by a per-face
 certificate rather than by sampling.
@@ -20,7 +21,7 @@ from operator import mul
 
 from .boundary import FaceSubset, closure
 from .linalg import dot, scale_to_integers
-from .polytope import FaceLattice, mask_bits
+from .polytope import FaceLattice
 
 KINDS = ("visibility", "frontback", "lowerupper")
 
@@ -43,7 +44,7 @@ class Classification:
 
 
 def _partition(lattice, kind, x, complex_facets: int) -> Classification:
-    complex_side = FaceSubset(lattice, mask_bits(lattice.faces_on(complex_facets)))
+    complex_side = FaceSubset(lattice, lattice.faces_on(complex_facets))
     filter_side = complex_side.complement()
     bd = closure(filter_side).intersection(complex_side)
     return Classification(kind, tuple(x), filter_side, complex_side, bd)

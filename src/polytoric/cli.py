@@ -119,7 +119,7 @@ def cmd_faces(args):
             vid = poly.vertices.index(coords)
         except ValueError:
             raise InputError(f"{coords} is not a vertex of the polytope") from None
-        fid = lat.face_by_vertices(frozenset([vid]))
+        fid = lat.face_by_vertices(1 << vid)
         table = {
             "star": bd.star(lat, fid),
             "closed_star": bd.closed_star(lat, fid),
@@ -162,7 +162,7 @@ def cmd_classify(args):
     }
     for name, side in zip(names, sides):
         report[name] = sorted(side.members)
-        lines.append(f"{name} ({len(side.members)} faces):")
+        lines.append(f"{name} ({len(side)} faces):")
         for label in side.labels():
             lines.append(f"    {label}")
     return 0, report, lines

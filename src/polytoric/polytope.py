@@ -16,7 +16,7 @@ from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from operator import and_, mul, or_
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .linalg import dot, rank_rational, vec_neg, vec_sub
 from .lp import dual_cone_rays
@@ -136,7 +136,7 @@ def _validate(poly: LatticePolytope, values: Sequence[Sequence[int]]) -> None:
             raise ValueError("facet inequality violated by a vertex")
         if max(row) <= 0:
             raise ValueError("facet does not support the polytope properly")
-        pts = [poly.vertices[i] for i in sorted(mask_bits(on))]
+        pts = [poly.vertices[i] for i in iter_bits(on)]
         if rank_rational([vec_sub(p, pts[0]) for p in pts[1:]]) != poly.dim - 1:
             raise ValueError("supporting hyperplane does not span a facet")
 
@@ -150,9 +150,17 @@ def negate_polytope(poly: LatticePolytope) -> LatticePolytope:
 # face lattice
 
 
-def mask_bits(mask: int) -> frozenset[int]:
-    """The positions of the set bits of an int bitmask."""
-    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+def iter_bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of a non-negative int bitmask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def union_over(masks: Sequence[int], ids: int) -> int:
+    """The OR of ``masks[i]`` over the set bits i of ``ids``."""
+    return reduce(or_, map(masks.__getitem__, iter_bits(ids)), 0)
 
 
 def transpose_bits(masks: Sequence[int], width: int) -> list[int]:
@@ -190,9 +198,11 @@ class FaceLattice:
     vertex ids, a linear extension of the face order. Per face id the
     lattice keeps ints: ``vertex_masks``, ``facet_masks`` (bit j iff facet j
     passes through the face), ``dims``, ``covers`` (the ids of its facets,
-    ascending) and ``below_masks`` (the ids of its faces, itself included),
-    so ``leq`` and ``join`` are mask operations. ``faces``, ``above``,
-    ``below`` and ``facet_members`` are frozenset views built on first use.
+    ascending) and ``below_masks`` (the face-id bitmask of its faces, itself
+    included), so ``leq`` and ``join`` are mask operations. ``above_masks``
+    (the faces containing it, itself and the top face included) and the
+    ``faces`` view are built on first use; ``proper_mask`` holds every face
+    but the top one.
     """
 
     def __init__(self, polytope: LatticePolytope):
@@ -230,7 +240,7 @@ class FaceLattice:
             below_masks.append(reduce(or_, map(below_masks.__getitem__, covers), 1 << f))
         self.below_masks = tuple(below_masks)
         self.top_id = len(order) - 1
-        self._proper_ids = frozenset(range(self.top_id))
+        self.proper_mask = (1 << self.top_id) - 1
         self._by_vertex_mask = fid
         self._by_facet_mask = dict(zip(self.facet_masks, range(len(order))))
         self._cache: dict = {}
@@ -243,37 +253,29 @@ class FaceLattice:
     @cached_property
     def faces(self) -> tuple[Face, ...]:
         masks = zip(self.vertex_masks, self.facet_masks, self.dims)
-        return tuple(Face(f, mask_bits(v), mask_bits(m), d) for f, (v, m, d) in enumerate(masks))
+        return tuple(
+            Face(f, frozenset(iter_bits(v)), frozenset(iter_bits(m)), d)
+            for f, (v, m, d) in enumerate(masks)
+        )
 
-    def face(self, fid: int) -> Face:
+    def check_id(self, fid: int) -> None:
         if not 0 <= fid < len(self.dims):
             raise ValueError(f"no face with id {fid}")
+
+    def face(self, fid: int) -> Face:
+        self.check_id(fid)
         return self.faces[fid]
 
     def leq(self, a: int, b: int) -> bool:
         return self.below_masks[b] >> a & 1 == 1
 
     @cached_property
-    def _above_below(self) -> tuple[tuple[frozenset[int], ...], ...]:
-        above = transpose_bits(self.below_masks, len(self.dims))
-        return tuple(map(mask_bits, above)), tuple(map(mask_bits, self.below_masks))
-
-    def above(self, fid: int) -> frozenset[int]:
-        return self._above_below[0][fid]
-
-    def below(self, fid: int) -> frozenset[int]:
-        return self._above_below[1][fid]
+    def above_masks(self) -> tuple[int, ...]:
+        """Per face, the face-id bitmask of the faces containing it: ``below_masks`` transposed."""
+        return tuple(transpose_bits(self.below_masks, len(self.dims)))
 
     def join(self, a: int, b: int) -> int:
         return self._by_facet_mask[self.facet_masks[a] & self.facet_masks[b]]
-
-    def proper_ids(self) -> frozenset[int]:
-        return self._proper_ids
-
-    @cached_property
-    def facet_members(self) -> tuple[frozenset[int], ...]:
-        """Per facet of the polytope, the vertex ids on it."""
-        return tuple(map(mask_bits, self.polytope.incidence))
 
     @cached_property
     def _faces_on_facet(self) -> tuple[int, ...]:
@@ -283,22 +285,19 @@ class FaceLattice:
     def faces_on(self, facets: int) -> int:
         """Face-id bitmask (bit f for face f) of the faces on at least one facet
         of the facet bitmask (bit j for facet j); the top face is on none."""
-        out = 0
         facets &= (1 << len(self._faces_on_facet)) - 1  # callers may pass ~mask
-        while facets:
-            out |= self._faces_on_facet[(facets & -facets).bit_length() - 1]
-            facets &= facets - 1
-        return out
+        return union_over(self._faces_on_facet, facets)
 
     def faces_of_dim(self, d: int) -> tuple[int, ...]:
         return tuple(f for f, e in enumerate(self.dims) if e == d)
 
-    def face_by_vertices(self, vs: frozenset[int]) -> int | None:
-        return self._by_vertex_mask.get(sum(1 << i for i in set(vs)))
+    def face_by_vertices(self, vertices: int) -> int | None:
+        """The id of the face with the given vertex bitmask (bit i for vertex i), if any."""
+        return self._by_vertex_mask.get(vertices)
 
     def vertex_coords(self, fid: int) -> tuple[tuple[int, ...], ...]:
         verts = self.polytope.vertices
-        return tuple(sorted(verts[i] for i in mask_bits(self.vertex_masks[fid])))
+        return tuple(sorted(verts[i] for i in iter_bits(self.vertex_masks[fid])))
 
     def lex_min_vertex(self, fid: int) -> tuple[int, ...]:
         return self.vertex_coords(fid)[0]

@@ -54,7 +54,14 @@ from .homology import (
 from .linalg import dot, primitive_vector, vec_neg, vec_sub
 from .lp import dual_cone_rays
 from .parallel import parallel_map
-from .polytope import FaceLattice, face_lattice, negate_polytope, transpose_bits
+from .polytope import (
+    FaceLattice,
+    face_lattice,
+    iter_bits,
+    negate_polytope,
+    transpose_bits,
+    union_over,
+)
 
 MARGIN = 2  # scan box reach beyond kP; reports carry the box, so it is fixed
 DISTANT_POINT_COUNT = 32
@@ -65,11 +72,15 @@ MAX_SCAN_POINTS = 10**6
 
 @dataclass(frozen=True)
 class TwistFaceSet:
-    """Faces F with x in C_F + kF; always contains the top face, upward closed."""
+    """Faces F with x in C_F + kF as a face-id bitmask; holds the top face, upward closed."""
 
     k: int
     x: tuple[int, ...]
-    members: frozenset[int]
+    mask: int
+
+    @property
+    def members(self) -> frozenset[int]:
+        return frozenset(iter_bits(self.mask))
 
 
 @dataclass(frozen=True)
@@ -107,9 +118,9 @@ def twist_membership(lattice: FaceLattice, k: int, fid: int, x) -> bool:
     Each facet containing F contributes <x, normal> + k*offset >= 0; the top
     face has no facets and accepts everything.
     """
-    face = lattice.face(fid)
+    lattice.check_id(fid)
     poly = lattice.polytope
-    for i in face.facet_set:
+    for i in iter_bits(lattice.facet_masks[fid]):
         f = poly.facets[i]
         if dot(x, f.normal) + k * f.offset < 0:
             return False
@@ -149,25 +160,25 @@ def membership_certificate(lattice: FaceLattice) -> bool:
     scaled by 1/gcd(n_i), ray by ray. The top face has no facets and no rays.
     """
     facets = lattice.polytope.facets
-    for face in lattice.faces:
-        rays = _barrier_cone_rays(lattice, face.id)
-        normals = {primitive_vector(facets[i].normal) for i in face.facet_set}
-        if len(rays) != len(face.facet_set) or set(rays) != normals:
+    for fid, on in enumerate(lattice.facet_masks):
+        rays = _barrier_cone_rays(lattice, fid)
+        through = [facets[i] for i in iter_bits(on)]
+        if len(rays) != len(through) or set(rays) != {primitive_vector(f.normal) for f in through}:
             return False
-        v0 = lattice.lex_min_vertex(face.id)
-        if any(facets[i].value(v0) != 0 for i in face.facet_set):
+        v0 = lattice.lex_min_vertex(fid)
+        if any(f.value(v0) != 0 for f in through):
             return False
     return True
 
 
-def twist_members(lattice: FaceLattice, k: int, x) -> frozenset[int]:
-    """Faces F with x in C_F + kF, by ``twist_membership``, unchecked."""
-    return frozenset(f.id for f in lattice.faces if twist_membership(lattice, k, f.id, x))
+def twist_members(lattice: FaceLattice, k: int, x) -> int:
+    """Face-id bitmask of the faces F with x in C_F + kF, by ``twist_membership``, unchecked."""
+    return sum(1 << f for f in range(len(lattice)) if twist_membership(lattice, k, f, x))
 
 
 def twist_face_set(lattice: FaceLattice, k: int, x) -> TwistFaceSet:
     members = twist_members(lattice, k, x)
-    if not all(lattice.above(fid) <= members for fid in members):
+    if union_over(lattice.above_masks, members) != members:
         raise RuntimeError(f"twist face set at {tuple(x)} is not upward closed")
     return TwistFaceSet(k, tuple(x), members)
 
@@ -195,21 +206,20 @@ def graded_cohomology(lattice: FaceLattice, k: int, x, ring: str = "Z") -> Cohom
 # cross-checks against the face classifications
 
 
-def _negated_lattice(lattice: FaceLattice) -> tuple[FaceLattice, dict[int, int]]:
+def _negated_lattice(lattice: FaceLattice) -> tuple[FaceLattice, list[int]]:
     cached = lattice._cache.get("negated")
     if cached is not None:
         return cached
     neg = face_lattice(negate_polytope(lattice.polytope))
     neg_index = {v: i for i, v in enumerate(neg.polytope.vertices)}
-    mapping = {}
-    for f in lattice.faces:
-        nvs = frozenset(
-            neg_index[vec_neg(lattice.polytope.vertices[i])] for i in f.vertex_set
-        )
-        nid = neg.face_by_vertices(nvs)
-        if nid is None:
-            raise RuntimeError("face negation did not land on a face")
-        mapping[f.id] = nid
+    # vertex i of P goes to vertex perm[i] of -P
+    perm = [neg_index[vec_neg(v)] for v in lattice.polytope.vertices]
+    mapping = [
+        neg.face_by_vertices(sum(1 << perm[i] for i in iter_bits(vertices)))
+        for vertices in lattice.vertex_masks
+    ]
+    if None in mapping:
+        raise RuntimeError("face negation did not land on a face")
     lattice._cache["negated"] = (neg, mapping)
     return neg, mapping
 
@@ -223,22 +233,22 @@ def classification_crosscheck(lattice: FaceLattice, k: int, x) -> bool:
     face of -P seen from x (x outside the interior of -P).
     """
     poly = lattice.polytope
-    proper_members = twist_members(lattice, k, x) - {lattice.top_id}
+    proper_members = twist_members(lattice, k, x) & lattice.proper_mask
     if k == 1:
         if poly.contains(x):
             raise ValueError("crosscheck for k=1 needs x outside P")
-        return proper_members == classify_visibility(lattice, x).filter_side.members
+        return proper_members == classify_visibility(lattice, x).filter_side.mask
     if k == 0:
         if all(c == 0 for c in x):
             raise ValueError("crosscheck for k=0 needs x != 0")
-        expected = classify_lower_upper(lattice, vec_neg(x)).filter_side.members
+        expected = classify_lower_upper(lattice, vec_neg(x)).filter_side.mask
         return proper_members == expected
     if k == -1:
         neg, mapping = _negated_lattice(lattice)
         if neg.polytope.contains(x, strict=True):
             raise ValueError("crosscheck for k=-1 needs x outside the interior of -P")
-        front = classify_front_back(neg, x).filter_side.members
-        return {mapping[f] for f in proper_members} == front
+        front = classify_front_back(neg, x).filter_side.mask
+        return sum(1 << mapping[f] for f in iter_bits(proper_members)) == front
     raise ValueError("crosscheck is defined for k in {1, 0, -1}")
 
 

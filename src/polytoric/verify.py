@@ -9,13 +9,15 @@ class realized on the scan box, read off the scan cache, not once per point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 
 from . import boundary as bd
 from . import classify as cl
 from . import ehrhart as eh
 from . import homology as hm
 from . import sheaf as sh
-from .polytope import FaceLattice, mask_bits, transpose_bits
+from .polytope import FaceLattice, iter_bits, transpose_bits, union_over
 
 
 @dataclass(frozen=True)
@@ -39,11 +41,11 @@ def face_set_cohomology(*subsets: bd.FaceSubset) -> list[tuple[int, ...] | None]
     None if it has torsion. The sets are coreduced in one batch."""
     lattice = subsets[0].lattice
     cx = hm.face_cochain_complex(lattice)
-    live = transpose_bits([sum(1 << f for f in s.members) for s in subsets], len(lattice.faces))
+    live = transpose_bits([s.mask for s in subsets], len(lattice))
     out = []
     for rest in transpose_bits(hm.coreduce(cx, live), len(subsets)):
         if not rest & (rest - 1):  # at most one cell, Z in its own dimension: no Smith form
-            out.append(tuple(lattice.faces[f].dim for f in mask_bits(rest)))
+            out.append((lattice.dims[rest.bit_length() - 1],) if rest else ())
         else:
             res = hm.cohomology(hm.restrict_cochain_complex(cx, rest), "Z")
             free = tuple(d for d, r in enumerate(res.free, res.start_degree) for _ in range(r))
@@ -65,12 +67,12 @@ def partition_checks(c: cl.Classification) -> tuple[bool, bool]:
     Δ(F) acyclic iff that restriction is Z in degree n-1 only.
     """
     lattice = c.filter_side.lattice
-    filt, cplx = c.filter_side.members, c.complex_side.members
+    filt, cplx = c.filter_side.mask, c.complex_side.mask
     closed = bd.closure(c.filter_side)
     structure = bool(
-        filt and cplx and not filt & cplx and filt | cplx == lattice.proper_ids()
+        filt and cplx and not filt & cplx and filt | cplx == lattice.proper_mask
         and bd.is_order_filter(c.filter_side) and bd.is_subcomplex(c.complex_side)
-        and c.boundary.members == closed.members & cplx
+        and c.boundary.mask == closed.mask & cplx
     )
     if not structure:
         return False, False
@@ -102,74 +104,70 @@ def combinatorics_suite(lattice: FaceLattice) -> list[CheckResult]:
     )
     _check(out, "facet irredundancy", irredundant)
 
-    euler = sum((-1) ** lattice.face(f).dim for f in lattice.proper_ids())
+    proper = range(lattice.top_id)
+    euler = sum((-1) ** lattice.dims[f] for f in proper)
     _check(out, "Euler relation", euler == 1 + (-1) ** (n - 1), f"sum={euler}")
 
     # join(a, b) is the least upper bound: its up-set is the common up-set.
     # This implies commutativity, idempotence and associativity.
-    ids = [f.id for f in lattice.faces]
-    ok = all(
-        lattice.above(a) & lattice.above(b) == lattice.above(lattice.join(a, b))
-        for a in ids
-        for b in ids
-    )
+    above = lattice.above_masks
+    ids = range(len(lattice))
+    ok = all(above[a] & above[b] == above[lattice.join(a, b)] for a in ids for b in ids)
     _check(out, "join is a semilattice operation", ok)
 
-    galois = True
-    for f in lattice.faces:
-        vs = frozenset(
-            i
-            for i in range(len(poly.vertices))
-            if all(i in lattice.facet_members[c] for c in f.facet_set)
-        )
-        galois = galois and vs == f.vertex_set
+    # the vertices on all of the facets through a face are exactly its vertices
+    every_vertex = (1 << len(poly.vertices)) - 1
+    on = poly.incidence
+    galois = all(
+        reduce(and_, map(on.__getitem__, iter_bits(lattice.facet_masks[f])), every_vertex)
+        == lattice.vertex_masks[f]
+        for f in ids
+    )
     _check(out, "vertex/facet Galois correspondence", galois)
 
     modes_agree = True
     ops = (bd.star, bd.closed_star, bd.open_antistar, bd.closed_antistar, bd.link)
-    for a in lattice.proper_ids():
+    for a in proper:
         for op in ops:
-            if op(lattice, a, "definitional").members != op(lattice, a, "combinatorial").members:
+            if op(lattice, a, "definitional").mask != op(lattice, a, "combinatorial").mask:
                 modes_agree = False
     _check(out, "star/link/antistar: definitional = combinatorial", modes_agree)
 
     ast_closure = all(
-        bd.closed_antistar(lattice, a).members == bd.closure(bd.open_antistar(lattice, a)).members
-        for a in lattice.proper_ids()
+        bd.closed_antistar(lattice, a).mask == bd.closure(bd.open_antistar(lattice, a)).mask
+        for a in proper
     )
     _check(out, "closed antistar is the closure of the open antistar", ast_closure)
 
     link_eq = all(
-        bd.link(lattice, a).members
-        == bd.closed_star(lattice, a).members - bd.star(lattice, a).members
-        == bd.closed_antistar(lattice, a).members - bd.open_antistar(lattice, a).members
-        for a in lattice.proper_ids()
+        bd.link(lattice, a).mask
+        == bd.closed_star(lattice, a).mask & ~bd.star(lattice, a).mask
+        == bd.closed_antistar(lattice, a).mask & ~bd.open_antistar(lattice, a).mask
+        for a in proper
     )
     _check(out, "link = closed star minus star = closed antistar minus antistar", link_eq)
 
     star_in_link = True
-    for a in lattice.proper_ids():
-        for b in bd.star(lattice, a).members - {a}:
+    for a in proper:
+        for b in iter_bits(bd.star(lattice, a).mask & ~(1 << a)):
             lk_b = bd.link(lattice, b)
-            lhs = bd.closed_star_within(lk_b, a).members
-            rhs = frozenset(
-                f
-                for f in lk_b.members
-                if not lattice.leq(b, lattice.join(f, a))
+            lhs = bd.closed_star_within(lk_b, a).mask
+            rhs = sum(
+                1 << f for f in iter_bits(lk_b.mask) if not lattice.leq(b, lattice.join(f, a))
             )
-            if a not in lk_b.members or lhs != rhs:
+            if a not in lk_b or lhs != rhs:
                 star_in_link = False
     _check(out, "closed star inside a link via joins", star_in_link)
 
     filters = all(
         bd.is_order_filter(bd.star(lattice, a)) and bd.is_order_filter(bd.open_antistar(lattice, a))
-        for a in lattice.proper_ids()
+        for a in proper
     )
     fixed = all(
         bd.is_subcomplex(bd.closed_star(lattice, a))
         and bd.is_subcomplex(bd.closed_antistar(lattice, a))
         and bd.is_subcomplex(bd.link(lattice, a))
-        for a in lattice.proper_ids()
+        for a in proper
     )
     _check(out, "stars/antistars are filters, closed sets are subcomplexes", filters and fixed)
 
@@ -222,20 +220,20 @@ def ehrhart_suite(lattice: FaceLattice) -> list[CheckResult]:
 def classify_suite(lattice: FaceLattice, seed: int = 0) -> list[CheckResult]:
     out: list[CheckResult] = []
     poly = lattice.polytope
-    faces = lattice.proper_ids()
-    for kind in cl.KINDS:
-        views = cl.sample_viewpoints(poly, kind, count=VIEWPOINTS, seed=seed)
+    faces = range(lattice.top_id)
+    viewpoints = {kind: cl.sample_viewpoints(poly, kind, VIEWPOINTS, seed) for kind in cl.KINDS}
+    for kind, views in viewpoints.items():
         checks = [partition_checks(cl.cached_classification(lattice, kind, x)) for x in views]
         rays = [cl.definitional_check(lattice, kind, x, f) for x in views for f in faces]
         _check(out, f"{kind}: partition structure", all(p for p, _ in checks))
         _check(out, f"{kind}: ball/sphere homology of nerves", all(h for _, h in checks))
         _check(out, f"{kind}: ray definition consistent", all(rays))
     vis_sign = True
-    for x in cl.sample_viewpoints(poly, "visibility", count=VIEWPOINTS, seed=seed):
+    for x in viewpoints["visibility"]:
         c = cl.cached_classification(lattice, "visibility", x)
-        for i, f in enumerate(poly.facets):
-            fid = lattice.face_by_vertices(lattice.facet_members[i])
-            vis_sign = vis_sign and ((fid in c.filter_side.members) == (f.value(x) >= 0))
+        for on, f in zip(poly.incidence, poly.facets):
+            fid = lattice.face_by_vertices(on)
+            vis_sign = vis_sign and ((fid in c.filter_side) == (f.value(x) >= 0))
     _check(out, "facet visibility equals the sign test", vis_sign)
     return out
 
@@ -309,8 +307,8 @@ def cohomology_suite(lattice: FaceLattice) -> list[CheckResult]:
     monotone_ok = True
     for sig, x in classes[1]:
         members = sh.twist_members(lattice, 1, x)
-        dedup_ok = dedup_ok and members == mask_bits(sh._face_set_from_signature(lattice, sig))
-        monotone_ok = monotone_ok and all(lattice.above(f) <= members for f in members)
+        dedup_ok = dedup_ok and members == sh._face_set_from_signature(lattice, sig)
+        monotone_ok = monotone_ok and union_over(lattice.above_masks, members) == members
     _check(out, "equal facet-sign vectors give equal twist face sets", dedup_ok)
     _check(out, "twist face sets are upward closed", monotone_ok)
     return out

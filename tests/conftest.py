@@ -46,8 +46,7 @@ def cube(lattices):
 def face_id(lattice, *coords):
     """Face id from its vertex coordinate tuples."""
     verts = lattice.polytope.vertices
-    ids = frozenset(verts.index(tuple(c)) for c in coords)
-    fid = lattice.face_by_vertices(ids)
+    fid = lattice.face_by_vertices(sum(1 << verts.index(tuple(c)) for c in set(coords)))
     assert fid is not None, f"no face with vertices {coords}"
     return fid
 

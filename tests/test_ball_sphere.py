@@ -92,8 +92,7 @@ def test_cellular_verdicts_equal_nerve_verdicts():
 def _broken(lat, complex_facets):
     """A hand-built partition whose complex side is the faces on the given
     facets (a bitmask), with the filter side its complement."""
-    on = lat.faces_on(complex_facets)
-    complex_side = bd.FaceSubset(lat, frozenset(f for f in lat.proper_ids() if on >> f & 1))
+    complex_side = bd.FaceSubset(lat, lat.faces_on(complex_facets))
     filter_side = complex_side.complement()
     boundary = bd.closure(filter_side).intersection(complex_side)
     return cl.Classification("visibility", (), filter_side, complex_side, boundary)
@@ -133,7 +132,7 @@ def test_a_set_that_is_no_partition_fails_both_checks():
     # a complex side that is not closed: one edge of the square without its vertices
     sq = face_lattice(build_polytope(CORPUS_VERTICES["SQ"]))
     edge = sq.faces_of_dim(1)[0]
-    side = bd.FaceSubset(sq, frozenset([edge]))
+    side = bd.FaceSubset(sq, 1 << edge)
     rest = side.complement()
     c = cl.Classification("visibility", (), rest, side, bd.closure(rest).intersection(side))
     assert vf.partition_checks(c) == (False, False)

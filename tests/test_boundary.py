@@ -1,7 +1,12 @@
+import random
+from itertools import product
+
 import pytest
 
 from polytoric import boundary as bd
-from conftest import face_id
+from polytoric import build_polytope, face_lattice
+from conftest import CORPUS_VERTICES, face_id, face_ids
+from test_extended import EXTENDED
 
 
 def labels(lattice, ids):
@@ -16,20 +21,20 @@ def test_boundary_complex_sizes(lattices):
 
 def test_closure_of_an_edge(sq):
     top_edge = face_id(sq, (0, 1), (1, 1))
-    closed = bd.closure(bd.FaceSubset(sq, frozenset([top_edge])))
+    closed = bd.closure(bd.FaceSubset(sq, 1 << top_edge))
     assert closed.members == {top_edge, face_id(sq, (0, 1)), face_id(sq, (1, 1))}
 
 
 def test_closure_fixes_subcomplexes_and_empty(sq):
-    sub = bd.closure(bd.FaceSubset(sq, frozenset([face_id(sq, (0, 0), (1, 0))])))
+    sub = bd.closure(bd.FaceSubset(sq, 1 << face_id(sq, (0, 0), (1, 0))))
     assert bd.closure(sub).members == sub.members
-    assert bd.closure(bd.FaceSubset(sq, frozenset())).members == frozenset()
+    assert bd.closure(bd.FaceSubset(sq, 0)).members == frozenset()
 
 
 def test_order_filter_examples(sq):
     bottom = face_id(sq, (0, 0), (1, 0))
-    assert bd.is_order_filter(bd.FaceSubset(sq, frozenset([bottom])))
-    assert not bd.is_order_filter(bd.FaceSubset(sq, frozenset([face_id(sq, (0, 0))])))
+    assert bd.is_order_filter(bd.FaceSubset(sq, 1 << bottom))
+    assert not bd.is_order_filter(bd.FaceSubset(sq, 1 << face_id(sq, (0, 0))))
     assert bd.is_order_filter(bd.boundary_complex(sq))
 
 
@@ -69,12 +74,14 @@ def test_top_face_rejected(sq):
         bd.star(sq, sq.top_id)
     with pytest.raises(ValueError):
         bd.link(sq, 999)
+    with pytest.raises(ValueError):
+        bd.closed_star_within(bd.boundary_complex(sq), -1)
 
 
 def test_modes_agree_everywhere(lattices):
     ops = (bd.star, bd.closed_star, bd.open_antistar, bd.closed_antistar, bd.link)
     for lat in lattices.values():
-        for a in lat.proper_ids():
+        for a in range(lat.top_id):
             for op in ops:
                 assert (
                     op(lat, a, "definitional").members
@@ -84,7 +91,7 @@ def test_modes_agree_everywhere(lattices):
 
 def test_closed_antistar_is_closure_of_open(lattices):
     for lat in lattices.values():
-        for a in lat.proper_ids():
+        for a in range(lat.top_id):
             assert (
                 bd.closed_antistar(lat, a).members
                 == bd.closure(bd.open_antistar(lat, a)).members
@@ -93,7 +100,7 @@ def test_closed_antistar_is_closure_of_open(lattices):
 
 def test_link_as_differences(lattices):
     for lat in lattices.values():
-        for a in lat.proper_ids():
+        for a in range(lat.top_id):
             lk = bd.link(lat, a).members
             assert lk == bd.closed_star(lat, a).members - bd.star(lat, a).members
             assert lk == bd.closed_antistar(lat, a).members - bd.open_antistar(lat, a).members
@@ -102,7 +109,7 @@ def test_link_as_differences(lattices):
 def test_closed_star_within_link(lattices):
     # for A < B, the closed star of A inside link(B) is cut out by joins
     for lat in lattices.values():
-        for a in lat.proper_ids():
+        for a in range(lat.top_id):
             for b in bd.star(lat, a).members - {a}:
                 lk_b = bd.link(lat, b)
                 assert a in lk_b.members
@@ -114,7 +121,7 @@ def test_closed_star_within_link(lattices):
 
 def test_filters_and_subcomplexes(lattices):
     for lat in lattices.values():
-        for a in lat.proper_ids():
+        for a in range(lat.top_id):
             assert bd.is_order_filter(bd.star(lat, a))
             assert bd.is_order_filter(bd.open_antistar(lat, a))
             assert bd.is_subcomplex(bd.closed_star(lat, a))
@@ -137,7 +144,103 @@ def test_nerve_of_boundary_square(sq):
 def test_nerve_of_segment_and_singleton(seg, sq):
     n = bd.nerve(bd.boundary_complex(seg))
     assert n.f_vector() == (2,)
-    single = bd.nerve(bd.FaceSubset(sq, frozenset([face_id(sq, (0, 0))])))
+    single = bd.nerve(bd.FaceSubset(sq, 1 << face_id(sq, (0, 0))))
     assert single.f_vector() == (1,)
     with pytest.raises(ValueError):
-        bd.nerve(bd.FaceSubset(sq, frozenset()))
+        bd.nerve(bd.FaceSubset(sq, 0))
+
+
+# ---------------------------------------------------------------------------
+# an oracle from vertex sets: F <= G iff the vertices of F are vertices of G
+
+
+def _oracle_shapes():
+    shapes = {name: face_lattice(build_polytope(v)) for name, v in CORPUS_VERTICES.items()}
+    shapes.update((name, face_lattice(build_polytope(v))) for name, v in EXTENDED.items())
+    units = [[int(i == j) for j in range(4)] for i in range(4)]
+    shapes["SIMPLEX4"] = face_lattice(build_polytope([[0] * 4] + units))
+    shapes["CUBE4"] = face_lattice(build_polytope(list(product((0, 1), repeat=4))))
+    rng = random.Random(20)
+    for i in range(20):  # seeded hulls in dimensions 1 to 4
+        n = 1 + i % 4
+        while f"seeded {i}" not in shapes:
+            count = rng.randint(n + 1, n + 5)
+            try:
+                pts = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(count)]
+                shapes[f"seeded {i}"] = face_lattice(build_polytope(pts))
+            except ValueError:  # not full-dimensional
+                pass
+    return shapes
+
+
+class VertexSetOracle:
+    """The boundary operators on frozensets of face ids, with the face order
+    read off vertex-set containment alone."""
+
+    def __init__(self, lat):
+        verts = [face_ids(m) for m in lat.vertex_masks]
+        self.proper = frozenset(range(lat.top_id))
+        self.below = [frozenset(f for f in self.proper if verts[f] <= v) for v in verts]
+        self.above = [frozenset(g for g in self.proper if v <= verts[g]) for v in verts]
+
+    def closure(self, ids):
+        return frozenset().union(*(self.below[g] for g in ids))
+
+    def star(self, a):
+        return self.above[a]
+
+    def closed_star(self, a):
+        return self.closure(self.star(a))
+
+    def link(self, a):
+        return self.closed_star(a) - self.star(a)
+
+    def open_antistar(self, a):
+        return self.proper - self.closed_star(a)
+
+    def closed_antistar(self, a):
+        return self.proper - self.star(a)
+
+    def is_order_filter(self, ids):
+        return all(g in ids for f in ids for g in self.star(f))
+
+    def is_subcomplex(self, ids):
+        return self.closure(ids) == ids
+
+    def closed_star_within(self, ids, a):
+        return ids & self.closure(ids & self.above[a])
+
+
+def test_mask_operators_match_the_vertex_set_oracle():
+    rng = random.Random(7)
+    ops = ("star", "closed_star", "link", "open_antistar", "closed_antistar")
+    shapes = _oracle_shapes()
+    assert {lat.polytope.dim for lat in shapes.values()} == {1, 2, 3, 4}
+    for name, lat in shapes.items():
+        oracle = VertexSetOracle(lat)
+        subsets = [bd.FaceSubset(lat, rng.getrandbits(lat.top_id)) for _ in range(4)]
+        for a in range(lat.top_id):
+            for op in ops:
+                subset = getattr(bd, op)(lat, a)
+                assert subset.members == getattr(oracle, op)(a), (name, op, a)
+                subsets.append(subset)
+            lk = bd.link(lat, a)
+            for b in range(lat.top_id):
+                within = bd.closed_star_within(lk, b).members
+                assert within == oracle.closed_star_within(lk.members, b), (name, a, b)
+        for subset in subsets:
+            ids = subset.members
+            assert bd.closure(subset).members == oracle.closure(ids), (name, sorted(ids))
+            assert bd.is_order_filter(subset) == oracle.is_order_filter(ids), (name, sorted(ids))
+            assert bd.is_subcomplex(subset) == oracle.is_subcomplex(ids), (name, sorted(ids))
+        for subset in subsets[:4]:
+            for b in range(lat.top_id):
+                within = bd.closed_star_within(subset, b).members
+                assert within == oracle.closed_star_within(subset.members, b), (name, b)
+
+
+def test_face_subset_rejects_masks_beyond_the_proper_faces(sq):
+    bd.FaceSubset(sq, sq.proper_mask)
+    for mask in (-1, -(1 << 3), 1 << sq.top_id, 1 << len(sq), 1 << (len(sq) + 5)):
+        with pytest.raises(ValueError, match="not proper faces"):
+            bd.FaceSubset(sq, mask)

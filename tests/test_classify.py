@@ -130,9 +130,7 @@ def test_partition_structure_everywhere(lattices):
                 assert c.filter_side.members, (kind, x)
                 assert c.complex_side.members, (kind, x)
                 assert not c.filter_side.members & c.complex_side.members
-                assert (
-                    c.filter_side.members | c.complex_side.members == lat.proper_ids()
-                )
+                assert c.filter_side.mask | c.complex_side.mask == lat.proper_mask
                 assert bd.is_order_filter(c.filter_side)
                 assert bd.is_subcomplex(c.complex_side)
                 assert (
@@ -146,8 +144,8 @@ def test_facet_membership_is_the_sign_test(lattices):
         poly = lat.polytope
         for x in cl.sample_viewpoints(poly, "visibility", count=6, seed=2):
             c = cl.classify_visibility(lat, x)
-            for i, f in enumerate(poly.facets):
-                fid = lat.face_by_vertices(lat.facet_members[i])
+            for on, f in zip(poly.incidence, poly.facets):
+                fid = lat.face_by_vertices(on)
                 assert (fid in c.filter_side.members) == (f.value(x) >= 0)
 
 
@@ -181,7 +179,7 @@ def test_definitional_check_everywhere(lattices):
         lat = lattices[name]
         for kind in cl.KINDS:
             for x in cl.sample_viewpoints(lat.polytope, kind, count=3, seed=4):
-                for fid in lat.proper_ids():
+                for fid in range(lat.top_id):
                     assert cl.definitional_check(lat, kind, x, fid)
 
 
@@ -209,12 +207,12 @@ def test_definitional_check_fails_when_one_face_changes_sides():
         for kind in cl.KINDS:
             for x in cl.sample_viewpoints(lat.polytope, kind, count=3, seed=5):
                 c = cl.classify(lat, kind, x)
-                for fid in lat.proper_ids():
-                    flip = frozenset({fid})
+                for fid in range(lat.top_id):
+                    flip = 1 << fid
                     cache[kind, tuple(x)] = replace(
                         c,
-                        filter_side=bd.FaceSubset(lat, c.filter_side.members ^ flip),
-                        complex_side=bd.FaceSubset(lat, c.complex_side.members ^ flip),
+                        filter_side=bd.FaceSubset(lat, c.filter_side.mask ^ flip),
+                        complex_side=bd.FaceSubset(lat, c.complex_side.mask ^ flip),
                     )
                     assert not cl.definitional_check(lat, kind, x, fid), (name, kind, x, fid)
                     moved[kind, fid in c.complex_side] += 1
@@ -237,7 +235,7 @@ def test_ray_parameter_interval_matches_grid_and_exact_oracles(lattices):
     for lat in lattices.values():
         poly = lat.polytope
         n = poly.dim
-        for fid in lat.proper_ids():
+        for fid in range(lat.top_id):
             coords = lat.vertex_coords(fid)
             starts = [tuple(Fraction(c, a) for c in v) for v, a in cl._sample_points(lat, fid)]
             for _ in range(2):
@@ -296,7 +294,7 @@ def test_cached_integer_ray_verdicts_match_uncached_fractions():
         for kind in cl.KINDS:
             for x in cl.sample_viewpoints(lat.polytope, kind, count=4, seed=0):
                 expected = {}
-                for fid in lat.proper_ids():
+                for fid in range(lat.top_id):
                     rays = _fraction_rays(lat, kind, x, fid)
                     expected.update(rays)
                     complex_side = fid in cl.classify(lat, kind, x).complex_side
@@ -318,6 +316,6 @@ def test_definitional_check_classifies_once_per_viewpoint(monkeypatch):
     monkeypatch.setattr(cl, "classify", lambda *a: calls.append(a[1:]) or original(*a))
     for kind in cl.KINDS:
         for x in cl.sample_viewpoints(lat.polytope, kind, count=2, seed=0):
-            for fid in lat.proper_ids():
+            for fid in range(lat.top_id):
                 assert cl.definitional_check(lat, kind, x, fid)
     assert len(calls) == len(set(calls)) == 6

@@ -19,7 +19,7 @@ from polytoric.linalg import (
 )
 from polytoric.lp import dual_cone_rays
 from polytoric.polytope import Facet, FaceLattice, LatticePolytope
-from conftest import face_id
+from conftest import face_id, face_ids
 
 
 def facet_set(poly):
@@ -167,17 +167,16 @@ def test_grading_and_galois(lattices):
         n = lat.polytope.dim
         top = lat.face(lat.top_id)
         assert top.dim == n and top.facet_set == frozenset()
+        on = [face_ids(m) for m in lat.polytope.incidence]  # the vertices on each facet
         for f in lat.faces:
             # facet closure of the vertex set gives the face back
             vs = frozenset(
                 i
                 for i in range(len(lat.polytope.vertices))
-                if all(i in lat.facet_members[c] for c in f.facet_set)
+                if all(i in on[c] for c in f.facet_set)
             )
             assert vs == f.vertex_set
-            fs = frozenset(
-                j for j, fm in enumerate(lat.facet_members) if f.vertex_set <= fm
-            )
+            fs = frozenset(j for j, fm in enumerate(on) if f.vertex_set <= fm)
             assert fs == f.facet_set
         # every vertex face lies on at least n facets
         for fid in lat.faces_of_dim(0):
@@ -187,7 +186,7 @@ def test_grading_and_galois(lattices):
 def test_euler_relation(lattices):
     for lat in lattices.values():
         n = lat.polytope.dim
-        total = sum((-1) ** lat.face(f).dim for f in lat.proper_ids())
+        total = sum((-1) ** lat.face(f).dim for f in range(lat.top_id))
         assert total == 1 + (-1) ** (n - 1)
 
 
@@ -212,8 +211,8 @@ def test_hasse_pairs_are_covers(cube):
     covers = [
         (a, b)
         for a in range(len(cube))
-        for b in cube.above(a) - {a}
-        if not any(c not in (a, b) and cube.leq(c, b) for c in cube.above(a))
+        for b in face_ids(cube.above_masks[a]) - {a}
+        if not any(c not in (a, b) and cube.leq(c, b) for c in face_ids(cube.above_masks[a]))
     ]
     for a, b in covers:
         fa, fb = cube.face(a), cube.face(b)
@@ -278,13 +277,15 @@ def _assert_matches_rank_route(points, lat):
         pts = [poly.vertices[i] for i in sorted(f.vertex_set)]
         assert f.dim == rank_rational([vec_sub(p, pts[0]) for p in pts[1:]])
         assert lat.facet_masks[f.id] == sum(1 << j for j in f.facet_set)
-        assert lat.above(f.id) == frozenset(g.id for g in lat.faces if f.vertex_set <= g.vertex_set)
-        assert lat.below(f.id) == frozenset(g.id for g in lat.faces if g.vertex_set <= f.vertex_set)
+        above = face_ids(lat.above_masks[f.id])
+        assert above == frozenset(g.id for g in lat.faces if f.vertex_set <= g.vertex_set)
+        below = face_ids(lat.below_masks[f.id])
+        assert below == frozenset(g.id for g in lat.faces if g.vertex_set <= f.vertex_set)
     keys = [(f.dim, sorted(f.vertex_set)) for f in lat.faces]
     assert keys == sorted(keys)
     # the faces are the vertex set and the non-empty intersections of facets
     vertex_sets = {f.vertex_set for f in lat.faces}
-    assert vertex_sets >= {fm for fm in lat.facet_members if fm}
+    assert vertex_sets >= {face_ids(m) for m in poly.incidence if m}
     assert all(a & b in vertex_sets for a in vertex_sets for b in vertex_sets if a & b)
     # face order, dims, facet masks, covers and below masks of the top-down walk
     masks, dims, facet_masks, covers, below = zip(*_bottom_up_lattice(poly))
@@ -341,19 +342,19 @@ def test_facet_tight_on_no_vertex_adds_no_face(corpus, sq):
     extra = LatticePolytope(poly.dim, poly.vertices, poly.facets + (Facet((1, 1), 5),))
     lat = FaceLattice(extra)
     assert lat.faces == sq.faces
-    for f in lat.faces:
-        assert lat.above(f.id) == sq.above(f.id)
-        assert lat.below(f.id) == sq.below(f.id)
-    assert lat.facet_members == sq.facet_members + (frozenset(),)
+    assert lat.above_masks == sq.above_masks
+    assert lat.below_masks == sq.below_masks
+    assert extra.incidence == poly.incidence + (0,)
 
 
 def test_incidence_follows_the_facets_of_a_replaced_polytope(corpus, sq):
     # the hull passes its incidence in; a copy with other facets computes its own
     poly = corpus["SQ"]
-    assert poly.incidence == tuple(sum(1 << i for i in m) for m in sq.facet_members)
+    on = [sum(1 << i for i, v in enumerate(poly.vertices) if f.value(v) == 0) for f in poly.facets]
+    assert poly.incidence == tuple(on)
     moved = replace(poly, facets=poly.facets[1:] + poly.facets[:1])
     assert moved.incidence == poly.incidence[1:] + poly.incidence[:1]
-    assert FaceLattice(moved).facet_members == sq.facet_members[1:] + sq.facet_members[:1]
+    assert FaceLattice(moved).polytope.incidence == tuple(on[1:] + on[:1])
 
 
 def test_lattice_and_vertex_test_use_no_rank(lattices, monkeypatch):
@@ -384,10 +385,10 @@ def test_vertices_deterministic_order():
     assert p1.facets == p2.facets
 
 
-def test_proper_ids_is_built_once(lattices):
+def test_proper_mask_is_every_face_but_the_top(lattices):
     for lat in lattices.values():
-        assert lat.proper_ids() == frozenset(range(lat.top_id))
-        assert lat.proper_ids() is lat.proper_ids()
+        assert face_ids(lat.proper_mask) == frozenset(range(lat.top_id))
+        assert lat.above_masks is lat.above_masks  # built once
 
 
 def _greedy_basis(gens, dim):

@@ -196,7 +196,7 @@ def test_upward_closedness(lattices):
             for x in product(range(-2, 4), repeat=n):
                 ts = sh.twist_face_set(lat, k, x)
                 for fid in ts.members:
-                    assert lat.above(fid) <= ts.members
+                    assert face_ids(lat.above_masks[fid]) <= ts.members
 
 
 def test_crosscheck_examples(sq):

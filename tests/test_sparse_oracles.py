@@ -115,7 +115,7 @@ def _upward_closed_sets(lattice, rng, count):
         sets.update(face_ids(sh._face_set_from_signature(lattice, sig)) for sig in sigs)
     for _ in range(count):
         seeds = rng.sample(range(len(lattice.faces)), rng.randint(1, 3))
-        sets.add(frozenset().union(*(lattice.above(f) for f in seeds)))
+        sets.add(frozenset().union(*(face_ids(lattice.above_masks[f]) for f in seeds)))
     return sorted(sets, key=sorted)
 
 
@@ -275,7 +275,7 @@ def test_incidence_matches_solved_coordinates(shapes):
     for name, lat in shapes.items():
         orientations = orient_faces(lat)
         for g in lat.faces:
-            for fid in lat.below(g.id):
+            for fid in face_ids(lat.below_masks[g.id]):
                 if lat.face(fid).dim + 1 == g.dim:
                     covers += 1
                     want = _solved_incidence(lat, fid, g.id, orientations)

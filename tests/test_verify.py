@@ -14,6 +14,13 @@ def test_all_suites_pass_on_small_corpus(lattices):
         assert not failed, (name, failed)
 
 
+def test_verify_builds_no_face_view():
+    # every suite reads the lattice's int masks, so the Face view stays unbuilt
+    lat = face_lattice(build_polytope(CORPUS_VERTICES["CUBE"]))
+    assert all(r.passed for r in vf.run_suite(lat, "all"))
+    assert "faces" not in vars(lat)
+
+
 def test_unknown_suite_rejected(seg):
     with pytest.raises(ValueError):
         vf.run_suite(seg, "everything")
