@@ -45,7 +45,6 @@ from .polytope import (
     LatticePolytope,
     build_polytope,
     face_lattice,
-    join,
     negate_polytope,
 )
 from .sheaf import (
@@ -99,7 +98,6 @@ __all__ = [
     "graded_piece",
     "is_order_filter",
     "is_subcomplex",
-    "join",
     "link",
     "lp_feasible",
     "membership_oracle",

@@ -4,9 +4,8 @@ The boundary complex consists of all proper non-empty faces. A subset is one
 int face-id bitmask (bit f for face f) of its lattice; order filters,
 closures, stars, links and antistars are mask operations on the lattice's
 ``below_masks`` and ``above_masks``, and nerves are built on the face order.
-Star-type operators come in two modes: ``definitional`` (straight from the
-definitions, on masks) and ``combinatorial`` (face by face, via joins), which
-must agree on face lattices of polytopes.
+``joins_with`` is the second route to the star-type operators: one join per
+face, from which the join formulas of stars, links and antistars are read.
 """
 
 from __future__ import annotations
@@ -75,65 +74,46 @@ def _check_proper(lattice: FaceLattice, fid: int) -> None:
         raise ValueError("operation is defined for proper faces only")
 
 
-def _faces_where(lattice: FaceLattice, keep) -> FaceSubset:
-    """The proper faces g with keep(g), tested face by face."""
-    return FaceSubset(lattice, sum(1 << g for g in range(lattice.top_id) if keep(g)))
-
-
-def star(lattice: FaceLattice, fid: int, mode: str = "definitional") -> FaceSubset:
+def star(lattice: FaceLattice, fid: int) -> FaceSubset:
     """Open star: all proper faces containing the given one."""
     _check_proper(lattice, fid)
-    if mode == "definitional":
-        return FaceSubset(lattice, lattice.above_masks[fid] & lattice.proper_mask)
-    if mode == "combinatorial":
-        top = lattice.top_id
-        return _faces_where(
-            lattice, lambda g: lattice.join(g, fid) != top and lattice.leq(fid, g)
-        )
-    raise ValueError(f"unknown mode {mode!r}")
+    return FaceSubset(lattice, lattice.above_masks[fid] & lattice.proper_mask)
 
 
-def closed_star(lattice: FaceLattice, fid: int, mode: str = "definitional") -> FaceSubset:
-    """Combinatorial closure of the open star; via joins, {F : F v A != P}."""
+def closed_star(lattice: FaceLattice, fid: int) -> FaceSubset:
+    """Combinatorial closure of the open star."""
+    return closure(star(lattice, fid))
+
+
+def open_antistar(lattice: FaceLattice, fid: int) -> FaceSubset:
+    """Complement of the closed star."""
+    return closed_star(lattice, fid).complement()
+
+
+def closed_antistar(lattice: FaceLattice, fid: int) -> FaceSubset:
+    """Complement of the open star."""
+    return star(lattice, fid).complement()
+
+
+def link(lattice: FaceLattice, fid: int) -> FaceSubset:
+    """Closed star minus open star."""
+    return closed_star(lattice, fid).intersection(closed_antistar(lattice, fid))
+
+
+def joins_with(lattice: FaceLattice, fid: int) -> list[int]:
+    """Per face H, the mask of the proper faces F with F v A = H, A the given
+    face; one ``lattice.join`` per proper face.
+
+    The star-type operators are then, with P the top face:
+    star {F : F v A = F}, closed star {F : F v A != P}, open antistar
+    {F : F v A = P}, closed antistar the closure of the open antistar, and
+    link {F : F v A != P and F v A != F}.
+    """
     _check_proper(lattice, fid)
-    if mode == "definitional":
-        return closure(star(lattice, fid))
-    if mode == "combinatorial":
-        return _faces_where(lattice, lambda g: lattice.join(g, fid) != lattice.top_id)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def open_antistar(lattice: FaceLattice, fid: int, mode: str = "definitional") -> FaceSubset:
-    """Complement of the closed star; via joins, {F : F v A = P}."""
-    _check_proper(lattice, fid)
-    if mode == "definitional":
-        return closed_star(lattice, fid).complement()
-    if mode == "combinatorial":
-        return _faces_where(lattice, lambda g: lattice.join(g, fid) == lattice.top_id)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def closed_antistar(lattice: FaceLattice, fid: int, mode: str = "definitional") -> FaceSubset:
-    """Complement of the open star; equals the closure of the open antistar."""
-    _check_proper(lattice, fid)
-    if mode == "definitional":
-        return star(lattice, fid).complement()
-    if mode == "combinatorial":
-        return closure(open_antistar(lattice, fid, "combinatorial"))
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def link(lattice: FaceLattice, fid: int, mode: str = "definitional") -> FaceSubset:
-    """Closed star minus open star: {F : F v A != P and A is not a face of F}."""
-    _check_proper(lattice, fid)
-    if mode == "definitional":
-        return closed_star(lattice, fid).intersection(closed_antistar(lattice, fid))
-    if mode == "combinatorial":
-        top = lattice.top_id
-        return _faces_where(
-            lattice, lambda g: lattice.join(g, fid) != top and not lattice.leq(fid, g)
-        )
-    raise ValueError(f"unknown mode {mode!r}")
+    out = [0] * len(lattice)
+    for g in range(lattice.top_id):
+        out[lattice.join(g, fid)] |= 1 << g
+    return out
 
 
 def closed_star_within(subset: FaceSubset, fid: int) -> FaceSubset:

@@ -327,10 +327,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_point_values(argv: list[str]) -> list[str]:
+    """``--x -2,0`` as ``--x=-2,0``: argparse would read a point with a
+    negative first coordinate as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--star", "--x") and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_point_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as err:
         return 2 if err.code not in (0, None) else 0
     try:

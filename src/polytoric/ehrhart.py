@@ -2,7 +2,8 @@
 
 Every lattice-point question goes through one line kernel, ``line_spans``:
 the first n-1 coordinates run over a box, and each inequality holds on one
-exact interval of the last. The counting function accepts any integer
+exact interval of the last. Counts add up the lengths of those intervals
+and never enumerate. The counting function accepts any integer
 dilation factor, including negative ones, which is what reciprocity is
 about: (-1)^n E(-k) equals the number of interior lattice points of -kP,
 with the dilate taken literally.
@@ -54,8 +55,18 @@ def lattice_points(inequalities, box):
             yield prefix + (t,)
 
 
-def dilate_points(poly: LatticePolytope, k: int, strict: bool = False):
-    """Lattice points of the literal dilate kP (strict: its interior), any integer k.
+def count_lattice_points(inequalities, box) -> int:
+    """How many points ``lattice_points`` yields, from the length of each
+    line's intersected span, without yielding them."""
+    total = 0
+    for _, spans in line_spans(inequalities, box):
+        firsts, lasts = zip(box[-1], *spans)
+        total += max(0, min(lasts) - max(firsts) + 1)
+    return total
+
+
+def _dilate_system(poly: LatticePolytope, k: int, strict: bool):
+    """Inequalities and box of the literal dilate kP (strict: its interior).
 
     Scaling by a negative k reverses every facet inequality. On integer
     points a facet value v > 0 is v - 1 >= 0, so the interior is exact too.
@@ -64,12 +75,17 @@ def dilate_points(poly: LatticePolytope, k: int, strict: bool = False):
     rows = [
         (tuple(sign * c for c in f.normal), sign * k * f.offset - int(strict)) for f in poly.facets
     ]
-    return lattice_points(rows, [sorted((k * lo, k * hi)) for lo, hi in poly.bounding_box()])
+    return rows, [sorted((k * lo, k * hi)) for lo, hi in poly.bounding_box()]
+
+
+def dilate_points(poly: LatticePolytope, k: int, strict: bool = False):
+    """Lattice points of the literal dilate kP (strict: its interior), any integer k."""
+    return lattice_points(*_dilate_system(poly, k, strict))
 
 
 def dilate_count(poly: LatticePolytope, k: int, strict: bool = False) -> int:
     """Lattice points of the literal dilate kP, boundary included or not."""
-    return sum(1 for _ in dilate_points(poly, k, strict))
+    return count_lattice_points(*_dilate_system(poly, k, strict))
 
 
 def count_points(poly: LatticePolytope, k: int, interior: bool = False) -> int:

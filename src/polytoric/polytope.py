@@ -303,20 +303,16 @@ class FaceLattice:
         return self.vertex_coords(fid)[0]
 
     def face_label(self, fid: int) -> str:
-        f = self.face(fid)
+        self.check_id(fid)
         if fid == self.top_id:
             return "P"
+        dim = self.dims[fid]
         coords = self.vertex_coords(fid)
-        if f.dim == 0:
+        if dim == 0:
             return f"vertex {coords[0]}"
         pts = ", ".join(str(c) for c in coords)
-        return f"{f.dim}-face {{{pts}}}"
+        return f"{dim}-face {{{pts}}}"
 
 
 def face_lattice(polytope: LatticePolytope) -> FaceLattice:
     return FaceLattice(polytope)
-
-
-def join(lattice: FaceLattice, a: int, b: int) -> int:
-    """Smallest face containing both given faces."""
-    return lattice.join(a, b)

@@ -10,6 +10,7 @@ from polytoric import ehrhart as eh
 from polytoric import homology as hm
 from polytoric import sheaf as sh
 from conftest import has_sphere_homology, is_reduced_acyclic
+from test_boundary import join_formulas
 
 RINGS = ("Z", "Q", "Z/2", "Z/3")
 
@@ -112,11 +113,10 @@ def test_criterion_5_classification_crosschecks(lattices):
 
 def test_criterion_6_combinatorial_formulas(lattices):
     ok = True
-    ops = (bd.star, bd.closed_star, bd.open_antistar, bd.closed_antistar, bd.link)
     for lat in lattices.values():
         for a in range(lat.top_id):
-            for op in ops:
-                if op(lat, a, "definitional").members != op(lat, a, "combinatorial").members:
+            for op, mask in join_formulas(lat, a).items():
+                if op(lat, a).mask != mask:
                     ok = False
             if (
                 bd.closed_antistar(lat, a).members

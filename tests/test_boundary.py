@@ -78,15 +78,47 @@ def test_top_face_rejected(sq):
         bd.closed_star_within(bd.boundary_complex(sq), -1)
 
 
-def test_modes_agree_everywhere(lattices):
-    ops = (bd.star, bd.closed_star, bd.open_antistar, bd.closed_antistar, bd.link)
+def join_formulas(lat, a):
+    """The five star-type operators of face a read off ``joins_with``."""
+    by_join = bd.joins_with(lat, a)
+    antistar = by_join[lat.top_id]
+    star = sum(m & 1 << h for h, m in enumerate(by_join))
+    return {
+        bd.star: star,
+        bd.closed_star: lat.proper_mask & ~antistar,
+        bd.open_antistar: antistar,
+        bd.closed_antistar: bd.closure(bd.FaceSubset(lat, antistar)).mask,
+        bd.link: lat.proper_mask & ~antistar & ~star,
+    }
+
+
+def test_operators_match_join_formulas(lattices):
     for lat in lattices.values():
         for a in range(lat.top_id):
-            for op in ops:
-                assert (
-                    op(lat, a, "definitional").members
-                    == op(lat, a, "combinatorial").members
-                ), (lat.polytope.vertices, lat.face_label(a), op.__name__)
+            for op, mask in join_formulas(lat, a).items():
+                assert op(lat, a).mask == mask, (
+                    lat.polytope.vertices, lat.face_label(a), op.__name__
+                )
+
+
+def test_joins_with_calls_join_once_per_proper_face(cube):
+    lat = face_lattice(cube.polytope)
+    calls = []
+    right = lat.join
+    lat.join = lambda g, a: calls.append((g, a)) or right(g, a)
+    a = face_id(lat, (0, 0, 0), (1, 0, 0))
+    by_join = bd.joins_with(lat, a)
+    assert calls == [(g, a) for g in range(lat.top_id)]
+    for h, mask in enumerate(by_join):
+        assert mask == sum(1 << g for g in range(lat.top_id) if right(g, a) == h)
+    with pytest.raises(ValueError):
+        bd.joins_with(lat, lat.top_id)
+
+
+def test_operators_take_no_route_argument(sq):
+    for op in (bd.star, bd.closed_star, bd.open_antistar, bd.closed_antistar, bd.link):
+        with pytest.raises(TypeError):
+            op(sq, 0, "combinatorial")
 
 
 def test_closed_antistar_is_closure_of_open(lattices):

@@ -73,6 +73,28 @@ def test_zero_dimensional_input_exits_2(capsys, tmp_path):
     assert err == "error: points need at least one coordinate\n"
 
 
+OCTA_JSON = '{"vertices": [[1,0,0],[-1,0,0],[0,1,0],[0,-1,0],[0,0,1],[0,0,-1]]}'
+
+
+@pytest.mark.parametrize(
+    "argv, option, value",
+    [
+        (["faces", "--json"], "--star", "-1,0,0"),
+        (["faces", "--json"], "--star", "0,-1,0"),
+        (["classify", "--kind", "vis", "--json"], "--x", "-2,0,0"),
+        (["classify", "--kind", "frontback", "--json"], "--x", "-1/2,1,3"),
+    ],
+)
+def test_negative_point_coordinates_need_no_equals_sign(capsys, tmp_path, argv, option, value):
+    octa = tmp_path / "octa.json"
+    octa.write_text(OCTA_JSON)
+    argv = argv + ["--input", str(octa)]
+    spaced = run_main(capsys, *argv, option, value)
+    joined = run_main(capsys, *argv, f"{option}={value}")
+    assert spaced[0] == 0 and spaced[2] == ""
+    assert spaced == joined
+
+
 def test_missing_vertex_for_star_exits_2(capsys, sq_file):
     code, _, err = run_main(capsys, "faces", "--input", sq_file, "--star", "5,5")
     assert code == 2

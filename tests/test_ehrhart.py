@@ -64,6 +64,24 @@ def check_line_spans(rows, box):
     return seen
 
 
+def test_span_count_equals_enumeration():
+    rng = random.Random(21)
+    kinds = set()
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        box = [tuple(sorted((rng.randint(-4, 4), rng.randint(-4, 4)))) for _ in range(n)]
+        rows = [
+            (tuple(rng.randint(-3, 3) for _ in range(n)), rng.randint(-6, 6))
+            for _ in range(rng.choice((0, 0, 1, 2, 3, 5)))
+        ]
+        expected = sum(1 for _ in eh.lattice_points(rows, box))
+        assert eh.count_lattice_points(rows, box) == expected, (rows, box)
+        empty_span = any(f > l for _, spans in eh.line_spans(rows, box) for f, l in spans)
+        kinds |= {"no rows" if not rows else "rows", "empty" if not expected else "points"}
+        kinds.add("an empty span" if empty_span else "no empty span")
+    assert kinds == {"no rows", "rows", "empty", "points", "an empty span", "no empty span"}
+
+
 def test_lattice_points_match_box_filter():
     rng = random.Random(20)
     drawn = set()

@@ -467,3 +467,15 @@ def test_inverse_matrix_rays_are_the_kernel_line_rays():
         assert dual_cone_rays(basis, dim) == tuple(sorted(_kernel_line_rays(basis))), basis
         checked[dim] += 1
     assert negative_pivot > 10
+
+
+def test_face_label_builds_no_face_view():
+    lat = face_lattice(build_polytope([[0, 0], [2, 0], [0, 2]]))
+    labels = [lat.face_label(f) for f in range(len(lat))]
+    assert "faces" not in vars(lat)
+    assert labels == [
+        "vertex (0, 0)", "vertex (0, 2)", "vertex (2, 0)",
+        "1-face {(0, 0), (0, 2)}", "1-face {(0, 0), (2, 0)}", "1-face {(0, 2), (2, 0)}", "P",
+    ]
+    with pytest.raises(ValueError):
+        lat.face_label(len(lat))

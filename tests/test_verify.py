@@ -1,5 +1,7 @@
 import pytest
 
+import polytoric.polytope as polytope_module
+from polytoric import boundary as bd
 from polytoric import build_polytope, face_lattice
 from polytoric import classify as cl
 from polytoric import verify as vf
@@ -47,6 +49,61 @@ def test_one_wrong_join_value_fails_semilattice_check(corpus):
     lat.join = lambda x, y: lat.top_id if (x, y) == (a, b) else right(x, y)
     by_name = {r.name: r.passed for r in vf.combinatorics_suite(lat)}
     assert by_name["join is a semilattice operation"] is False
+
+
+def test_one_wrong_join_in_a_star_fails_join_formula_check(corpus):
+    # negative control: join(g, a) = P for one g in star(a) moves g from the
+    # star of a to its open antistar on the join route
+    lat = FaceLattice(corpus["CUBE"])
+    a, g = face_id(lat, (0, 0, 0)), face_id(lat, (0, 0, 0), (1, 0, 0))
+    assert lat.join(g, a) == g
+    right = lat.join
+    lat.join = lambda x, y: lat.top_id if (x, y) == (g, a) else right(x, y)
+    by_name = {r.name: r.passed for r in vf.combinatorics_suite(lat)}
+    assert by_name["star/link/antistar: definitional = combinatorial"] is False
+
+
+def test_closed_star_within_dropping_a_face_fails_star_in_link_check(corpus, monkeypatch):
+    lat = FaceLattice(corpus["CUBE"])
+    right = bd.closed_star_within
+
+    def drops_one(subset, fid):
+        mask = right(subset, fid).mask
+        return bd.FaceSubset(lat, mask & (mask - 1))
+
+    monkeypatch.setattr(bd, "closed_star_within", drops_one)
+    by_name = {r.name: r.passed for r in vf.combinatorics_suite(lat)}
+    assert by_name["closed star inside a link via joins"] is False
+    assert by_name["star/link/antistar: definitional = combinatorial"] is True
+
+
+def test_link_off_by_one_face_fails_link_difference_check(corpus, monkeypatch):
+    lat = FaceLattice(corpus["CUBE"])
+    a = face_id(lat, (0, 0, 0))
+    right = bd.link
+
+    def off_by_one(lattice, fid):
+        lk = right(lattice, fid)
+        return bd.FaceSubset(lattice, lk.mask | 1 << a) if fid == a else lk
+
+    monkeypatch.setattr(bd, "link", off_by_one)
+    by_name = {r.name: r.passed for r in vf.combinatorics_suite(lat)}
+    assert by_name["link = closed star minus star = closed antistar minus antistar"] is False
+    assert by_name["star/link/antistar: definitional = combinatorial"] is False
+
+
+def test_cohomology_suite_builds_minus_p_once(monkeypatch):
+    lat = face_lattice(build_polytope(CORPUS_VERTICES["SQ"]))  # a cold cache
+    builds = []
+    original = polytope_module.build_polytope
+
+    def build(points):
+        builds.append(points)
+        return original(points)
+
+    monkeypatch.setattr(polytope_module, "build_polytope", build)
+    assert all(r.passed for r in vf.cohomology_suite(lat))
+    assert len(builds) == 1
 
 
 def test_results_are_deterministic(tri):
