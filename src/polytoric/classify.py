@@ -91,13 +91,9 @@ def classify(lattice: FaceLattice, kind: str, x) -> Classification:
 # ray-based cross-check
 
 
-def _ray_parameter_interval(poly, p, d):
-    """Whether {lam > 0 : p + lam*d in P} is non-empty, decided exactly."""
-    return _ray_meets(poly, *scale_to_integers(p), scale_to_integers(d)[0])
-
-
 def _ray_meets(poly, pp, a, dd) -> bool:
-    """``_ray_parameter_interval`` for p = pp/a and d a positive multiple of dd.
+    """Whether {lam > 0 : p + lam*d in P} is non-empty, decided exactly, for
+    p = pp/a and d a positive multiple of dd.
 
     Each facet (n, c) bounds lam by -(<pp, n> + a*c) / <dd, n>, up to one
     common positive factor; the bounds are kept as (numerator, positive

@@ -172,15 +172,16 @@ def cmd_ehrhart(args):
     if args.kmax is not None and args.kmax < 1:
         raise InputError(f"--kmax must be at least 1, got {args.kmax}")
     poly, digest = load_polytope(args.input)
-    n = poly.dim
-    kmax = args.kmax if args.kmax is not None else n + 2
-    ehr = eh.ehrhart_polynomial(poly)
-    roots = ehr.integral_roots()
-    index = eh.splitting_index(poly)
+    kmax = args.kmax if args.kmax is not None else poly.dim + 2
     try:
-        recip = eh.reciprocity_check(poly, kmax)
+        # the table checks its budget first, so nothing is swept over budget
+        rows = eh.reciprocity_table(poly, kmax)
+        ehr = eh.ehrhart_polynomial(poly)
+        index = eh.splitting_index(poly)
     except ValueError as err:
         raise InputError(str(err)) from None
+    roots = ehr.integral_roots()
+    recip = all(signed == interior for _, signed, interior in rows)
     lines = [
         "Ehrhart coefficients (low degree first): "
         + ", ".join(str(c) for c in ehr.coefficients),
@@ -189,11 +190,9 @@ def cmd_ehrhart(args):
         f"reciprocity up to {kmax}: {'ok' if recip else 'FAILED'}",
     ]
     table = []
-    for j in range(1, kmax + 1):
-        predicted = (-1) ** n * ehr.value_at_integer(-j)
-        interior = eh.dilate_count(poly, -j, strict=True)
-        table.append({"k": -j, "signed_value": predicted, "interior_points": interior})
-        lines.append(f"  k={-j}: (-1)^n E(k) = {predicted}, interior of kP has {interior}")
+    for k, signed, interior in rows:
+        table.append({"k": k, "signed_value": signed, "interior_points": interior})
+        lines.append(f"  k={k}: (-1)^n E(k) = {signed}, interior of kP has {interior}")
     report = {
         "command": "ehrhart",
         "input_digest": digest,

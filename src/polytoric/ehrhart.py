@@ -7,6 +7,10 @@ and never enumerate. The counting function accepts any integer
 dilation factor, including negative ones, which is what reciprocity is
 about: (-1)^n E(-k) equals the number of interior lattice points of -kP,
 with the dilate taken literally.
+
+Each polytope's ``_cache`` is its one Ehrhart table: every dilate count under
+(|k|, strict), as x -> -x maps the interior of kP onto that of -kP, and the
+polynomial. Reciprocity and the splitting index read one interior column.
 """
 
 from __future__ import annotations
@@ -19,8 +23,10 @@ from operator import mul
 
 from .polytope import LatticePolytope
 
-# most dilate box points reciprocity_check may face; a 3D box of edge 460
+# most dilate box points reciprocity_table may face; a 3D box of edge 460
 MAX_RECIPROCITY_POINTS = 10**8
+# most lines one line_spans sweep may visit, the size of the scan budget
+MAX_SWEEP_LINES = 10**6
 
 
 def line_spans(inequalities, box):
@@ -28,8 +34,15 @@ def line_spans(inequalities, box):
     coordinates in ``itertools.product`` order; ``box`` is one inclusive
     (lo, hi) per coordinate. Row (a, b) holds on the span ``(first, last)``
     of t in [lo, hi] with <prefix + (t,), a> + b >= 0, empty if first > last.
+    A sweep of more than ``MAX_SWEEP_LINES`` lines is refused before any
+    range is built.
     """
     *head, (lo, hi) = box
+    lines = prod(max(0, h - l + 1) for l, h in head)
+    if lines > MAX_SWEEP_LINES:
+        raise ValueError(
+            f"a sweep of {lines} lines is more than the {MAX_SWEEP_LINES} lines allowed"
+        )
     rows = [(a[:-1], a[-1], b) for a, b in inequalities]
     for prefix in product(*(range(l, h + 1) for l, h in head)):
         spans = []
@@ -84,8 +97,12 @@ def dilate_points(poly: LatticePolytope, k: int, strict: bool = False):
 
 
 def dilate_count(poly: LatticePolytope, k: int, strict: bool = False) -> int:
-    """Lattice points of the literal dilate kP, boundary included or not."""
-    return count_lattice_points(*_dilate_system(poly, k, strict))
+    """Lattice points of the literal dilate kP, boundary included or not;
+    swept once per (|k|, strict) and then read from the polytope's table."""
+    key = (abs(k), strict)
+    if key not in poly._cache:
+        poly._cache[key] = count_lattice_points(*_dilate_system(poly, abs(k), strict))
+    return poly._cache[key]
 
 
 def count_points(poly: LatticePolytope, k: int, interior: bool = False) -> int:
@@ -131,7 +148,10 @@ class EhrhartPolynomial:
 
 
 def ehrhart_polynomial(poly: LatticePolytope) -> EhrhartPolynomial:
-    """Exact Lagrange interpolation through the counts at k = 0 .. n."""
+    """Exact Lagrange interpolation through the counts at k = 0 .. n, built
+    once and then read from the polytope's table."""
+    if "ehrhart_polynomial" in poly._cache:
+        return poly._cache["ehrhart_polynomial"]
     n = poly.dim
     counts = [count_points(poly, k) for k in range(n + 1)]
     coeffs = [Fraction(0)] * (n + 1)
@@ -152,11 +172,12 @@ def ehrhart_polynomial(poly: LatticePolytope) -> EhrhartPolynomial:
     ehr = EhrhartPolynomial(tuple(coeffs))
     for k in range(-(n + 2), n + 3):
         ehr.value_at_integer(k)
+    poly._cache["ehrhart_polynomial"] = ehr
     return ehr
 
 
-def reciprocity_check(poly: LatticePolytope, kmax: int) -> bool:
-    """(-1)^n E(-j) equals the interior lattice-point count of -jP, j = 1..kmax.
+def reciprocity_table(poly: LatticePolytope, kmax: int) -> list[tuple[int, int, int]]:
+    """Rows (k, (-1)^n E(k), interior lattice points of kP) for k = -1 .. -kmax.
 
     Refused before any counting when the boxes of those dilates hold more
     than ``MAX_RECIPROCITY_POINTS`` points in total.
@@ -173,14 +194,18 @@ def reciprocity_check(poly: LatticePolytope, kmax: int) -> bool:
                 f"reciprocity up to {kmax} scans more than the "
                 f"{MAX_RECIPROCITY_POINTS} box points allowed"
             )
-    n = poly.dim
     ehr = ehrhart_polynomial(poly)
-    sign = (-1) ** n
-    for j in range(1, kmax + 1):
-        predicted = sign * ehr.value_at_integer(-j)
-        if predicted != dilate_count(poly, -j, strict=True):
-            return False
-    return True
+    sign = (-1) ** poly.dim
+    return [
+        (-j, sign * ehr.value_at_integer(-j), dilate_count(poly, -j, strict=True))
+        for j in range(1, kmax + 1)
+    ]
+
+
+def reciprocity_check(poly: LatticePolytope, kmax: int) -> bool:
+    """(-1)^n E(-j) equals the interior lattice-point count of -jP, j = 1..kmax,
+    on every row of ``reciprocity_table``."""
+    return all(signed == interior for _, signed, interior in reciprocity_table(poly, kmax))
 
 
 def splitting_index(poly: LatticePolytope) -> int:

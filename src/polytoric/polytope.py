@@ -48,6 +48,8 @@ class LatticePolytope:
     # passes it in from its values pass, any other construction computes it
     incidence: tuple[int, ...] = field(init=False, compare=False, repr=False)
     hull_incidence: InitVar[tuple[int, ...] | None] = None
+    # results computed from the polytope alone, such as the Ehrhart table
+    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self, hull_incidence):
         if hull_incidence is None:

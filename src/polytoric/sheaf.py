@@ -172,8 +172,12 @@ def membership_certificate(lattice: FaceLattice) -> bool:
 
 
 def twist_members(lattice: FaceLattice, k: int, x) -> int:
-    """Face-id bitmask of the faces F with x in C_F + kF, by ``twist_membership``, unchecked."""
-    return sum(1 << f for f in range(len(lattice)) if twist_membership(lattice, k, f, x))
+    """Face-id bitmask of the faces F with x in C_F + kF, unchecked: the facet
+    inequalities of ``twist_membership``, each evaluated once, give the mask
+    of the facets that hold, and F is kept iff every facet through it holds."""
+    poly = lattice.polytope
+    held = sum(1 << i for i, f in enumerate(poly.facets) if dot(x, f.normal) + k * f.offset >= 0)
+    return sum(1 << f for f, m in enumerate(lattice.facet_masks) if not m & ~held)
 
 
 def twist_face_set(lattice: FaceLattice, k: int, x) -> TwistFaceSet:

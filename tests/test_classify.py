@@ -8,7 +8,7 @@ import pytest
 from polytoric import boundary as bd
 from polytoric import build_polytope, face_lattice
 from polytoric import classify as cl
-from polytoric.linalg import dot
+from polytoric.linalg import dot, scale_to_integers
 from polytoric.lp import lp_feasible
 from conftest import CORPUS_VERTICES, face_id, has_sphere_homology, is_reduced_acyclic
 
@@ -219,6 +219,11 @@ def test_definitional_check_fails_when_one_face_changes_sides():
     assert len(moved) == 2 * len(cl.KINDS), moved
 
 
+def ray_meets(poly, p, d):
+    """``classify._ray_meets`` on rational p and d, scaled to integers."""
+    return cl._ray_meets(poly, *scale_to_integers(p), scale_to_integers(d)[0])
+
+
 def fm_ray_meets(poly, p, d):
     """Whether p + lam*d lies in P for some lam > 0, by Fourier-Motzkin."""
     system = [((dot(d, f.normal),), -f.value(p), ">=") for f in poly.facets]
@@ -249,7 +254,7 @@ def test_ray_parameter_interval_matches_grid_and_exact_oracles(lattices):
                     d = tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(n))
                     if not any(d):
                         continue
-                    hit = cl._ray_parameter_interval(poly, p, d)
+                    hit = ray_meets(poly, p, d)
                     assert hit == fm_ray_meets(poly, p, d), (p, d)
                     if any(
                         poly.contains(tuple(pi + lam * di for pi, di in zip(p, d)))

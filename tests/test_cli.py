@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from polytoric import cli
+from polytoric import build_polytope, cli
+from polytoric import ehrhart as eh
 from polytoric import sheaf as sh
 from polytoric.cli import canonical_json, main, parse_point
 from conftest import dilate_box
@@ -172,6 +173,72 @@ def test_ehrhart_over_work_budget_exits_2(capsys, tri_file):
     code, out, err = run_main(capsys, "ehrhart", "--input", tri_file, "--kmax", "100000")
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and "100000000 box points" in err
+
+
+def test_ehrhart_on_tri5_is_refused_before_any_sweep(capsys, tmp_path, monkeypatch):
+    # the triangle of legs 10^5: its reciprocity table would face 10^10 box
+    # points, and the budget is read before the polynomial is counted
+    def no_sweep(*args):
+        raise AssertionError("dilate swept despite the budget")
+
+    monkeypatch.setattr(eh, "line_spans", no_sweep)
+    tri5 = tmp_path / "tri5.json"
+    tri5.write_text('{"vertices": [[0,0],[100000,0],[0,100000]]}')
+    code, out, err = run_main(capsys, "ehrhart", "--input", str(tri5))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and "box points" in err
+
+
+@pytest.mark.parametrize("argv", [("ehrhart",), ("verify", "--suite", "all")])
+def test_huge_coordinate_exits_2_on_one_line(capsys, tmp_path, argv):
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"vertices": [[0, 0], [10**30, 0], [0, 1]]}))
+    code, out, err = run_main(capsys, argv[0], "--input", str(wide), *argv[1:])
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and "allowed" in err
+
+
+@pytest.mark.parametrize("argv", [("ehrhart", "--json"), ("verify", "--suite", "all", "--json")])
+@pytest.mark.parametrize(
+    "vertices", [[[0, 0], [3, 0], [0, 2]], [[0, 0, 0], [2, 0, 0], [0, 2, 0], [0, 0, 1]]]
+)
+def test_one_run_sweeps_each_dilate_once_and_builds_one_polynomial(
+    capsys, tmp_path, monkeypatch, argv, vertices
+):
+    # the run reads a fresh polytope from its file, so its table starts empty
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps({"vertices": vertices}))
+    poly = build_polytope(vertices)
+    n = poly.dim
+    dilate = {}
+    for k in range(-(n + 3), n + 4):
+        for strict in (False, True):
+            rows, box = eh._dilate_system(poly, k, strict)
+            dilate[tuple(rows), tuple(map(tuple, box))] = (abs(k), strict)
+    swept = []
+    original_count = eh.count_lattice_points
+
+    def counting(rows, box):
+        key = dilate.get((tuple(rows), tuple(map(tuple, box))))
+        if key is not None:  # verify's irredundancy sweeps are not dilates
+            swept.append(key)
+        return original_count(rows, box)
+
+    builds = []
+
+    class CountedPolynomial(eh.EhrhartPolynomial):
+        def __post_init__(self):
+            builds.append(self.coefficients)
+            super().__post_init__()
+
+    monkeypatch.setattr(eh, "count_lattice_points", counting)
+    monkeypatch.setattr(eh, "EhrhartPolynomial", CountedPolynomial)
+    code, out, _ = run_main(capsys, argv[0], "--input", str(path), *argv[1:])
+    assert code == 0, out
+    assert len(builds) == 1
+    assert len(swept) == len(set(swept))
+    # the polynomial's k = 0 .. n and the interiors of 1P .. (n+2)P at least
+    assert set(swept) >= {(k, False) for k in range(n + 1)} | {(j, True) for j in range(1, n + 3)}
 
 
 def test_cohomology_command(capsys, sq_file):
@@ -342,9 +409,9 @@ def test_thread_pool_is_serial_unless_asked_for(monkeypatch):
 def test_twist_face_set_not_upward_closed_is_a_fail_line(capsys, sq, sq_file, monkeypatch):
     # a membership formula that drops the top face breaks upward closure;
     # verify must report it as a FAIL, not end in a traceback
-    original = sh.twist_membership
+    original = sh.twist_members
     monkeypatch.setattr(
-        sh, "twist_membership", lambda lat, k, f, x: f != lat.top_id and original(lat, k, f, x)
+        sh, "twist_members", lambda lat, k, x: original(lat, k, x) & ~(1 << lat.top_id)
     )
     with pytest.raises(RuntimeError, match="not upward closed"):
         sh.twist_face_set(sq, 1, (-2, -2))

@@ -231,6 +231,65 @@ def test_reciprocity_over_budget_is_refused_before_counting(corpus, monkeypatch)
         eh.reciprocity_check(tri, 3)
 
 
+def test_sweep_over_line_budget_is_refused_before_any_range(monkeypatch):
+    # 2*TRI sweeps 3 lines, one per first coordinate 0..2
+    tri = build_polytope([[0, 0], [1, 0], [0, 1]])
+    monkeypatch.setattr(eh, "MAX_SWEEP_LINES", 3)
+    assert eh.count_lattice_points(*eh._dilate_system(tri, 2, False)) == 6
+    monkeypatch.setattr(eh, "MAX_SWEEP_LINES", 2)
+
+    def no_ranges(*args):
+        raise AssertionError("range built despite the budget")
+
+    monkeypatch.setattr(eh, "product", no_ranges)
+    with pytest.raises(ValueError, match="a sweep of 3 lines is more than the 2 lines allowed"):
+        eh.dilate_count(tri, 2)
+
+
+def test_huge_coordinate_is_refused_by_the_line_budget():
+    # a first coordinate of 10^30 once ended in an OverflowError from range
+    wide = build_polytope([[0, 0], [10**30, 0], [0, 1]])
+    with pytest.raises(ValueError, match=f"{10**30 + 1} lines is more than the 1000000"):
+        eh.dilate_count(wide, 1)
+    with pytest.raises(ValueError, match="lines allowed"):
+        eh.ehrhart_polynomial(wide)
+
+
+def test_interior_of_minus_jP_and_of_jP_count_alike(corpus):
+    # the symmetry that lets the count table keep one column for both; the
+    # uncached kernel counts -jP literally, the box scan counts jP
+    for name, poly in corpus.items():
+        for j in range(1, poly.dim + 3):
+            literal = eh.count_lattice_points(*eh._dilate_system(poly, -j, True))
+            box = [(j * lo, j * hi) for lo, hi in poly.bounding_box()]
+            scanned = sum(1 for x in box_scan(box) if dilate_contains(poly, j, x, strict=True))
+            assert literal == scanned, (name, j)
+
+
+def test_count_table_sweeps_each_dilate_once_per_polytope(monkeypatch):
+    poly = build_polytope([[0, 0], [2, 0], [0, 3]])  # fresh, so the table is empty
+    sweeps = []
+    original = eh.count_lattice_points
+
+    def counting(rows, box):
+        sweeps.append((rows, box))
+        return original(rows, box)
+
+    monkeypatch.setattr(eh, "count_lattice_points", counting)
+    assert eh.dilate_count(poly, -3, strict=True) == eh.dilate_count(poly, 3, strict=True)
+    assert eh.dilate_count(poly, 3) == eh.count_points(poly, 3)
+    eh.splitting_index(poly)
+    eh.reciprocity_check(poly, 4)
+    eh.ehrhart_polynomial(poly)
+    assert eh.ehrhart_polynomial(poly) is eh.ehrhart_polynomial(poly)
+    # (3, True) and (3, False); k = 0 .. 2 for the polynomial; the interiors
+    # of 1P, 2P and 4P for the splitting index and reciprocity
+    assert len(sweeps) == 2 + 3 + 3
+    assert set(poly._cache) == {
+        "ehrhart_polynomial", *((k, False) for k in range(4)), *((j, True) for j in range(1, 5))
+    }
+
+
 def test_splitting_indices(corpus):
     expected = {"TRI": 2, "SEG": 1, "SQ": 1, "SQ2": 0, "CUBE": 1, "TRI2": 1}
     for name, k in expected.items():

@@ -302,6 +302,36 @@ def test_signature_dedup_check_detects_a_wrong_class_face_set(monkeypatch):
     assert all(passed for check, passed in by_name.items() if check != name)
 
 
+def test_twist_members_equals_the_per_face_membership_formula(lattices):
+    # the one facet mask per point against twist_membership face by face
+    for name, lat in lattices.items():
+        n = lat.polytope.dim
+        for k in (-2, -1, 0, 1, 2):
+            for x in product(range(-3, 4), repeat=n):
+                expected = face_mask(
+                    f for f in range(len(lat)) if sh.twist_membership(lat, k, f, x)
+                )
+                assert sh.twist_members(lat, k, x) == expected, (name, k, x)
+
+
+def test_dedup_check_detects_twist_members_dropping_a_face(monkeypatch):
+    # twist_members with the lowest face id of every set left out: the sets
+    # stay upward closed, and the dedup check must notice (the cross-check
+    # reads twist_members too)
+    lat = face_lattice(build_polytope(CORPUS_VERTICES["SQ"]))
+    name = "equal facet-sign vectors give equal twist face sets"
+    original = sh.twist_members
+
+    def dropped(lattice, k, x):
+        members = original(lattice, k, x)
+        return members & (members - 1)
+
+    monkeypatch.setattr(sh, "twist_members", dropped)
+    by_name = {r.name: r.passed for r in vf.cohomology_suite(lat)}
+    assert by_name[name] is False
+    assert by_name["twist face sets are upward closed"] is True
+
+
 def test_dedup_check_detects_a_point_filed_under_the_wrong_class(monkeypatch):
     # the scan's first point of each k = 1 class handed over with the next
     # class's signature: the per-class comparison must notice
