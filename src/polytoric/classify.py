@@ -5,8 +5,8 @@ point, front/back with respect to a point off the interior, and lower/upper
 with respect to a nonzero direction. Each one is decided by exact facet sign
 tests, its sides face-id bitmasks read off ``FaceLattice.faces_on``; the
 ray-based definitions are kept as a cross-check oracle on the vertices and
-barycenter of each face, each ray decided exactly in integers and once per
-start point and viewpoint, however many faces share it. ``sheaf``
+barycenter of each face, decided exactly in integers in one pass per
+classification: one ray per vertex, however many faces share it. ``sheaf``
 matches the twist face sets for k in {1, 0, -1} with these partitions, once
 per facet-sign class, and proves its membership formula by a per-face
 certificate rather than by sampling.
@@ -71,6 +71,8 @@ def classify_front_back(lattice: FaceLattice, x) -> Classification:
 def classify_lower_upper(lattice: FaceLattice, x) -> Classification:
     """Lower faces lie in a facet whose inward normal has positive pairing with x."""
     poly = lattice.polytope
+    if len(x) != poly.dim:
+        raise ValueError("point has wrong dimension")
     if all(c == 0 for c in x):
         raise ValueError("zero direction")
     lower = sum(1 << i for i, f in enumerate(poly.facets) if dot(x, f.normal) > 0)
@@ -124,54 +126,37 @@ def _ray_meets(poly, pp, a, dd) -> bool:
     return lo_num * hi_den == hi_num * lo_den and not lo_open
 
 
-def _sample_points(lattice, fid):
-    """The vertices and the barycenter of a face, each as an integer vector
-    and a positive factor it is divided by."""
-    coords = lattice.vertex_coords(fid)
-    return [(v, 1) for v in coords] + [(tuple(map(sum, zip(*coords))), len(coords))]
-
-
-def cached_classification(lattice: FaceLattice, kind: str, x) -> Classification:
-    """``classify(lattice, kind, x)``, computed once per lattice and (kind, x)."""
-    cached = lattice._cache.setdefault("classifications", {})
-    key = (kind, tuple(x))
-    if key not in cached:
-        cached[key] = classify(lattice, kind, x)
-    return cached[key]
-
-
-def definitional_check(lattice: FaceLattice, kind: str, x, fid: int) -> bool:
-    """Consistency of the facet-sign classification with the ray definition.
-
-    Rays start at the face's vertices and at its barycenter. A point in the
-    relative interior of a face G gets the same ray verdict as G (the facets
-    tight there are those of G), so points inside a face add nothing beyond
-    the verdicts of its subfaces, each of which is checked on its own.
-    Each ray is decided exactly, in integers: a face on the escaping side
-    must never re-enter, and one on the other side must re-enter. The
-    partition, the scaled x and each start point's verdict are kept on the
-    lattice per (kind, x), so a vertex's ray is decided once for all faces.
+def definitional_check(c: Classification) -> int:
+    """Face-id mask of the proper faces whose ray verdict disagrees with their
+    side in ``c``; 0 if the partition agrees with the ray definition. A
+    visible / back / lower face must have no ray that re-enters P, any other
+    face one. Rays start at a face's vertices and barycenter: a point inside a
+    face G gets G's verdict (the facets tight there are G's), so it adds
+    nothing beyond the verdicts of G's subfaces, each checked on its own.
+    Each ray is decided exactly, in integers: one per vertex, and a
+    barycenter's only for a face none of whose vertex rays re-enters.
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown classification kind {kind!r}")
-    key = (kind, tuple(x))
-    cls = cached_classification(lattice, kind, x)
-    # x = xx/b, and each start point's verdict, kept next to the partition
-    rays = lattice._cache.setdefault("ray_verdicts", {})
-    xx, b, verdicts = rays.get(key) or rays.setdefault(key, (*scale_to_integers(x), {}))
-    hits = []
-    for pp, a in _sample_points(lattice, fid):
-        if (pp, a) not in verdicts:
-            if kind == "lowerupper":
-                d = tuple(-c for c in xx)
-            else:
-                # x - p (visibility) or p - x (frontback), times a*b > 0
-                sign = 1 if kind == "visibility" else -1
-                d = tuple(sign * (a * xi - b * pi) for xi, pi in zip(xx, pp))
-            verdicts[pp, a] = _ray_meets(lattice.polytope, pp, a, d)
-        hits.append(verdicts[pp, a])
-    # visible / back / lower: every ray must leave immediately
-    return not any(hits) if fid in cls.complex_side else any(hits)
+    lattice = c.complex_side.lattice
+    poly = lattice.polytope
+    xx, b = scale_to_integers(c.point)  # x = xx/b
+
+    def meets(pp, a) -> bool:  # the ray from pp/a
+        if c.kind == "lowerupper":
+            return _ray_meets(poly, pp, a, tuple(-xi for xi in xx))
+        # x - p (visibility) or p - x (frontback), times a*b > 0
+        sign = 1 if c.kind == "visibility" else -1
+        return _ray_meets(poly, pp, a, tuple(sign * (a * xi - b * pi) for xi, pi in zip(xx, pp)))
+
+    hits = sum(1 << i for i, v in enumerate(poly.vertices) if meets(v, 1))
+    hit_faces = 0
+    for f in range(lattice.top_id):
+        if lattice.vertex_masks[f] & hits:
+            hit_faces |= 1 << f
+        elif lattice.dims[f]:
+            coords = lattice.vertex_coords(f)
+            hit_faces |= meets(tuple(map(sum, zip(*coords))), len(coords)) << f
+    # inconsistent: a complex-side face that is hit, a filter-side one that is not
+    return lattice.proper_mask & ~(hit_faces ^ c.complex_side.mask)
 
 
 # ---------------------------------------------------------------------------

@@ -128,12 +128,14 @@ def twist_membership(lattice: FaceLattice, k: int, fid: int, x) -> bool:
 
 
 def _barrier_cone_rays(lattice: FaceLattice, fid: int):
+    # p - f = (p - v0) + (v0 - f), so C_F = cone(P - v0) + lin(F - v0): |V| + |F|
+    # generators instead of the |V|·|F| differences p - f
     rays = lattice._cache.setdefault("barrier_rays", {})
     if fid not in rays:
         poly = lattice.polytope
-        fverts = lattice.vertex_coords(fid)
-        gens = {vec_sub(p, f) for p in poly.vertices for f in fverts}
-        gens.discard(tuple(0 for _ in range(poly.dim)))
+        v0 = lattice.lex_min_vertex(fid)
+        gens = [vec_sub(p, v0) for p in poly.vertices]
+        gens += [vec_sub(v0, f) for f in lattice.vertex_coords(fid)]
         rays[fid] = dual_cone_rays(gens, poly.dim)
     return rays[fid]
 
@@ -271,6 +273,19 @@ def scan_box(poly, k: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def _check_box_budget(poly, k: int, what: str):
+    """Twist k's ``"dilate"`` box (bounding kP) or ``"scan"`` box (``scan_box``),
+    refused if it has more than ``MAX_SCAN_POINTS`` points."""
+    if what == "scan":
+        box = scan_box(poly, k)
+    else:
+        box = [sorted((k * lo, k * hi)) for lo, hi in poly.bounding_box()]
+    size = prod(hi - lo + 1 for lo, hi in box)
+    if size > MAX_SCAN_POINTS:
+        raise ValueError(f"{what} box has {size} points, more than the {MAX_SCAN_POINTS} allowed")
+    return box
+
+
 def _signature(poly, k: int, x) -> int:
     """Bitmask of the facets that hold at x: bit i set iff <x, n_i> + k*c_i >= 0."""
     return sum(1 << i for i, f in enumerate(poly.facets) if dot(x, f.normal) + k * f.offset >= 0)
@@ -405,10 +420,7 @@ def global_cohomology(lattice: FaceLattice, k: int, ring: str = "Z") -> GlobalCo
     by every ring.
     """
     n = lattice.polytope.dim
-    box = scan_box(lattice.polytope, k)
-    size = prod(hi - lo + 1 for lo, hi in box)
-    if size > MAX_SCAN_POINTS:
-        raise ValueError(f"scan box has {size} points, more than the {MAX_SCAN_POINTS} allowed")
+    box = _check_box_budget(lattice.polytope, k, "scan")
     sigs, runs, distant_ids = _scan(lattice, k)
     complexes = _class_complexes(lattice, sigs)
     # one cohomology per distinct complex; most classes share the empty one
@@ -454,8 +466,6 @@ def expected_contributors(lattice: FaceLattice, k: int) -> tuple[tuple[tuple[int
     interior points of kP in degree n for k < 0. A dilate box of more than
     ``MAX_SCAN_POINTS`` points is refused before it is enumerated."""
     poly = lattice.polytope
-    size = prod(abs(k) * (hi - lo) + 1 for lo, hi in poly.bounding_box())
-    if size > MAX_SCAN_POINTS:
-        raise ValueError(f"dilate box has {size} points, more than the {MAX_SCAN_POINTS} allowed")
+    _check_box_budget(poly, k, "dilate")
     degree = 0 if k >= 0 else poly.dim
     return tuple(sorted((x, degree) for x in dilate_points(poly, k, k < 0)))

@@ -209,21 +209,21 @@ def ehrhart_suite(lattice: FaceLattice) -> list[CheckResult]:
 def classify_suite(lattice: FaceLattice, seed: int = 0) -> list[CheckResult]:
     out: list[CheckResult] = []
     poly = lattice.polytope
-    faces = range(lattice.top_id)
-    viewpoints = {kind: cl.sample_viewpoints(poly, kind, VIEWPOINTS, seed) for kind in cl.KINDS}
-    for kind, views in viewpoints.items():
-        checks = [partition_checks(cl.cached_classification(lattice, kind, x)) for x in views]
-        rays = [cl.definitional_check(lattice, kind, x, f) for x in views for f in faces]
+    facets = [(lattice.face_by_vertices(on), f) for on, f in zip(poly.incidence, poly.facets)]
+    for kind in cl.KINDS:
+        # one classification per viewpoint, read by every check
+        views = cl.sample_viewpoints(poly, kind, VIEWPOINTS, seed)
+        cs = [cl.classify(lattice, kind, x) for x in views]
+        checks = [partition_checks(c) for c in cs]
+        rays = [cl.definitional_check(c) for c in cs]
         _check(out, f"{kind}: partition structure", all(p for p, _ in checks))
         _check(out, f"{kind}: ball/sphere homology of nerves", all(h for _, h in checks))
-        _check(out, f"{kind}: ray definition consistent", all(rays))
-    vis_sign = True
-    for x in viewpoints["visibility"]:
-        c = cl.cached_classification(lattice, "visibility", x)
-        for on, f in zip(poly.incidence, poly.facets):
-            fid = lattice.face_by_vertices(on)
-            vis_sign = vis_sign and ((fid in c.filter_side) == (f.value(x) >= 0))
-    _check(out, "facet visibility equals the sign test", vis_sign)
+        _check(out, f"{kind}: ray definition consistent", not any(rays))
+        if kind == "visibility":
+            vis = all(
+                (fid in c.filter_side) == (f.value(c.point) >= 0) for c in cs for fid, f in facets
+            )
+    _check(out, "facet visibility equals the sign test", vis)
     return out
 
 
@@ -234,6 +234,9 @@ def cohomology_suite(lattice: FaceLattice) -> list[CheckResult]:
     out: list[CheckResult] = []
     poly = lattice.polytope
     n = poly.dim
+    for k in range(-3, 4):  # every box budget of the twist loop, before any counting
+        sh._check_box_budget(poly, k, "dilate")
+        sh._check_box_budget(poly, k, "scan")
     ehr = eh.ehrhart_polynomial(poly)
 
     # proved for every x and k, not only on a grid, by one certificate per face

@@ -10,6 +10,7 @@ on both routes.
 """
 
 import random
+from dataclasses import replace
 
 from polytoric import boundary as bd
 from polytoric import build_polytope, face_lattice
@@ -116,13 +117,18 @@ def test_two_opposite_cube_facets_fail_on_both_routes():
     assert vf.partition_checks(c) == (True, False)
 
 
-def test_a_broken_partition_fails_the_classify_suite():
-    # the verify report names the failed check when a cached classification
-    # is replaced by the broken one
+def test_a_broken_partition_fails_the_classify_suite(monkeypatch):
+    # the verify report names the failed check when the classification of
+    # one viewpoint is replaced by the broken one
     cube = face_lattice(build_polytope(CORPUS_VERTICES["CUBE"]))
     x = cl.sample_viewpoints(cube.polytope, "lowerupper", count=vf.VIEWPOINTS, seed=0)[0]
-    broken = _broken(cube, _opposite_facets(cube))
-    cube._cache["classifications"] = {("lowerupper", tuple(x)): broken}
+    broken = replace(_broken(cube, _opposite_facets(cube)), kind="lowerupper", point=x)
+    classify = cl.classify
+
+    def one_broken(lat, kind, y):
+        return broken if (kind, y) == ("lowerupper", x) else classify(lat, kind, y)
+
+    monkeypatch.setattr(cl, "classify", one_broken)
     failed = [r.name for r in vf.classify_suite(cube, seed=0) if not r.passed]
     assert "lowerupper: ball/sphere homology of nerves" in failed
     assert "lowerupper: partition structure" not in failed

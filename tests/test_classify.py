@@ -168,10 +168,13 @@ def test_ball_and_sphere_homology_shadows(lattices):
 def test_definitional_check_examples(sq, seg):
     right = face_id(sq, (1, 0), (1, 1))
     bottom = face_id(sq, (0, 0), (1, 0))
-    assert cl.definitional_check(sq, "visibility", (2, 2), right)
-    assert cl.definitional_check(sq, "visibility", (2, 2), bottom)
+    c = cl.classify(sq, "visibility", (2, 2))
+    assert right in c.complex_side and bottom in c.filter_side
+    assert cl.definitional_check(c) == 0
     v0 = face_id(seg, (0,))
-    assert cl.definitional_check(seg, "lowerupper", (1,), v0)
+    c = cl.classify(seg, "lowerupper", (1,))
+    assert v0 in c.complex_side
+    assert cl.definitional_check(c) == 0
 
 
 def test_definitional_check_everywhere(lattices):
@@ -179,8 +182,7 @@ def test_definitional_check_everywhere(lattices):
         lat = lattices[name]
         for kind in cl.KINDS:
             for x in cl.sample_viewpoints(lat.polytope, kind, count=3, seed=4):
-                for fid in range(lat.top_id):
-                    assert cl.definitional_check(lat, kind, x, fid)
+                assert cl.definitional_check(cl.classify(lat, kind, x)) == 0, (name, kind, x)
 
 
 def test_definitional_check_detects_misclassification(sq):
@@ -194,27 +196,26 @@ def test_definitional_check_detects_misclassification(sq):
     # blindly true for other viewpoints
     c2 = cl.classify_visibility(sq, (-2, Fraction(1, 2)))
     assert right in c2.filter_side.members
-    assert cl.definitional_check(sq, "visibility", (-2, Fraction(1, 2)), right)
+    assert not cl.definitional_check(c2) >> right & 1
 
 
 def test_definitional_check_fails_when_one_face_changes_sides():
     # with only vertices and barycenters drawn, a partition with any one face
-    # moved to the other side still fails the check at that face
+    # moved to the other side fails the check at that face and nowhere else
     moved = Counter()
     for name in ("SEG", "TRI", "SQ", "CUBE", "TRI2"):
-        lat = face_lattice(build_polytope(CORPUS_VERTICES[name]))  # a private cache
-        cache = lat._cache.setdefault("classifications", {})
+        lat = face_lattice(build_polytope(CORPUS_VERTICES[name]))
         for kind in cl.KINDS:
             for x in cl.sample_viewpoints(lat.polytope, kind, count=3, seed=5):
                 c = cl.classify(lat, kind, x)
                 for fid in range(lat.top_id):
                     flip = 1 << fid
-                    cache[kind, tuple(x)] = replace(
+                    broken = replace(
                         c,
                         filter_side=bd.FaceSubset(lat, c.filter_side.mask ^ flip),
                         complex_side=bd.FaceSubset(lat, c.complex_side.mask ^ flip),
                     )
-                    assert not cl.definitional_check(lat, kind, x, fid), (name, kind, x, fid)
+                    assert cl.definitional_check(broken) == flip, (name, kind, x, fid)
                     moved[kind, fid in c.complex_side] += 1
     assert len(moved) == 2 * len(cl.KINDS), moved
 
@@ -242,7 +243,8 @@ def test_ray_parameter_interval_matches_grid_and_exact_oracles(lattices):
         n = poly.dim
         for fid in range(lat.top_id):
             coords = lat.vertex_coords(fid)
-            starts = [tuple(Fraction(c, a) for c in v) for v, a in cl._sample_points(lat, fid)]
+            starts = [tuple(map(Fraction, v)) for v in coords]
+            starts.append(tuple(Fraction(sum(c), len(coords)) for c in zip(*coords)))
             for _ in range(2):
                 w = [rng.randint(1, 6) for _ in coords]
                 starts.append(
@@ -274,8 +276,8 @@ def test_ray_parameter_interval_matches_grid_and_exact_oracles(lattices):
 
 
 def _fraction_rays(lattice, kind, x, fid):
-    """Ray verdicts from the vertices and barycenter of a face, in Fractions
-    and with no cache, by Fourier-Motzkin."""
+    """Ray verdicts from the vertices and barycenter of a face, in Fractions,
+    by Fourier-Motzkin."""
     coords = lattice.vertex_coords(fid)
     starts = [tuple(map(Fraction, v)) for v in coords]
     starts.append(tuple(Fraction(sum(c), len(coords)) for c in zip(*coords)))
@@ -292,35 +294,42 @@ def _fraction_rays(lattice, kind, x, fid):
     return out
 
 
-def test_cached_integer_ray_verdicts_match_uncached_fractions():
+def test_integer_ray_verdicts_match_fraction_oracle():
+    # a partition with every face on the complex side (every ray must leave
+    # at once) fails exactly at the faces with a ray that re-enters, and one
+    # with every face on the filter side exactly at the others
     drawn = Counter()
     for name in ("SEG", "TRI", "SQ", "CUBE", "TRI2"):
-        lat = face_lattice(build_polytope(CORPUS_VERTICES[name]))  # a cold cache
+        lat = face_lattice(build_polytope(CORPUS_VERTICES[name]))
+        everything = bd.FaceSubset(lat, lat.proper_mask)
         for kind in cl.KINDS:
             for x in cl.sample_viewpoints(lat.polytope, kind, count=4, seed=0):
-                expected = {}
+                c = cl.classify(lat, kind, x)
+                hit = 0
                 for fid in range(lat.top_id):
                     rays = _fraction_rays(lat, kind, x, fid)
-                    expected.update(rays)
-                    complex_side = fid in cl.classify(lat, kind, x).complex_side
-                    verdict = not any(rays.values()) if complex_side else any(rays.values())
-                    assert cl.definitional_check(lat, kind, x, fid) == verdict
-                # one cached verdict per start point, each the uncached one
-                _, _, cached = lat._cache["ray_verdicts"][kind, tuple(x)]
-                got = {tuple(Fraction(c, a) for c in v): hit for (v, a), hit in cached.items()}
-                assert got == expected, (name, kind, x)
-                drawn.update((kind, hit) for hit in got.values())
+                    hit |= any(rays.values()) << fid
+                    drawn.update((kind, h) for h in rays.values())
+                all_complex = replace(c, complex_side=everything)
+                all_filter = replace(c, complex_side=everything.complement())
+                assert cl.definitional_check(all_complex) == hit, (name, kind, x)
+                assert cl.definitional_check(all_filter) == lat.proper_mask & ~hit, (name, kind, x)
+                # the partition itself: visible / back / lower faces are the missed ones
+                assert c.complex_side.mask == lat.proper_mask & ~hit, (name, kind, x)
+                assert cl.definitional_check(c) == 0, (name, kind, x)
     # rays that re-enter and rays that leave at once, for every kind
     assert set(drawn) == {(kind, hit) for kind in cl.KINDS for hit in (True, False)}, drawn
 
 
 def test_definitional_check_classifies_once_per_viewpoint(monkeypatch):
-    lat = face_lattice(build_polytope(CORPUS_VERTICES["SQ"]))  # a cold cache
+    # the check reads the partition it is given and classifies nothing itself
+    lat = face_lattice(build_polytope(CORPUS_VERTICES["SQ"]))
     calls = []
     original = cl.classify
     monkeypatch.setattr(cl, "classify", lambda *a: calls.append(a[1:]) or original(*a))
     for kind in cl.KINDS:
         for x in cl.sample_viewpoints(lat.polytope, kind, count=2, seed=0):
-            for fid in range(lat.top_id):
-                assert cl.definitional_check(lat, kind, x, fid)
+            c = cl.classify(lat, kind, x)
+            assert cl.definitional_check(c) == 0
+            assert cl.definitional_check(c) == 0
     assert len(calls) == len(set(calls)) == 6

@@ -150,6 +150,15 @@ def test_classify_inside_point_exits_2(capsys, sq_file):
     assert code == 2
 
 
+@pytest.mark.parametrize("kind", ["vis", "frontback", "lowup"])
+@pytest.mark.parametrize("x", ["2,2,2", "1,0,0", "0,0,0", "3"])
+def test_classify_point_of_wrong_dimension_exits_2(capsys, sq_file, kind, x):
+    # every kind checks the length first, before its own domain test
+    code, out, err = run_main(capsys, "classify", "--input", sq_file, "--kind", kind, "--x", x)
+    assert code == 2 and out == ""
+    assert err == "error: point has wrong dimension\n"
+
+
 def test_ehrhart_command(capsys, tri_file):
     code, out, _ = run_main(capsys, "ehrhart", "--input", tri_file, "--json")
     assert code == 0
@@ -187,6 +196,21 @@ def test_ehrhart_on_tri5_is_refused_before_any_sweep(capsys, tmp_path, monkeypat
     code, out, err = run_main(capsys, "ehrhart", "--input", str(tri5))
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("error:") and "box points" in err
+
+
+def test_verify_cohomology_on_tri5_is_refused_before_any_count(capsys, tmp_path, monkeypatch):
+    # the suite reads every box budget of its twist loop before it builds the
+    # Ehrhart polynomial or runs the membership certificate
+    def no_work(*args):
+        raise AssertionError("counted despite the budget")
+
+    monkeypatch.setattr(eh, "count_lattice_points", no_work)
+    monkeypatch.setattr(sh, "membership_certificate", no_work)
+    tri5 = tmp_path / "tri5.json"
+    tri5.write_text('{"vertices": [[0,0],[100000,0],[0,100000]]}')
+    code, out, err = run_main(capsys, "verify", "--input", str(tri5), "--suite", "cohomology")
+    assert code == 2 and out == ""
+    assert err == "error: dilate box has 90000600001 points, more than the 1000000 allowed\n"
 
 
 @pytest.mark.parametrize("argv", [("ehrhart",), ("verify", "--suite", "all")])

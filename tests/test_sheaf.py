@@ -13,7 +13,7 @@ from polytoric import sheaf as sh
 from polytoric import verify as vf
 from polytoric.linalg import primitive_vector, vec_neg, vec_sub
 from polytoric.polytope import Facet, FaceLattice
-from polytoric.lp import cone_contains
+from polytoric.lp import cone_contains, dual_cone_rays
 from conftest import CORPUS_VERTICES, dilate_box, face_id, face_ids, face_mask
 from test_ehrhart import dilate_contains
 from test_extended import EXTENDED
@@ -79,6 +79,18 @@ def test_formula_equals_fm_route_on_declared_grid(lattices, name):
 def test_membership_certificate_holds_on_corpus(lattices):
     for name, lat in lattices.items():
         assert sh.membership_certificate(lat), name
+
+
+def test_barrier_cone_rays_from_v_plus_f_generators_equal_all_differences(lattices):
+    # cone(P - F) is cone(P - v0) + lin(F - v0); the double description over
+    # all |V|·|F| differences p - f is the reference
+    shapes = {name: lat.polytope for name, lat in lattices.items()}
+    shapes.update((name, build_polytope(v)) for name, v in EXTENDED.items())
+    for name, poly in shapes.items():
+        lat = face_lattice(poly)
+        for fid in range(len(lat)):
+            diffs = [vec_sub(p, f) for p in poly.vertices for f in lat.vertex_coords(fid)]
+            assert sh._barrier_cone_rays(lat, fid) == dual_cone_rays(diffs, poly.dim), (name, fid)
 
 
 def corrupted(poly, i, facet):

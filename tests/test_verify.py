@@ -113,15 +113,17 @@ def test_results_are_deterministic(tri):
 
 
 def test_classify_suite_classifies_each_viewpoint_once(monkeypatch):
-    cube = face_lattice(build_polytope(CORPUS_VERTICES["CUBE"]))  # a cold cache
-    calls = []
-    original = cl.classify
+    # and decides the ray definition once per viewpoint, on that classification
+    cube = face_lattice(build_polytope(CORPUS_VERTICES["CUBE"]))
+    calls, checked = [], []
+    original, check = cl.classify, cl.definitional_check
 
     def classify(lat, kind, x):
         calls.append((kind, tuple(x)))
         return original(lat, kind, x)
 
     monkeypatch.setattr(cl, "classify", classify)
+    monkeypatch.setattr(cl, "definitional_check", lambda c: checked.append(c) or check(c))
     assert all(r.passed for r in vf.classify_suite(cube, seed=0))
     distinct = {
         (kind, tuple(x))
@@ -130,3 +132,10 @@ def test_classify_suite_classifies_each_viewpoint_once(monkeypatch):
     }
     assert len(distinct) == 12
     assert sorted(calls) == sorted(distinct)
+    assert [(c.kind, c.point) for c in checked] == calls
+
+
+def test_verify_keeps_no_classification_on_the_lattice():
+    cube = face_lattice(build_polytope(CORPUS_VERTICES["CUBE"]))
+    assert all(r.passed for r in vf.run_suite(cube, "all"))
+    assert not {"classifications", "ray_verdicts"} & set(cube._cache)
