@@ -49,12 +49,10 @@ from .polytope import (
 )
 from .sheaf import (
     GlobalCohomology,
-    GradedPiece,
     TwistFaceSet,
     classification_crosscheck,
     global_cohomology,
     graded_cohomology,
-    graded_piece,
     membership_oracle,
     twist_membership,
 )
@@ -70,7 +68,6 @@ __all__ = [
     "FaceSubset",
     "Facet",
     "GlobalCohomology",
-    "GradedPiece",
     "IntMatrix",
     "IntegerChainComplex",
     "LatticePolytope",
@@ -95,7 +92,6 @@ __all__ = [
     "face_lattice",
     "global_cohomology",
     "graded_cohomology",
-    "graded_piece",
     "is_order_filter",
     "is_subcomplex",
     "link",

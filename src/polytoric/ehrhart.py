@@ -176,14 +176,9 @@ def ehrhart_polynomial(poly: LatticePolytope) -> EhrhartPolynomial:
     return ehr
 
 
-def reciprocity_table(poly: LatticePolytope, kmax: int) -> list[tuple[int, int, int]]:
-    """Rows (k, (-1)^n E(k), interior lattice points of kP) for k = -1 .. -kmax.
-
-    Refused before any counting when the boxes of those dilates hold more
-    than ``MAX_RECIPROCITY_POINTS`` points in total.
-    """
-    if kmax < 1:
-        raise ValueError("kmax must be at least 1")
+def check_reciprocity_budget(poly: LatticePolytope, kmax: int) -> None:
+    """Refuse a reciprocity table up to kmax whose dilate boxes hold more than
+    ``MAX_RECIPROCITY_POINTS`` points in total; counts nothing."""
     widths = [hi - lo for lo, hi in poly.bounding_box()]
     total = 0
     for j in range(1, kmax + 1):
@@ -194,6 +189,14 @@ def reciprocity_table(poly: LatticePolytope, kmax: int) -> list[tuple[int, int, 
                 f"reciprocity up to {kmax} scans more than the "
                 f"{MAX_RECIPROCITY_POINTS} box points allowed"
             )
+
+
+def reciprocity_table(poly: LatticePolytope, kmax: int) -> list[tuple[int, int, int]]:
+    """Rows (k, (-1)^n E(k), interior lattice points of kP) for k = -1 .. -kmax,
+    refused before any counting by ``check_reciprocity_budget``."""
+    if kmax < 1:
+        raise ValueError("kmax must be at least 1")
+    check_reciprocity_budget(poly, kmax)
     ehr = ehrhart_polynomial(poly)
     sign = (-1) ** poly.dim
     return [

@@ -25,6 +25,10 @@ sweeps over the +-1 entries remove free pairs from every set at once
 (Kaczynski-Mischaikow-Mrozek, *Computational Homology*, 2004; Mrozek-Batko,
 *Discrete Comput. Geom.* 41, 2009). The restriction to what each set keeps
 has the set's cohomology over every ring.
+
+``face_set_complexes`` is the one route from face sets to complexes: the
+sheaf's facet-sign classes and verify's ball and sphere sets both go through
+it, and each lattice keeps one restricted complex per distinct remainder.
 """
 
 from __future__ import annotations
@@ -34,7 +38,8 @@ from functools import cached_property
 
 from .boundary import NerveComplex
 from .linalg import IntMatrix, SmithForm, normalize_ring, smith_normal_form
-from .polytope import FaceLattice
+from .parallel import parallel_map
+from .polytope import FaceLattice, transpose_bits
 
 
 @dataclass(frozen=True)
@@ -262,6 +267,26 @@ def coreduce(complex_: IntegerChainComplex, live: list[int]) -> list[int]:
             removed |= gone
         if not removed:
             return live
+
+
+def face_set_complexes(
+    lattice: FaceLattice, live: list[int], count: int
+) -> list[IntegerChainComplex]:
+    """One complex per convex face set of a batch of ``count``, with the set's
+    cohomology over every ring.
+
+    ``live[f]`` is the bitmask of the sets that hold face f (cell f of the
+    face cochain complex). The batch is coreduced at once (``coreduce``), and
+    each set gets the restriction to its remainder. The lattice keeps one
+    restriction per distinct remainder, so sets with one remainder share one
+    complex and its Smith forms, whichever caller asked for them first.
+    """
+    ambient = face_cochain_complex(lattice)
+    by_rest = lattice._cache.setdefault("remainders", {})
+    rests = transpose_bits(coreduce(ambient, live), count)
+    new = [r for r in dict.fromkeys(rests) if r not in by_rest]
+    by_rest.update(zip(new, parallel_map(lambda r: restrict_cochain_complex(ambient, r), new)))
+    return [by_rest[r] for r in rests]
 
 
 # ---------------------------------------------------------------------------

@@ -8,18 +8,19 @@ box of lattice points, whose outer shell is checked acyclic, gives the
 global answer (``global_cohomology`` says what is checked and what is
 sampled). The subcomplex depends only on the signs of the facet functionals
 at x, so one complex is kept per facet-sign class, for every twist and
-ring: the restriction to what free-pair coreduction (``homology.coreduce``)
-leaves of the class's face set, which has the same cohomology. On every
-input the tests cover, an acyclic class leaves nothing, a point of kP one
-vertex and an interior point of -kP the top face. Classes with one
-remainder share one complex, and each distinct complex's cohomology over
-Z, Q and Z/p is computed once, from its Smith forms (``homology.cohomology``).
-``graded_piece`` builds the full restriction on request. The closed-form
-contributors and the scan both read ``ehrhart.line_spans``: on each line of
-the box every facet holds on one interval, so the scan cuts the line at the
-interval ends into at most F + 1 runs of one class (F facets), keyed by its
-facet bitmask (bit j set iff facet j holds). The new classes of a scan are
-coreduced in one bit-sliced batch, read straight off those bitmasks. Only
+ring: the restriction to what free-pair coreduction leaves of the class's
+face set, which has the same cohomology (``homology.face_set_complexes``,
+the route verify's ball and sphere sets take too). On every input the tests
+cover, an acyclic class leaves nothing, a point of kP one vertex and an
+interior point of -kP the top face. Classes with one remainder share one
+complex, and each distinct complex's cohomology over Z, Q and Z/p is
+computed once, from its Smith forms (``homology.cohomology``). The tests
+keep the full restriction as the oracle. The closed-form contributors and
+the scan both read ``ehrhart.line_spans``: on each line of the box every
+facet holds on one interval, so the scan cuts the line at the interval ends
+into at most F + 1 runs of one class (F facets), keyed by its facet bitmask
+(bit j set iff facet j holds). The new classes of a scan are coreduced in
+one bit-sliced batch, read straight off those bitmasks. Only
 runs of non-trivial classes are expanded into points. ``class_points`` reads
 the first point of each realized class off the cached runs; ``verify`` runs
 its checks on those.
@@ -43,25 +44,10 @@ from operator import mul
 
 from .classify import classify_front_back, classify_lower_upper, classify_visibility
 from .ehrhart import dilate_points, line_spans
-from .homology import (
-    CohomologyResult,
-    IntegerChainComplex,
-    cohomology,
-    coreduce,
-    face_cochain_complex,
-    restrict_cochain_complex,
-)
+from .homology import CohomologyResult, IntegerChainComplex, cohomology, face_set_complexes
 from .linalg import dot, primitive_vector, vec_neg, vec_sub
 from .lp import dual_cone_rays
-from .parallel import parallel_map
-from .polytope import (
-    FaceLattice,
-    face_lattice,
-    iter_bits,
-    negate_polytope,
-    transpose_bits,
-    union_over,
-)
+from .polytope import FaceLattice, face_lattice, iter_bits, negate_polytope, union_over
 
 MARGIN = 2  # scan box reach beyond kP; reports carry the box, so it is fixed
 DISTANT_POINT_COUNT = 32
@@ -81,12 +67,6 @@ class TwistFaceSet:
     @property
     def members(self) -> frozenset[int]:
         return frozenset(iter_bits(self.mask))
-
-
-@dataclass(frozen=True)
-class GradedPiece:
-    base: TwistFaceSet
-    complex: IntegerChainComplex
 
 
 @dataclass(frozen=True)
@@ -187,18 +167,6 @@ def twist_face_set(lattice: FaceLattice, k: int, x) -> TwistFaceSet:
     if union_over(lattice.above_masks, members) != members:
         raise RuntimeError(f"twist face set at {tuple(x)} is not upward closed")
     return TwistFaceSet(k, tuple(x), members)
-
-
-def graded_piece(lattice: FaceLattice, k: int, x) -> GradedPiece:
-    """Subcomplex of the face cochain complex spanned by the faces seeing x.
-
-    The complex is the full restriction to the twist face set, built on
-    every call. ``graded_cohomology`` and ``global_cohomology`` read the
-    class's coreduced complex instead.
-    """
-    base = twist_face_set(lattice, k, x)
-    keep = _face_set_from_signature(lattice, _signature(lattice.polytope, k, x))
-    return GradedPiece(base, restrict_cochain_complex(face_cochain_complex(lattice), keep))
 
 
 def graded_cohomology(lattice: FaceLattice, k: int, x, ring: str = "Z") -> CohomologyResult:
@@ -319,25 +287,15 @@ def _class_complexes(lattice: FaceLattice, sigs) -> list[IntegerChainComplex]:
 
     Signature bit j says whether facet j holds; the class's face set (the
     faces whose facets all hold) depends on nothing else, so its complex is
-    shared by every twist and ring. The new classes are coreduced in one
-    batch, read off ``_live_masks`` (``coreduce``; cell f of the face
-    complex is face f), and each keeps the restriction to its remainder,
-    which has the same cohomology; almost every class leaves nothing.
-    Classes with one remainder share one complex and its Smith forms. New
-    remainders are restricted on the thread pool; the merge is ordered, so
-    reports are identical for every degree of parallelism.
+    shared by every twist and ring. The new classes go through
+    ``homology.face_set_complexes`` in one batch, read off ``_live_masks``;
+    almost every class leaves nothing, and classes with one remainder share
+    one complex and its Smith forms.
     """
     cache = lattice._cache.setdefault("sign_classes", {})
-    by_rest = lattice._cache.setdefault("remainders", {})
     todo = [sig for sig in sigs if sig not in cache]
-    if not todo:
-        return [cache[sig] for sig in sigs]
-    ambient = face_cochain_complex(lattice)
-    rests = transpose_bits(coreduce(ambient, _live_masks(lattice, todo)), len(todo))
-    new = [r for r in dict.fromkeys(rests) if r not in by_rest]
-    restricted = parallel_map(lambda r: restrict_cochain_complex(ambient, r), new)
-    by_rest.update(zip(new, restricted))
-    cache.update((sig, by_rest[r]) for sig, r in zip(todo, rests))
+    if todo:
+        cache.update(zip(todo, face_set_complexes(lattice, _live_masks(lattice, todo), len(todo))))
     return [cache[sig] for sig in sigs]
 
 

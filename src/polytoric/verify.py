@@ -1,9 +1,13 @@
 """Named invariant suites over a single polytope, used by the CLI.
 
 Each check returns a CheckResult; a suite is a list of them. Everything is
-deterministic for a fixed seed and independent of the degree of parallelism.
-The cohomology suite runs its twist face set checks once per facet-sign
-class realized on the scan box, read off the scan cache, not once per point.
+deterministic for a fixed seed. ``run_suite`` reads every budget of the
+selected suites before the first one runs, so an input over one is refused
+before any work. The cohomology suite runs its twist face set checks once
+per facet-sign class realized on the scan box, read off the scan cache, not
+once per point. Ball and sphere sets go through
+``homology.face_set_complexes``, the route of the sheaf's sign classes, and
+share its complexes.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ class CheckResult:
 
 SUITES = ("all", "combinatorics", "ehrhart", "cohomology", "classify")
 VIEWPOINTS = 4  # sampled per classification kind by the classify suite
+TWISTS = range(-3, 4)  # swept by the cohomology suite
 
 
 def _check(results: list[CheckResult], name: str, passed: bool, detail: str = "") -> None:
@@ -39,16 +44,17 @@ def _check(results: list[CheckResult], name: str, passed: bool, detail: str = ""
 def face_set_cohomology(*subsets: bd.FaceSubset) -> list[tuple[int, ...] | None]:
     """Per convex face set of one lattice, the degrees of the free generators
     over Z, in order and one per rank, of the face complex restricted to it;
-    None if it has torsion. The sets are coreduced in one batch."""
+    None if it has torsion. The sets go through one batch of
+    ``homology.face_set_complexes``."""
     lattice = subsets[0].lattice
-    cx = hm.face_cochain_complex(lattice)
     live = transpose_bits([s.mask for s in subsets], len(lattice))
     out = []
-    for rest in transpose_bits(hm.coreduce(cx, live), len(subsets)):
-        if not rest & (rest - 1):  # at most one cell, Z in its own dimension: no Smith form
-            out.append((lattice.dims[rest.bit_length() - 1],) if rest else ())
+    for cx in hm.face_set_complexes(lattice, live, len(subsets)):
+        sizes = [len(layer) for layer in cx.basis_labels]
+        if sum(sizes) <= 1:  # at most one cell, Z in its own dimension: no Smith form
+            out.append(tuple(d for d, size in enumerate(sizes, cx.start_degree) if size))
         else:
-            res = hm.cohomology(hm.restrict_cochain_complex(cx, rest), "Z")
+            res = hm.cohomology(cx, "Z")
             free = tuple(d for d, r in enumerate(res.free, res.start_degree) for _ in range(r))
             out.append(None if res.has_torsion() else free)
     return out
@@ -180,14 +186,12 @@ def ehrhart_suite(lattice: FaceLattice) -> list[CheckResult]:
     out: list[CheckResult] = []
     poly = lattice.polytope
     n = poly.dim
-    # first, so that its budget is checked before any dilate is swept
-    reciprocity = eh.reciprocity_check(poly, n + 2)
     ehr = eh.ehrhart_polynomial(poly)
     extrapolates = all(
         ehr.value_at_integer(k) == eh.count_points(poly, k) for k in range(n + 3)
     )
     _check(out, "interpolation matches counts up to n+2", extrapolates)
-    _check(out, "Ehrhart reciprocity up to n+2", reciprocity)
+    _check(out, "Ehrhart reciprocity up to n+2", eh.reciprocity_check(poly, n + 2))
     roots = ehr.integral_roots()
     _check(
         out,
@@ -234,9 +238,6 @@ def cohomology_suite(lattice: FaceLattice) -> list[CheckResult]:
     out: list[CheckResult] = []
     poly = lattice.polytope
     n = poly.dim
-    for k in range(-3, 4):  # every box budget of the twist loop, before any counting
-        sh._check_box_budget(poly, k, "dilate")
-        sh._check_box_budget(poly, k, "scan")
     ehr = eh.ehrhart_polynomial(poly)
 
     # proved for every x and k, not only on a grid, by one certificate per face
@@ -248,7 +249,7 @@ def cohomology_suite(lattice: FaceLattice) -> list[CheckResult]:
 
     closed_form = True
     contributors_ok = True
-    for k in range(-3, 4):
+    for k in TWISTS:
         expect_rank = abs(ehr.value_at_integer(k))
         expect_deg = 0 if k >= 0 else n
         expected_contrib = sh.expected_contributors(lattice, k)
@@ -308,9 +309,24 @@ def cohomology_suite(lattice: FaceLattice) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
+def check_budgets(lattice: FaceLattice, suite: str) -> None:
+    """Refuse an input over a budget of the selected suites with the message
+    the work itself would give: the reciprocity table up to n+2 of the
+    Ehrhart suite, then the dilate and scan boxes of each twist of the
+    cohomology suite. Counts nothing."""
+    poly = lattice.polytope
+    if suite in ("all", "ehrhart"):
+        eh.check_reciprocity_budget(poly, poly.dim + 2)
+    if suite in ("all", "cohomology"):
+        for k in TWISTS:
+            sh._check_box_budget(poly, k, "dilate")
+            sh._check_box_budget(poly, k, "scan")
+
+
 def run_suite(lattice: FaceLattice, suite: str, seed: int = 0) -> list[CheckResult]:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
+    check_budgets(lattice, suite)
     out: list[CheckResult] = []
     if suite in ("all", "combinatorics"):
         out.extend(combinatorics_suite(lattice))

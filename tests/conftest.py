@@ -1,7 +1,10 @@
+from dataclasses import dataclass
+
 import pytest
 
 from polytoric import build_polytope, face_lattice
 from polytoric import homology as hm
+from polytoric import sheaf as sh
 
 CORPUS_VERTICES = {
     "SEG": [[0], [1]],
@@ -82,6 +85,21 @@ def dilate_box(poly, k, margin):
         (min(k * lo, k * hi) - margin, max(k * lo, k * hi) + margin)
         for lo, hi in poly.bounding_box()
     )
+
+
+@dataclass(frozen=True)
+class GradedPiece:
+    base: sh.TwistFaceSet
+    complex: hm.IntegerChainComplex
+
+
+def graded_piece(lattice, k, x):
+    """The full-restriction oracle for the graded piece at x: the face
+    cochain complex restricted to the twist face set, built on every call
+    and not coreduced. ``sheaf`` reads the class's coreduced complex."""
+    base = sh.twist_face_set(lattice, k, x)
+    ambient = hm.face_cochain_complex(lattice)
+    return GradedPiece(base, hm.restrict_cochain_complex(ambient, base.mask))
 
 
 # Nerve oracles: the ball and sphere answers from simplicial complexes,

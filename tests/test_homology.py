@@ -8,6 +8,7 @@ from polytoric import sheaf as sh
 from polytoric.linalg import IntMatrix, rank_over_field
 from conftest import (
     face_id,
+    graded_piece,
     has_sphere_homology,
     is_reduced_acyclic,
     nerve_reduced_cohomology,
@@ -164,7 +165,7 @@ def _oracle_complexes(lattices):
         lat = lattices[name]
         for k in range(-2, 3):
             for x in product(*(range(lo, hi + 1) for lo, hi in sh.scan_box(lat.polytope, k))):
-                piece = sh.graded_piece(lat, k, x)
+                piece = graded_piece(lat, k, x)
                 out.setdefault(f"{name} class {sorted(piece.base.members)}", piece.complex)
     rp2 = _projective_plane_nerve()
     out["RP2"] = hm.simplicial_chain_complex(rp2, reduced=True)

@@ -14,7 +14,7 @@ from polytoric import verify as vf
 from polytoric.linalg import primitive_vector, vec_neg, vec_sub
 from polytoric.polytope import Facet, FaceLattice
 from polytoric.lp import cone_contains, dual_cone_rays
-from conftest import CORPUS_VERTICES, dilate_box, face_id, face_ids, face_mask
+from conftest import CORPUS_VERTICES, dilate_box, face_id, face_ids, face_mask, graded_piece
 from test_ehrhart import dilate_contains
 from test_extended import EXTENDED
 
@@ -162,13 +162,13 @@ def test_oracle_fm_route_agrees_on_small_sample(tri):
 def test_graded_piece_full_and_top_only(sq, seg):
     # a graded piece is the full restriction; its class complex, which the
     # cohomology reads, is coreduced to one cell
-    g = sh.graded_piece(sq, 1, (0, 0))
+    g = graded_piece(sq, 1, (0, 0))
     assert g.base.members == frozenset(f.id for f in sq.faces)
     assert [len(layer) for layer in g.complex.basis_labels] == [4, 4, 1]
     (rest,) = sh._class_complexes(sq, [sh._signature(sq.polytope, 1, (0, 0))])
     assert [len(layer) for layer in rest.basis_labels] == [1, 0, 0]
 
-    g = sh.graded_piece(seg, -2, (-1,))
+    g = graded_piece(seg, -2, (-1,))
     assert g.base.members == {seg.top_id}
     assert [len(layer) for layer in g.complex.basis_labels] == [0, 1]
     (rest,) = sh._class_complexes(seg, [sh._signature(seg.polytope, -2, (-1,))])
@@ -477,8 +477,8 @@ def test_scan_box_over_budget_is_refused_before_enumeration(sq, monkeypatch):
 def test_class_complexes_are_shared_by_rings_and_twists(monkeypatch):
     cube = face_lattice(build_polytope(CORPUS_VERTICES["CUBE"]))  # a cold cache
     built = []
-    original = sh.restrict_cochain_complex
-    monkeypatch.setattr(sh, "restrict_cochain_complex", lambda *a: built.append(a) or original(*a))
+    original = hm.restrict_cochain_complex
+    monkeypatch.setattr(hm, "restrict_cochain_complex", lambda *a: built.append(a) or original(*a))
     sh.global_cohomology(cube, 1, "Z")
     # one restriction per distinct coreduced remainder, shared by its classes
     classes = cube._cache["sign_classes"]
@@ -520,8 +520,8 @@ def test_graded_pieces_reuse_the_scan_class_complexes(monkeypatch):
         sh.global_cohomology(cube, k, "Z")
     cached = dict(cube._cache["sign_classes"])
     built = []
-    original = sh.restrict_cochain_complex
-    monkeypatch.setattr(sh, "restrict_cochain_complex", lambda *a: built.append(a) or original(*a))
+    original = hm.restrict_cochain_complex
+    monkeypatch.setattr(hm, "restrict_cochain_complex", lambda *a: built.append(a) or original(*a))
     pieces = set()
     for k in (-1, 1):
         for x in product(*(range(lo, hi + 1) for lo, hi in sh.scan_box(poly, k))):
@@ -529,7 +529,7 @@ def test_graded_pieces_reuse_the_scan_class_complexes(monkeypatch):
             res = sh.graded_cohomology(cube, k, x, "Z")
             assert res == hm.cohomology(cached[sig], "Z"), (k, x)
             # the full restriction, built on every call
-            piece = sh.graded_piece(cube, k, x)
+            piece = graded_piece(cube, k, x)
             pieces.add(sig)
             kept = {f for layer in piece.complex.basis_labels for f in layer}
             assert kept == piece.base.members, (k, x)

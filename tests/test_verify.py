@@ -4,9 +4,12 @@ import polytoric.polytope as polytope_module
 from polytoric import boundary as bd
 from polytoric import build_polytope, face_lattice
 from polytoric import classify as cl
+from polytoric import ehrhart as eh
+from polytoric import homology as hm
+from polytoric import sheaf as sh
 from polytoric import verify as vf
 from polytoric.polytope import Facet, FaceLattice, LatticePolytope
-from conftest import CORPUS_VERTICES, face_id
+from conftest import CORPUS_VERTICES, coreduce_masks, face_id
 
 
 def test_all_suites_pass_on_small_corpus(lattices):
@@ -21,6 +24,47 @@ def test_verify_builds_no_face_view():
     lat = face_lattice(build_polytope(CORPUS_VERTICES["CUBE"]))
     assert all(r.passed for r in vf.run_suite(lat, "all"))
     assert "faces" not in vars(lat)
+
+
+def test_all_suites_refuse_tri5_before_any_sweep(monkeypatch):
+    # the triangle of legs 10^5: the Ehrhart suite's reciprocity budget is
+    # read before the combinatorics suite counts its irredundancy box
+    lat = face_lattice(build_polytope([[0, 0], [100000, 0], [0, 100000]]))
+    sweeps = []
+    original = eh.line_spans
+
+    def counting(*args):
+        sweeps.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(eh, "line_spans", counting)
+    monkeypatch.setattr(sh, "line_spans", counting)
+    with pytest.raises(ValueError, match="reciprocity up to 4 scans more than the 100000000"):
+        vf.run_suite(lat, "all")
+    assert sweeps == []
+
+
+def test_ball_sphere_sets_and_sign_classes_share_one_complex_per_remainder(monkeypatch):
+    cube = face_lattice(build_polytope(CORPUS_VERTICES["CUBE"]))  # a cold cache
+    built = []
+    original = hm.restrict_cochain_complex
+    monkeypatch.setattr(
+        hm, "restrict_cochain_complex", lambda cx, keep: built.append(keep) or original(cx, keep)
+    )
+    assert all(r.passed for r in vf.run_suite(cube, "all"))
+    remainders = cube._cache["remainders"]
+    assert len(built) == len(set(built)) and set(built) == set(remainders)
+    # the classify suite's ball and sphere sets, coreduced again by hand
+    sets = []
+    for kind in cl.KINDS:
+        for x in cl.sample_viewpoints(cube.polytope, kind, vf.VIEWPOINTS, 0):
+            c = cl.classify(cube, kind, x)
+            sets += [c.complex_side, bd.closure(c.filter_side), c.filter_side, c.boundary]
+    rests = coreduce_masks(hm.face_cochain_complex(cube), [s.mask for s in sets])
+    assert set(rests) <= set(remainders)
+    classes = {id(c) for c in cube._cache["sign_classes"].values()}
+    assert classes <= {id(c) for c in remainders.values()}
+    assert classes & {id(remainders[r]) for r in rests}
 
 
 def test_unknown_suite_rejected(seg):
