@@ -401,17 +401,27 @@ def test_report_roundtrip_byte_identical(capsys, sq_file):
     assert canonical_json(json.loads(text)) == text
 
 
-def test_thread_knob_is_gone_and_reports_unchanged(capsys, monkeypatch, sq_file):
-    # the thread pool is removed: the variable that opted in to it is ignored
-    from polytoric import parallel
-
+def test_reports_identical_across_runs_and_threads(capsys, monkeypatch, sq_file):
+    # the thread pool is removed: the variable that opted in to it is ignored,
+    # and a second run with it set gives the same report
     argv = ("verify", "--input", sq_file, "--suite", "all", "--seed", "0", "--json")
     monkeypatch.delenv("TORIC_THREADS", raising=False)
     code, plain, _ = run_main(capsys, *argv)
     assert code == 0
     monkeypatch.setenv("TORIC_THREADS", "4")
-    assert parallel.worker_count() == 1
     assert run_main(capsys, *argv)[:2] == (0, plain)
+
+
+def test_thread_pool_is_serial_unless_asked_for(monkeypatch):
+    # nothing asks for threads any more: every setting of the old variable is serial
+    from polytoric import parallel
+
+    for raw in (None, "0", "-2", "many", "3", "4"):
+        if raw is None:
+            monkeypatch.delenv("TORIC_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("TORIC_THREADS", raw)
+        assert parallel.worker_count() == 1, raw
 
 
 def test_twist_face_set_not_upward_closed_is_a_fail_line(capsys, sq, sq_file, monkeypatch):
