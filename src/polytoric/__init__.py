@@ -54,7 +54,6 @@ from .sheaf import (
     global_cohomology,
     graded_cohomology,
     membership_oracle,
-    twist_membership,
 )
 
 __version__ = "0.1.0"
@@ -106,5 +105,4 @@ __all__ = [
     "smith_normal_form",
     "splitting_index",
     "star",
-    "twist_membership",
 ]

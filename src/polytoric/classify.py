@@ -2,14 +2,16 @@
 
 Three partitions of the proper faces: visible/invisible from an outside
 point, front/back with respect to a point off the interior, and lower/upper
-with respect to a nonzero direction. Each one is decided by exact facet sign
-tests, its sides face-id bitmasks read off ``FaceLattice.faces_on``; the
-ray-based definitions are kept as a cross-check oracle on the vertices and
-barycenter of each face, decided exactly in integers in one pass per
-classification: one ray per vertex, however many faces share it. ``sheaf``
-matches the twist face sets for k in {1, 0, -1} with these partitions, once
-per facet-sign class, and proves its membership formula by a per-face
-certificate rather than by sampling.
+with respect to a nonzero direction. Each one is decided by one pass of
+facet sign tests, ``LatticePolytope.holds`` at k = 1 (visibility, and
+front/back strictly) or k = 0 strictly (lower/upper), which also tells
+whether the point is in the domain; the sides are face-id bitmasks read off
+``FaceLattice.faces_on``. The ray-based definitions are kept as a
+cross-check oracle on the vertices and barycenter of each face, decided
+exactly in integers in one pass per classification: one ray per vertex,
+however many faces share it. ``sheaf`` matches the twist face sets for k in
+{1, 0, -1} with these partitions, once per facet-sign class, and proves its
+membership formula by a per-face certificate rather than by sampling.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 from operator import mul
 
 from .boundary import FaceSubset, closure
-from .linalg import dot, scale_to_integers
+from .linalg import scale_to_integers
 from .polytope import FaceLattice
 
 KINDS = ("visibility", "frontback", "lowerupper")
@@ -53,29 +55,26 @@ def _partition(lattice, kind, x, complex_facets: int) -> Classification:
 def classify_visibility(lattice: FaceLattice, x) -> Classification:
     """Visible faces lie in a facet whose inequality the viewpoint violates."""
     poly = lattice.polytope
-    if poly.contains(x):
+    held = poly.holds(x)
+    if held.bit_count() == len(poly.facets):
         raise ValueError("viewpoint inside polytope")
-    visible = sum(1 << i for i, f in enumerate(poly.facets) if f.value(x) < 0)
-    return _partition(lattice, "visibility", x, visible)
+    return _partition(lattice, "visibility", x, ~held)
 
 
 def classify_front_back(lattice: FaceLattice, x) -> Classification:
     """Back faces lie in a facet keeping the point on its positive side."""
     poly = lattice.polytope
-    if poly.contains(x, strict=True):
+    back = poly.holds(x, strict=True)
+    if back.bit_count() == len(poly.facets):
         raise ValueError("point inside the interior")
-    back = sum(1 << i for i, f in enumerate(poly.facets) if f.value(x) > 0)
     return _partition(lattice, "frontback", x, back)
 
 
 def classify_lower_upper(lattice: FaceLattice, x) -> Classification:
     """Lower faces lie in a facet whose inward normal has positive pairing with x."""
-    poly = lattice.polytope
-    if len(x) != poly.dim:
-        raise ValueError("point has wrong dimension")
+    lower = lattice.polytope.holds(x, 0, strict=True)
     if all(c == 0 for c in x):
         raise ValueError("zero direction")
-    lower = sum(1 << i for i, f in enumerate(poly.facets) if dot(x, f.normal) > 0)
     return _partition(lattice, "lowerupper", x, lower)
 
 

@@ -29,20 +29,25 @@ MAX_RECIPROCITY_POINTS = 10**8
 MAX_SWEEP_LINES = 10**6
 
 
+def _check_sweep_lines(box) -> None:
+    """Refuse a ``line_spans`` sweep of the box over ``MAX_SWEEP_LINES`` lines."""
+    lines = prod(max(0, h - l + 1) for l, h in box[:-1])
+    if lines > MAX_SWEEP_LINES:
+        raise ValueError(
+            f"a sweep of {lines} lines is more than the {MAX_SWEEP_LINES} lines allowed"
+        )
+
+
 def line_spans(inequalities, box):
     """``(prefix, spans)`` per line of the box, prefixes of the first n-1
     coordinates in ``itertools.product`` order; ``box`` is one inclusive
     (lo, hi) per coordinate. Row (a, b) holds on the span ``(first, last)``
     of t in [lo, hi] with <prefix + (t,), a> + b >= 0, empty if first > last.
     A sweep of more than ``MAX_SWEEP_LINES`` lines is refused before any
-    range is built.
+    range is built, by ``_check_sweep_lines``.
     """
+    _check_sweep_lines(box)
     *head, (lo, hi) = box
-    lines = prod(max(0, h - l + 1) for l, h in head)
-    if lines > MAX_SWEEP_LINES:
-        raise ValueError(
-            f"a sweep of {lines} lines is more than the {MAX_SWEEP_LINES} lines allowed"
-        )
     rows = [(a[:-1], a[-1], b) for a, b in inequalities]
     for prefix in product(*(range(l, h + 1) for l, h in head)):
         spans = []
@@ -178,7 +183,9 @@ def ehrhart_polynomial(poly: LatticePolytope) -> EhrhartPolynomial:
 
 def check_reciprocity_budget(poly: LatticePolytope, kmax: int) -> None:
     """Refuse a reciprocity table up to kmax whose dilate boxes hold more than
-    ``MAX_RECIPROCITY_POINTS`` points in total; counts nothing."""
+    ``MAX_RECIPROCITY_POINTS`` points in total, or whose largest sweep, the
+    box of max(kmax, n)P that the table and the polynomial both reach, has
+    more than ``MAX_SWEEP_LINES`` lines; counts nothing."""
     widths = [hi - lo for lo, hi in poly.bounding_box()]
     total = 0
     for j in range(1, kmax + 1):
@@ -189,6 +196,7 @@ def check_reciprocity_budget(poly: LatticePolytope, kmax: int) -> None:
                 f"reciprocity up to {kmax} scans more than the "
                 f"{MAX_RECIPROCITY_POINTS} box points allowed"
             )
+    _check_sweep_lines(_dilate_system(poly, max(kmax, poly.dim), False)[1])
 
 
 def reciprocity_table(poly: LatticePolytope, kmax: int) -> list[tuple[int, int, int]]:

@@ -56,15 +56,22 @@ class LatticePolytope:
             hull_incidence = _zero_masks([[f.value(v) for v in self.vertices] for f in self.facets])
         object.__setattr__(self, "incidence", hull_incidence)
 
-    def contains(self, x: Sequence, strict: bool = False) -> bool:
-        """Membership test; strict means the topological interior."""
+    def holds(self, x: Sequence, k: int = 1, strict: bool = False) -> int:
+        """Bitmask of the facets whose twisted inequality holds at x: bit i is
+        set iff <x, n_i> + k*c_i >= 0 (> 0 if strict). Every facet-sign
+        question of ``classify`` and ``sheaf`` is read off it."""
         if len(x) != self.dim:
             raise ValueError("point has wrong dimension")
-        for f in self.facets:
-            v = f.value(x)
-            if v < 0 or (strict and v == 0):
-                return False
-        return True
+        mask = 0
+        for i, f in enumerate(self.facets):
+            v = sum(map(mul, x, f.normal)) + k * f.offset
+            if v > 0 or (v == 0 and not strict):
+                mask |= 1 << i
+        return mask
+
+    def contains(self, x: Sequence, strict: bool = False) -> bool:
+        """Membership test; strict means the topological interior."""
+        return self.holds(x, 1, strict).bit_count() == len(self.facets)
 
     def bounding_box(self) -> tuple[tuple[int, int], ...]:
         return tuple(

@@ -25,14 +25,17 @@ runs of non-trivial classes are expanded into points. ``class_points`` reads
 the first point of each realized class off the cached runs; ``verify`` runs
 its checks on those.
 
-Membership is decided two ways: by facet inequalities (fast formula) and by
-an oracle on the barrier-cone generators. ``membership_certificate`` proves
-the two equal for every x and k with one comparison per face: the dual rays
-of C_F must be the primitive normals of the facets through F, each tight at
-F's lex-min vertex. The oracle's dual-cone rays come from the same
-double-description kernel as the facets; the tests compare formula and
-oracle point by point and check both against Fourier-Motzkin feasibility
-(``lp.cone_contains``), which shares no code with either.
+Every facet-sign question at a point, the signature of a class, the members
+of a twist face set and the sides of the classifications, is one
+``LatticePolytope.holds`` mask. Membership is decided two ways: by the facet
+inequalities (the fast formula, ``twist_members``) and by an oracle on the
+barrier-cone generators. ``membership_certificate`` proves the two equal for
+every x and k with one comparison per face: the dual rays of C_F must be the
+primitive normals of the facets through F, each tight at F's lex-min vertex.
+The oracle's dual-cone rays come from the same double-description kernel as
+the facets; the tests compare formula and oracle point by point and check
+both against Fourier-Motzkin feasibility (``lp.cone_contains``), which
+shares no code with either.
 """
 
 from __future__ import annotations
@@ -40,14 +43,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import prod
-from operator import mul
 
 from .classify import classify_front_back, classify_lower_upper, classify_visibility
 from .ehrhart import dilate_points, line_spans
 from .homology import CohomologyResult, IntegerChainComplex, cohomology, face_set_complexes
 from .linalg import dot, primitive_vector, vec_neg, vec_sub
 from .lp import dual_cone_rays
-from .polytope import FaceLattice, face_lattice, iter_bits, negate_polytope, union_over
+from .polytope import FaceLattice, iter_bits, union_over
 
 MARGIN = 2  # scan box reach beyond kP; reports carry the box, so it is fixed
 DISTANT_POINT_COUNT = 32
@@ -92,21 +94,6 @@ class GlobalCohomology:
         return any(self.torsion)
 
 
-def twist_membership(lattice: FaceLattice, k: int, fid: int, x) -> bool:
-    """Whether x lies in C_F + kF, via the facet inequalities through F.
-
-    Each facet containing F contributes <x, normal> + k*offset >= 0; the top
-    face has no facets and accepts everything.
-    """
-    lattice.check_id(fid)
-    poly = lattice.polytope
-    for i in iter_bits(lattice.facet_masks[fid]):
-        f = poly.facets[i]
-        if dot(x, f.normal) + k * f.offset < 0:
-            return False
-    return True
-
-
 def _barrier_cone_rays(lattice: FaceLattice, fid: int):
     # p - f = (p - v0) + (v0 - f), so C_F = cone(P - v0) + lin(F - v0): |V| + |F|
     # generators instead of the |V|·|F| differences p - f
@@ -134,7 +121,8 @@ def membership_oracle(lattice: FaceLattice, k: int, fid: int, x) -> bool:
 
 
 def membership_certificate(lattice: FaceLattice) -> bool:
-    """Whether ``twist_membership`` equals ``membership_oracle`` for all x and k.
+    """Whether the facet formula of ``twist_members`` equals ``membership_oracle``
+    for all x and k.
 
     Per face F: the dual rays of C_F are exactly the primitive normals of the
     facets through F, one ray per facet, and each of those facets vanishes at
@@ -154,11 +142,11 @@ def membership_certificate(lattice: FaceLattice) -> bool:
 
 
 def twist_members(lattice: FaceLattice, k: int, x) -> int:
-    """Face-id bitmask of the faces F with x in C_F + kF, unchecked: the facet
-    inequalities of ``twist_membership``, each evaluated once, give the mask
-    of the facets that hold, and F is kept iff every facet through it holds."""
-    poly = lattice.polytope
-    held = sum(1 << i for i, f in enumerate(poly.facets) if dot(x, f.normal) + k * f.offset >= 0)
+    """Face-id bitmask of the faces F with x in C_F + kF, unchecked: F is kept
+    iff every facet through it holds at x, <x, n_i> + k*c_i >= 0, which one
+    ``LatticePolytope.holds`` pass answers for all faces. The top face is on
+    no facet and is always kept."""
+    held = lattice.polytope.holds(x, k)
     return sum(1 << f for f, m in enumerate(lattice.facet_masks) if not m & ~held)
 
 
@@ -172,7 +160,7 @@ def twist_face_set(lattice: FaceLattice, k: int, x) -> TwistFaceSet:
 def graded_cohomology(lattice: FaceLattice, k: int, x, ring: str = "Z") -> CohomologyResult:
     """Cohomology of the graded piece at x, read from its class's coreduced
     complex, which ``global_cohomology`` shares."""
-    (complex_,) = _class_complexes(lattice, [_signature(lattice.polytope, k, x)])
+    (complex_,) = _class_complexes(lattice, [lattice.polytope.holds(x, k)])
     return cohomology(complex_, ring)
 
 
@@ -180,31 +168,14 @@ def graded_cohomology(lattice: FaceLattice, k: int, x, ring: str = "Z") -> Cohom
 # cross-checks against the face classifications
 
 
-def _negated_lattice(lattice: FaceLattice) -> tuple[FaceLattice, list[int]]:
-    cached = lattice._cache.get("negated")
-    if cached is not None:
-        return cached
-    neg = face_lattice(negate_polytope(lattice.polytope))
-    neg_index = {v: i for i, v in enumerate(neg.polytope.vertices)}
-    # vertex i of P goes to vertex perm[i] of -P
-    perm = [neg_index[vec_neg(v)] for v in lattice.polytope.vertices]
-    mapping = [
-        neg.face_by_vertices(sum(1 << perm[i] for i in iter_bits(vertices)))
-        for vertices in lattice.vertex_masks
-    ]
-    if None in mapping:
-        raise RuntimeError("face negation did not land on a face")
-    lattice._cache["negated"] = (neg, mapping)
-    return neg, mapping
-
-
 def classification_crosscheck(lattice: FaceLattice, k: int, x) -> bool:
     """Whether the twist face set matches its classification description.
 
     k = 1: proper members are the faces invisible from x (x outside P);
     k = 0: proper members are the upper faces for the direction -x (x != 0);
-    k = -1: a face is a proper member exactly when its negative is a front
-    face of -P seen from x (x outside the interior of -P).
+    k = -1: proper members are the front faces seen from -x (x outside the
+    interior of -P). The facets of -P are (-n_i, c_i), so x -> -x maps the
+    front faces of -P seen from x onto these, and -P is never built.
     """
     poly = lattice.polytope
     proper_members = twist_members(lattice, k, x) & lattice.proper_mask
@@ -218,11 +189,9 @@ def classification_crosscheck(lattice: FaceLattice, k: int, x) -> bool:
         expected = classify_lower_upper(lattice, vec_neg(x)).filter_side.mask
         return proper_members == expected
     if k == -1:
-        neg, mapping = _negated_lattice(lattice)
-        if neg.polytope.contains(x, strict=True):
+        if poly.contains(vec_neg(x), strict=True):
             raise ValueError("crosscheck for k=-1 needs x outside the interior of -P")
-        front = classify_front_back(neg, x).filter_side.mask
-        return sum(1 << mapping[f] for f in iter_bits(proper_members)) == front
+        return proper_members == classify_front_back(lattice, vec_neg(x)).filter_side.mask
     raise ValueError("crosscheck is defined for k in {1, 0, -1}")
 
 
@@ -254,14 +223,10 @@ def _check_box_budget(poly, k: int, what: str):
     return box
 
 
-def _signature(poly, k: int, x) -> int:
-    """Bitmask of the facets that hold at x: bit i set iff <x, n_i> + k*c_i >= 0."""
-    return sum(1 << i for i, f in enumerate(poly.facets) if dot(x, f.normal) + k * f.offset >= 0)
-
-
-def _face_set_from_signature(lattice: FaceLattice, sig: int) -> int:
+def _class_face_set(lattice: FaceLattice, sig: int) -> int:
     """Face-id bitmask (bit f for face f) of the faces on no facet that fails
-    in the signature; bit j of ~sig is set iff facet j fails."""
+    in the class's signature, a ``holds`` mask; bit j of ~sig is set iff
+    facet j fails."""
     return (1 << len(lattice)) - 1 & ~lattice.faces_on(~sig)
 
 
@@ -348,8 +313,7 @@ def _scan(lattice: FaceLattice, k: int):
             runs.append((classes.setdefault(sig, len(classes)), prefix, first, end - 1))
     distant_ids = []
     for x in _distant_points(poly, k, box):
-        sig = sum(1 << i for i, (a, b) in enumerate(rows) if sum(map(mul, x, a)) + b >= 0)
-        distant_ids.append(classes.setdefault(sig, len(classes)))
+        distant_ids.append(classes.setdefault(poly.holds(x, k), len(classes)))
     cache[k] = (list(classes), runs, distant_ids)
     return cache[k]
 

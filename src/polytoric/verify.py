@@ -273,8 +273,8 @@ def cohomology_suite(lattice: FaceLattice) -> list[CheckResult]:
     # Both sides of the cross-check depend on x only through the facet-sign
     # signature at twist k: the twist face set by construction, and the
     # classification because k = 1 sees facet i visible iff v_i < 0, k = 0
-    # calls it lower for -x iff <x, n_i> < 0, and k = -1 calls its negative a
-    # back facet of -P iff v_i < 0. The first box point of each realized class
+    # calls it lower for -x iff <x, n_i> < 0, and k = -1 calls it a back facet
+    # seen from -x iff v_i < 0. The first box point of each realized class
     # decides it; the exclusions (x in P, 0, int(-P)) depend on it alone too.
     cross_ok = True
     classes = {k: sh.class_points(lattice, k) for k in (1, 0, -1)}
@@ -299,7 +299,7 @@ def cohomology_suite(lattice: FaceLattice) -> list[CheckResult]:
     monotone_ok = True
     for sig, x in classes[1]:
         members = sh.twist_members(lattice, 1, x)
-        dedup_ok = dedup_ok and members == sh._face_set_from_signature(lattice, sig)
+        dedup_ok = dedup_ok and members == sh._class_face_set(lattice, sig)
         monotone_ok = monotone_ok and union_over(lattice.above_masks, members) == members
     _check(out, "equal facet-sign vectors give equal twist face sets", dedup_ok)
     _check(out, "twist face sets are upward closed", monotone_ok)

@@ -3,8 +3,11 @@ from dataclasses import dataclass
 import pytest
 
 from polytoric import build_polytope, face_lattice
+from polytoric import classify as cl
 from polytoric import homology as hm
 from polytoric import sheaf as sh
+from polytoric.linalg import vec_neg
+from polytoric.polytope import iter_bits, negate_polytope
 
 CORPUS_VERTICES = {
     "SEG": [[0], [1]],
@@ -55,7 +58,7 @@ def face_id(lattice, *coords):
 
 
 def face_ids(mask):
-    """Face ids of a face-id bitmask, such as ``sheaf._face_set_from_signature``
+    """Face ids of a face-id bitmask, such as ``sheaf._class_face_set``
     returns: bit f is face f."""
     return frozenset(f for f in range(mask.bit_length()) if mask >> f & 1)
 
@@ -100,6 +103,34 @@ def graded_piece(lattice, k, x):
     base = sh.twist_face_set(lattice, k, x)
     ambient = hm.face_cochain_complex(lattice)
     return GradedPiece(base, hm.restrict_cochain_complex(ambient, base.mask))
+
+
+def negated_lattice(lattice):
+    """The face lattice of -P and the face map G -> -G into it, read off the
+    vertices: face f of P goes to face ``mapping[f]`` of -P."""
+    neg = face_lattice(negate_polytope(lattice.polytope))
+    index = {v: i for i, v in enumerate(neg.polytope.vertices)}
+    perm = [index[vec_neg(v)] for v in lattice.polytope.vertices]
+    mapping = [
+        neg.face_by_vertices(sum(1 << perm[i] for i in iter_bits(vertices)))
+        for vertices in lattice.vertex_masks
+    ]
+    assert None not in mapping, "face negation did not land on a face"
+    return neg, mapping
+
+
+def minus_p_crosscheck(lattice, x, negated=None):
+    """The k = -1 cross-check through -P, the oracle for
+    ``sheaf.classification_crosscheck(lattice, -1, x)``: a face is a proper
+    member of the twist face set exactly when its negative is a front face
+    of -P seen from x. ``negated`` is ``negated_lattice(lattice)``, built
+    here if not given."""
+    neg, mapping = negated or negated_lattice(lattice)
+    if neg.polytope.contains(x, strict=True):
+        raise ValueError("crosscheck for k=-1 needs x outside the interior of -P")
+    members = sh.twist_members(lattice, -1, x) & lattice.proper_mask
+    front = cl.classify_front_back(neg, x).filter_side.mask
+    return sum(1 << mapping[f] for f in iter_bits(members)) == front
 
 
 # Nerve oracles: the ball and sphere answers from simplicial complexes,

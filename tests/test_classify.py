@@ -13,6 +13,8 @@ from polytoric.lp import lp_feasible
 from conftest import CORPUS_VERTICES, face_id, has_sphere_homology, is_reduced_acyclic
 
 LAMBDA_GRID = (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(8))
+PENTAGON = [[0, 0], [2, 0], [3, 2], [1, 3], [-1, 2]]
+TRAPEZOID = [[0, 0], [1, 0], [2, 3], [-1, 3]]
 
 
 def labels(lattice, subset):
@@ -147,6 +149,43 @@ def test_facet_membership_is_the_sign_test(lattices):
             for on, f in zip(poly.incidence, poly.facets):
                 fid = lat.face_by_vertices(on)
                 assert (fid in c.filter_side.members) == (f.value(x) >= 0)
+
+
+def test_points_on_facet_hyperplanes_keep_their_sides():
+    # the sides from the facet values, one facet at a time: visible facets
+    # have value < 0, back facets value > 0, lower facets <x, n> > 0; a value
+    # of 0 puts the facet on the filter side of every kind
+    shapes = [CORPUS_VERTICES["CUBE"], CORPUS_VERTICES["TRI2"], PENTAGON, TRAPEZOID]
+    checked = Counter()
+    for vertices in shapes:
+        lat = face_lattice(build_polytope(vertices))
+        poly = lat.polytope
+        for on in poly.incidence:
+            tight = [v for i, v in enumerate(poly.vertices) if on >> i & 1]
+            for v in tight:
+                for w in tight:
+                    # v and 2v - w lie on the facet's hyperplane, w - v is parallel to it
+                    for kind, x in (
+                        ("frontback", v),
+                        ("visibility", tuple(2 * a - b for a, b in zip(v, w))),
+                        ("frontback", tuple(Fraction(3 * a - b, 2) for a, b in zip(v, w))),
+                        ("lowerupper", tuple(b - a for a, b in zip(v, w))),
+                    ):
+                        if kind == "visibility" and poly.contains(x):
+                            continue
+                        if kind == "lowerupper" and not any(x):
+                            continue
+                        values = [f.value(x) for f in poly.facets]
+                        if kind == "visibility":
+                            side = [value < 0 for value in values]
+                        elif kind == "frontback":
+                            side = [value > 0 for value in values]
+                        else:
+                            side = [dot(x, f.normal) > 0 for f in poly.facets]
+                        expected = lat.faces_on(sum(1 << i for i, s in enumerate(side) if s))
+                        assert cl.classify(lat, kind, x).complex_side.mask == expected, (kind, x)
+                        checked[kind] += 1
+    assert min(checked.values()) > 20, checked
 
 
 def test_ball_and_sphere_homology_shadows(lattices):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import product
 
 import pytest
 
@@ -9,6 +10,7 @@ from polytoric import build_polytope, cli
 from polytoric import ehrhart as eh
 from polytoric import sheaf as sh
 from polytoric.cli import canonical_json, main, parse_point
+from polytoric.polytope import LatticePolytope
 from conftest import dilate_box
 
 SQ_JSON = '{"vertices": [[0,0],[1,0],[0,1],[1,1]]}'
@@ -159,6 +161,17 @@ def test_classify_point_of_wrong_dimension_exits_2(capsys, sq_file, kind, x):
     assert err == "error: point has wrong dimension\n"
 
 
+@pytest.mark.parametrize("kind", ["vis", "frontback", "lowup"])
+def test_classify_short_point_on_the_cube_exits_2(capsys, tmp_path, kind):
+    cube = tmp_path / "cube.json"
+    cube.write_text(json.dumps({"vertices": list(product((0, 1), repeat=3))}))
+    code, out, err = run_main(
+        capsys, "classify", "--input", str(cube), "--kind", kind, "--x", "1,2"
+    )
+    assert code == 2 and out == ""
+    assert err == "error: point has wrong dimension\n"
+
+
 def test_ehrhart_command(capsys, tri_file):
     code, out, _ = run_main(capsys, "ehrhart", "--input", tri_file, "--json")
     assert code == 0
@@ -300,7 +313,7 @@ def test_cohomology_over_work_budget_exits_2(capsys, tri_file, monkeypatch):
         raise AssertionError("box enumerated despite the budget")
 
     monkeypatch.setattr(sh, "line_spans", no_enumeration)
-    monkeypatch.setattr(sh, "_signature", no_enumeration)
+    monkeypatch.setattr(LatticePolytope, "holds", no_enumeration)
     code, out, err = run_main(capsys, "cohomology", "--input", tri_file, "--twist", "100000")
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and "10001000025 points" in err

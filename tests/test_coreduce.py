@@ -57,7 +57,7 @@ def _signatures(lat):
 
 def _classes(lat):
     """Face set of every facet-sign class the scans of k in -3..3 meet."""
-    sets = {face_ids(sh._face_set_from_signature(lat, sig)) for sig in _signatures(lat)}
+    sets = {face_ids(sh._class_face_set(lat, sig)) for sig in _signatures(lat)}
     return sorted(sets, key=sorted)
 
 
@@ -99,7 +99,7 @@ def test_face_set_mask_is_the_definitional_face_set(named_lattices):
         for sig in _signatures(lat):
             held = {i for i in range(len(lat.polytope.facets)) if sig >> i & 1}
             expected = frozenset(f.id for f in lat.faces if f.facet_set <= held)
-            got = face_ids(sh._face_set_from_signature(lat, sig))
+            got = face_ids(sh._class_face_set(lat, sig))
             assert got == expected, (lat.polytope.vertices, sig)
             checked += 1
     assert checked > 1000
@@ -143,7 +143,7 @@ def test_live_masks_are_the_class_face_sets(named_lattices):
         live = sh._live_masks(lat, sigs)
         assert len(live) == len(lat.faces) and live[lat.top_id] == (1 << len(sigs)) - 1
         for c, sig in enumerate(sigs):
-            faces = sh._face_set_from_signature(lat, sig)
+            faces = sh._class_face_set(lat, sig)
             assert sum((m >> c & 1) << f for f, m in enumerate(live)) == faces, (lat, sig)
             checked += 1
         assert sh._live_masks(lat, []) == [0] * len(lat.faces)

@@ -246,6 +246,26 @@ def test_sweep_over_line_budget_is_refused_before_any_range(monkeypatch):
         eh.dilate_count(tri, 2)
 
 
+def test_reciprocity_reads_the_line_budget_of_its_largest_sweep(monkeypatch):
+    # TRI's table up to 3 sweeps 3P last, 4 lines; up to 1 the polynomial's
+    # 2P is the largest, 3 lines
+    tri = build_polytope([[0, 0], [1, 0], [0, 1]])
+    monkeypatch.setattr(eh, "MAX_SWEEP_LINES", 4)
+    assert eh.reciprocity_check(tri, 3)
+    tri = build_polytope([[0, 0], [1, 0], [0, 1]])  # an empty count table
+    monkeypatch.setattr(eh, "MAX_SWEEP_LINES", 3)
+    sweeps = []
+    original = eh.line_spans
+    monkeypatch.setattr(eh, "line_spans", lambda *a: sweeps.append(a) or original(*a))
+    with pytest.raises(ValueError, match="a sweep of 4 lines is more than the 3 lines allowed"):
+        eh.reciprocity_table(tri, 3)
+    assert sweeps == []
+    monkeypatch.setattr(eh, "MAX_SWEEP_LINES", 2)
+    with pytest.raises(ValueError, match="a sweep of 3 lines is more than the 2 lines allowed"):
+        eh.reciprocity_table(tri, 1)
+    assert sweeps == []
+
+
 def test_huge_coordinate_is_refused_by_the_line_budget():
     # a first coordinate of 10^30 once ended in an OverflowError from range
     wide = build_polytope([[0, 0], [10**30, 0], [0, 1]])

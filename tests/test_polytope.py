@@ -19,7 +19,10 @@ from polytoric.linalg import (
 )
 from polytoric.lp import dual_cone_rays
 from polytoric.polytope import Facet, FaceLattice, LatticePolytope
-from conftest import face_id, face_ids
+from conftest import CORPUS_VERTICES, face_id, face_ids
+
+PENTAGON = [[0, 0], [2, 0], [3, 2], [1, 3], [-1, 2]]
+OCTA = [[s * (i == j) for j in range(3)] for i in range(3) for s in (1, -1)]
 
 
 def facet_set(poly):
@@ -160,6 +163,54 @@ def test_contains(sq):
     assert not poly.contains((0, 0), strict=True)
     assert poly.contains((0, 0))
     assert not poly.contains((2, 0))
+
+
+def facet_holds(poly, x, k, strict):
+    """The ``holds`` mask from ``Facet.value``, one facet at a time: the
+    value of facet i on kP at x is value(x) + (k - 1) * c_i."""
+    values = [f.value(x) + (k - 1) * f.offset for f in poly.facets]
+    return sum(1 << i for i, v in enumerate(values) if v > 0 or (v == 0 and not strict))
+
+
+def test_holds_matches_the_per_facet_values():
+    # seeded points: integer and rational ones in a box around kP, and points
+    # on the facet hyperplanes of kP, k*v for a vertex v and k times a
+    # facet's centroid, for k = -3..3 and both strict settings
+    rng = random.Random(26)
+    shapes = [CORPUS_VERTICES["CUBE"], CORPUS_VERTICES["TRI2"], PENTAGON, OCTA]
+    on_hyperplanes = 0
+    for vertices in shapes:
+        poly = build_polytope(vertices)
+        n = poly.dim
+        centroids = []
+        for on in poly.incidence:
+            tight = [poly.vertices[i] for i in range(len(poly.vertices)) if on >> i & 1]
+            centroids.append(tuple(Fraction(sum(c), len(tight)) for c in zip(*tight)))
+        for k in range(-3, 4):
+            points = [tuple(k * c for c in v) for v in poly.vertices]
+            points += [tuple(k * c for c in g) for g in centroids]
+            for _ in range(40):
+                points.append(tuple(rng.randint(-5, 5) for _ in range(n)))
+                points.append(
+                    tuple(Fraction(rng.randint(-15, 15), rng.randint(1, 4)) for _ in range(n))
+                )
+            for x in points:
+                for strict in (False, True):
+                    assert poly.holds(x, k, strict) == facet_holds(poly, x, k, strict), (x, k)
+                on_hyperplanes += facet_holds(poly, x, k, False) != facet_holds(poly, x, k, True)
+            assert poly.holds(points[0], k) == poly.holds(points[0], k=k, strict=False)
+    assert on_hyperplanes > 100
+
+
+def test_holds_defaults_to_p_and_refuses_a_wrong_dimension(sq):
+    poly = sq.polytope
+    assert poly.holds((0, 0)) == poly.holds((0, 0), 1) == (1 << len(poly.facets)) - 1
+    assert poly.holds((0, 0), strict=True) == facet_holds(poly, (0, 0), 1, True)
+    for x in ((1,), (1, 2, 3), ()):
+        with pytest.raises(ValueError, match="^point has wrong dimension$"):
+            poly.holds(x)
+        with pytest.raises(ValueError, match="^point has wrong dimension$"):
+            poly.contains(x)
 
 
 def test_grading_and_galois(lattices):

@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from dataclasses import replace
-from itertools import product
+from itertools import permutations, product
 from math import prod
 
 import pytest
@@ -12,9 +12,18 @@ from polytoric import build_polytope, face_lattice
 from polytoric import sheaf as sh
 from polytoric import verify as vf
 from polytoric.linalg import primitive_vector, vec_neg, vec_sub
-from polytoric.polytope import Facet, FaceLattice
+from polytoric.polytope import Facet, FaceLattice, LatticePolytope, negate_polytope
 from polytoric.lp import cone_contains, dual_cone_rays
-from conftest import CORPUS_VERTICES, dilate_box, face_id, face_ids, face_mask, graded_piece
+from conftest import (
+    CORPUS_VERTICES,
+    dilate_box,
+    face_id,
+    face_ids,
+    face_mask,
+    graded_piece,
+    minus_p_crosscheck,
+    negated_lattice,
+)
 from test_ehrhart import dilate_contains
 from test_extended import EXTENDED
 
@@ -29,18 +38,35 @@ def fm_membership(lattice, k, fid, x):
     return cone_contains(tuple(sorted(gens)), tuple(xi - k * vi for xi, vi in zip(x, v0)))
 
 
+def member(lattice, k, fid, x):
+    """The facet formula for one face: bit fid of ``twist_members``."""
+    return bool(sh.twist_members(lattice, k, x) >> fid & 1)
+
+
+def facet_formula(lattice, k, fid, x):
+    """x in C_F + kF face by face: every facet through F holds at x,
+    <x, n_i> + k*c_i >= 0, each from ``Facet.value``; the top face is on no
+    facet. The per-face reference for the one mask of ``twist_members``."""
+    facets = lattice.polytope.facets
+    return all(
+        facets[i].value(x) + (k - 1) * facets[i].offset >= 0
+        for i in range(len(facets))
+        if lattice.facet_masks[fid] >> i & 1
+    )
+
+
 def test_twist_membership_top_face_always(sq):
     for k in (-3, -1, 0, 2):
         for x in ((0, 0), (5, -7), (-2, 3)):
-            assert sh.twist_membership(sq, k, sq.top_id, x)
+            assert member(sq, k, sq.top_id, x)
 
 
 def test_twist_membership_square_corner(sq):
     v11 = face_id(sq, (1, 1))
-    assert sh.twist_membership(sq, 1, v11, (1, 1))
-    assert not sh.twist_membership(sq, 1, v11, (2, 1))
-    assert sh.twist_membership(sq, -1, v11, (-1, -1))
-    assert not sh.twist_membership(sq, -1, v11, (0, -1))
+    assert member(sq, 1, v11, (1, 1))
+    assert not member(sq, 1, v11, (2, 1))
+    assert member(sq, -1, v11, (-1, -1))
+    assert not member(sq, -1, v11, (0, -1))
 
 
 def test_membership_oracle_segment(seg):
@@ -57,8 +83,9 @@ def test_formula_equals_oracle_on_declared_grid(lattices, name):
     n = lat.polytope.dim
     for k in range(-2, 3):
         for x in product(range(-3, 5), repeat=n):
+            members = sh.twist_members(lat, k, x)
             for f in lat.faces:
-                assert sh.twist_membership(lat, k, f.id, x) == sh.membership_oracle(
+                assert bool(members >> f.id & 1) == sh.membership_oracle(
                     lat, k, f.id, x
                 ), (name, k, x, f.id)
 
@@ -70,8 +97,9 @@ def test_formula_equals_fm_route_on_declared_grid(lattices, name):
     lat = lattices[name]
     for k in range(-2, 3):
         for x in product(range(-3, 5), repeat=lat.polytope.dim):
+            members = sh.twist_members(lat, k, x)
             for f in lat.faces:
-                assert sh.twist_membership(lat, k, f.id, x) == fm_membership(
+                assert bool(members >> f.id & 1) == fm_membership(
                     lat, k, f.id, x
                 ), (name, k, x, f.id)
 
@@ -106,9 +134,10 @@ def corrupted(poly, i, facet):
 def grid_mismatch(lat):
     n = lat.polytope.dim
     return any(
-        sh.twist_membership(lat, k, f.id, x) != sh.membership_oracle(lat, k, f.id, x)
+        bool(members >> f.id & 1) != sh.membership_oracle(lat, k, f.id, x)
         for k in range(-2, 3)
         for x in product(range(-3, 5), repeat=n)
+        for members in (sh.twist_members(lat, k, x),)
         for f in lat.faces
     )
 
@@ -165,13 +194,13 @@ def test_graded_piece_full_and_top_only(sq, seg):
     g = graded_piece(sq, 1, (0, 0))
     assert g.base.members == frozenset(f.id for f in sq.faces)
     assert [len(layer) for layer in g.complex.basis_labels] == [4, 4, 1]
-    (rest,) = sh._class_complexes(sq, [sh._signature(sq.polytope, 1, (0, 0))])
+    (rest,) = sh._class_complexes(sq, [sq.polytope.holds((0, 0), 1)])
     assert [len(layer) for layer in rest.basis_labels] == [1, 0, 0]
 
     g = graded_piece(seg, -2, (-1,))
     assert g.base.members == {seg.top_id}
     assert [len(layer) for layer in g.complex.basis_labels] == [0, 1]
-    (rest,) = sh._class_complexes(seg, [sh._signature(seg.polytope, -2, (-1,))])
+    (rest,) = sh._class_complexes(seg, [seg.polytope.holds((-1,), -2)])
     assert rest.basis_labels == ((), (seg.top_id,))
 
 
@@ -235,7 +264,7 @@ def test_crosscheck_over_scan_boxes(lattices):
     for name in ("SEG", "TRI", "SQ", "CUBE"):
         lat = lattices[name]
         poly = lat.polytope
-        neg = sh.negate_polytope(poly)
+        neg = negate_polytope(poly)
         for k in (1, 0, -1):
             box = sh.scan_box(poly, k)
             for x in product(*(range(lo, hi + 1) for lo, hi in box)):
@@ -254,7 +283,7 @@ def test_crosscheck_verdict_depends_only_on_the_signature(lattices, name, monkey
     # must be constant on each class for that to equal the per-point check
     lat = lattices[name]
     poly = lat.polytope
-    neg = sh.negate_polytope(poly)
+    neg = negate_polytope(poly)
     per_point = []
     classes = {}
     for k in (1, 0, -1):
@@ -268,13 +297,13 @@ def test_crosscheck_verdict_depends_only_on_the_signature(lattices, name, monkey
                 continue
             verdict = sh.classification_crosscheck(lat, k, x)
             per_point.append(verdict)
-            first = by_class.setdefault(sh._signature(poly, k, x), verdict)
+            first = by_class.setdefault(poly.holds(x, k), verdict)
             assert verdict == first, (name, k, x)
     calls = {k: [] for k in classes}
     original = sh.classification_crosscheck
 
     def record(lattice, k, x):
-        calls[k].append(sh._signature(poly, k, x))
+        calls[k].append(poly.holds(x, k))
         return original(lattice, k, x)
 
     monkeypatch.setattr(sh, "classification_crosscheck", record)
@@ -285,6 +314,54 @@ def test_crosscheck_verdict_depends_only_on_the_signature(lattices, name, monkey
     # one call per realized class, and every class is called
     for k, sigs in calls.items():
         assert sorted(sigs) == sorted(classes[k]), (name, k)
+
+
+MINUS_P_SHAPES = {
+    "CUBE3": CORPUS_VERTICES["CUBE"],
+    "OCTA": EXTENDED["OCTA"],
+    "PENTAGON": [[0, 0], [2, 0], [3, 2], [1, 3], [-1, 2]],
+    "TRAPEZOID": [[0, 0], [1, 0], [2, 3], [-1, 3]],
+    "PERMUTO3": [list(p[:3]) for p in permutations(range(4))],
+}
+
+
+def k_minus1_points(lat):
+    """The first point of each k = -1 scan class with x outside int(-P), the
+    points verify's cross-check runs on."""
+    poly = lat.polytope
+    return [x for _, x in sh.class_points(lat, -1) if not poly.contains(vec_neg(x), strict=True)]
+
+
+@pytest.mark.parametrize("name", MINUS_P_SHAPES)
+def test_k_minus1_crosscheck_equals_the_minus_p_route(name):
+    # P at -x answers what -P answers at x
+    lat = face_lattice(build_polytope(MINUS_P_SHAPES[name]))
+    negated = negated_lattice(lat)
+    points = k_minus1_points(lat)
+    assert len(points) > 5, name
+    for x in points:
+        assert sh.classification_crosscheck(lat, -1, x) is True, (name, x)
+        assert minus_p_crosscheck(lat, x, negated) is True, (name, x)
+
+
+@pytest.mark.parametrize("name", MINUS_P_SHAPES)
+def test_both_k_minus1_routes_fail_on_a_flipped_facet_bit(name, monkeypatch):
+    # one facet's bit of the k = -1 holds mask flipped: that facet's own face
+    # joins or leaves the twist members, so both routes must fail everywhere
+    lat = face_lattice(build_polytope(MINUS_P_SHAPES[name]))
+    negated = negated_lattice(lat)
+    points = k_minus1_points(lat)
+    original = LatticePolytope.holds
+    for j in range(len(lat.polytope.facets)):
+
+        def flipped(self, x, k=1, strict=False):
+            held = original(self, x, k, strict)
+            return held ^ 1 << j if k == -1 else held
+
+        monkeypatch.setattr(LatticePolytope, "holds", flipped)
+        for x in points:
+            assert sh.classification_crosscheck(lat, -1, x) is False, (name, j, x)
+            assert minus_p_crosscheck(lat, x, negated) is False, (name, j, x)
 
 
 def test_per_class_crosscheck_detects_a_wrong_classification(monkeypatch):
@@ -302,26 +379,26 @@ def test_signature_dedup_check_detects_a_wrong_class_face_set(monkeypatch):
     assert {r.name: r.passed for r in vf.cohomology_suite(lat)}[name] is True
     # every class complex is cached now; a wrong signature-to-face-set map
     # (the lowest face id's bit dropped) must be caught by the check alone
-    original = sh._face_set_from_signature
+    original = sh._class_face_set
 
     def wrong(lattice, sig):
         members = original(lattice, sig)
         return members & (members - 1)
 
-    monkeypatch.setattr(sh, "_face_set_from_signature", wrong)
+    monkeypatch.setattr(sh, "_class_face_set", wrong)
     by_name = {r.name: r.passed for r in vf.cohomology_suite(lat)}
     assert by_name[name] is False
     assert all(passed for check, passed in by_name.items() if check != name)
 
 
 def test_twist_members_equals_the_per_face_membership_formula(lattices):
-    # the one facet mask per point against twist_membership face by face
+    # the one facet mask per point against the facet formula face by face
     for name, lat in lattices.items():
         n = lat.polytope.dim
         for k in (-2, -1, 0, 1, 2):
             for x in product(range(-3, 4), repeat=n):
                 expected = face_mask(
-                    f for f in range(len(lat)) if sh.twist_membership(lat, k, f, x)
+                    f for f in range(len(lat)) if facet_formula(lat, k, f, x)
                 )
                 assert sh.twist_members(lat, k, x) == expected, (name, k, x)
 
@@ -377,7 +454,7 @@ def test_twist_face_set_is_constant_on_each_k1_scan_class(lattices, shape):
                 assert by_class.setdefault(i, members) == members, (name, prefix, t)
         assert sorted(by_class) == list(range(len(by_class)))
         for i, members in by_class.items():
-            assert members == face_ids(sh._face_set_from_signature(lat, sigs[i])), (name, i)
+            assert members == face_ids(sh._class_face_set(lat, sigs[i])), (name, i)
         assert [sig for sig, _ in sh.class_points(lat, 1)] == sigs[: len(by_class)]
 
 
@@ -386,7 +463,7 @@ def test_cohomology_suite_runs_one_twist_face_set_per_k1_class(name, monkeypatch
     lat = face_lattice(build_polytope(CORPUS_VERTICES[name]))  # a cold cache
     poly = lat.polytope
     box = sh.scan_box(poly, 1)
-    realized = {sh._signature(poly, 1, x) for x in product(*(range(lo, hi + 1) for lo, hi in box))}
+    realized = {poly.holds(x, 1) for x in product(*(range(lo, hi + 1) for lo, hi in box))}
     twists = []
     crosschecks = []
     # verify reads twist face sets through the non-raising twist_members
@@ -394,11 +471,11 @@ def test_cohomology_suite_runs_one_twist_face_set_per_k1_class(name, monkeypatch
     original_cross = sh.classification_crosscheck
 
     def twist(lattice, k, x):
-        twists.append((k, sh._signature(poly, k, x)))
+        twists.append((k, poly.holds(x, k)))
         return original_twist(lattice, k, x)
 
     def cross(lattice, k, x):
-        crosschecks.append((k, sh._signature(poly, k, x)))
+        crosschecks.append((k, poly.holds(x, k)))
         return original_cross(lattice, k, x)
 
     monkeypatch.setattr(sh, "twist_members", twist)
@@ -469,7 +546,7 @@ def test_scan_box_over_budget_is_refused_before_enumeration(sq, monkeypatch):
         raise AssertionError("box enumerated despite the budget")
 
     monkeypatch.setattr(sh, "line_spans", no_enumeration)
-    monkeypatch.setattr(sh, "_signature", no_enumeration)
+    monkeypatch.setattr(LatticePolytope, "holds", no_enumeration)
     with pytest.raises(ValueError, match="36 points"):
         sh.global_cohomology(sq, 1, "Z")
 
@@ -525,7 +602,7 @@ def test_graded_pieces_reuse_the_scan_class_complexes(monkeypatch):
     pieces = set()
     for k in (-1, 1):
         for x in product(*(range(lo, hi + 1) for lo, hi in sh.scan_box(poly, k))):
-            sig = sh._signature(poly, k, x)
+            sig = poly.holds(x, k)
             res = sh.graded_cohomology(cube, k, x, "Z")
             assert res == hm.cohomology(cached[sig], "Z"), (k, x)
             # the full restriction, built on every call
@@ -650,7 +727,7 @@ def test_distant_points_unchanged_while_the_box_leaves_room(lattices):
 
 def test_distant_points_and_classes_match_the_randint_oracle(lattices):
     # randrange(2B + 1) - B draws what randint(-B, B) draws, and the scan's
-    # facet rows file each distant point under the class _signature gives it
+    # facet rows file each distant point under the class its holds mask names
     seg = face_lattice(build_polytope([[-1], [1]]))
     cases = [(lat, k) for lat in lattices.values() for k in range(-3, 4)] + [(seg, 60)]
     for lat, k in cases:
@@ -662,7 +739,7 @@ def test_distant_points_and_classes_match_the_randint_oracle(lattices):
         distant = sh._distant_points(poly, k, box)
         assert distant == _rejection_draw(poly, k, box, bound), (poly.vertices, k)
         sigs, _, ids = sh._scan(lat, k)
-        assert [sigs[c] for c in ids] == [sh._signature(poly, k, x) for x in distant]
+        assert [sigs[c] for c in ids] == [poly.holds(x, k) for x in distant]
     assert bound == sh.DISTANT_COORD_BOUND + 62  # the segment's box [-62, 62] covers the cube
 
 

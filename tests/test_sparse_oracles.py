@@ -3,7 +3,7 @@
 Each fast path is compared with the dense or per-point route it replaced:
 the sparse product with a dense triple loop, the sparse restriction with a
 dense submatrix copy, the simplicial coboundaries with dense rows, and the
-facet-sign runs of ``sheaf._scan`` with one ``_signature`` per point.
+facet-sign runs of ``sheaf._scan`` with one ``LatticePolytope.holds`` per point.
 The face cochain complex, whose signs come from the face lattice alone, is
 compared with one built from the full F x F order relation and geometric
 incidence signs (the determinant route: an integer basis of each face's
@@ -112,7 +112,7 @@ def _upward_closed_sets(lattice, rng, count):
     sets = {frozenset(range(len(lattice.faces)))}
     for k in (-1, 2):
         sigs = sh._scan(lattice, k)[0]
-        sets.update(face_ids(sh._face_set_from_signature(lattice, sig)) for sig in sigs)
+        sets.update(face_ids(sh._class_face_set(lattice, sig)) for sig in sigs)
     for _ in range(count):
         seeds = rng.sample(range(len(lattice.faces)), rng.randint(1, 3))
         sets.add(frozenset().union(*(face_ids(lattice.above_masks[f]) for f in seeds)))
@@ -354,7 +354,7 @@ def test_mask_restriction_matches_label_restriction(shapes):
         ambient = hm.face_cochain_complex(lat)
         for k in range(-2, 3):
             for sig in sh._scan(lat, k)[0]:
-                mask = sh._face_set_from_signature(lat, sig)
+                mask = sh._class_face_set(lat, sig)
                 for keep in (mask, *coreduce_masks(ambient, [mask])):
                     got = hm.restrict_cochain_complex(ambient, keep)
                     want = _label_restriction(ambient, face_ids(keep))
@@ -408,9 +408,9 @@ def test_scan_runs_match_per_point_signatures(shapes):
                 assert all(a != b for a, b in zip(ids, ids[1:])), (name, k, prefix)
             ids = [c for c, _, first, last in runs for _ in range(first, last + 1)]
             for x, c in zip(points, ids):
-                assert sigs[c] == sh._signature(poly, k, x), (name, k, x)
+                assert sigs[c] == poly.holds(x, k), (name, k, x)
             distant = sh._distant_points(poly, k, box)
-            assert [sigs[i] for i in distant_ids] == [sh._signature(poly, k, x) for x in distant]
+            assert [sigs[i] for i in distant_ids] == [poly.holds(x, k) for x in distant]
             # classes are numbered by first appearance, box before distant
             assert list(dict.fromkeys(ids + distant_ids)) == list(range(len(sigs)))
             assert len(set(sigs)) == len(sigs)

@@ -44,6 +44,29 @@ def test_all_suites_refuse_tri5_before_any_sweep(monkeypatch):
     assert sweeps == []
 
 
+def test_cross6_is_refused_before_the_first_sweep(monkeypatch):
+    # the 6D cross-polytope +-e_i: the interior of 8P sweeps 17^5 lines, so
+    # the reciprocity table up to n + 2 = 8 is refused before any count
+    cross6 = [[s * (i == j) for j in range(6)] for i in range(6) for s in (1, -1)]
+    lat = face_lattice(build_polytope(cross6))
+    sweeps = []
+    original = eh.line_spans
+
+    def counting(*args):
+        sweeps.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(eh, "line_spans", counting)
+    refusal = "^a sweep of 1419857 lines is more than the 1000000 lines allowed$"
+    with pytest.raises(ValueError, match=refusal):
+        eh.reciprocity_table(lat.polytope, 8)
+    with pytest.raises(ValueError, match=refusal):
+        vf.run_suite(lat, "ehrhart")
+    assert sweeps == []
+    # up to 7 the largest sweep, 15^5 lines, is within the budget
+    eh.check_reciprocity_budget(lat.polytope, 7)
+
+
 def test_ball_sphere_sets_and_sign_classes_share_one_complex_per_remainder(monkeypatch):
     cube = face_lattice(build_polytope(CORPUS_VERTICES["CUBE"]))  # a cold cache
     built = []
@@ -136,7 +159,8 @@ def test_link_off_by_one_face_fails_link_difference_check(corpus, monkeypatch):
     assert by_name["star/link/antistar: definitional = combinatorial"] is False
 
 
-def test_cohomology_suite_builds_minus_p_once(monkeypatch):
+def test_cohomology_suite_builds_no_second_polytope(monkeypatch):
+    # the k = -1 cross-check asks P at -x, so -P is never built
     lat = face_lattice(build_polytope(CORPUS_VERTICES["SQ"]))  # a cold cache
     builds = []
     original = polytope_module.build_polytope
@@ -146,8 +170,8 @@ def test_cohomology_suite_builds_minus_p_once(monkeypatch):
         return original(points)
 
     monkeypatch.setattr(polytope_module, "build_polytope", build)
-    assert all(r.passed for r in vf.cohomology_suite(lat))
-    assert len(builds) == 1
+    assert all(r.passed for r in vf.run_suite(lat, "cohomology"))
+    assert builds == []
 
 
 def test_results_are_deterministic(tri):
