@@ -5,7 +5,8 @@ the ambient dimension is inferred from the first vertex. Reports are emitted
 as canonical JSON (sorted keys, rationals as "p/q" strings, integers beyond
 the 53-bit safe range as strings) so that parsing and re-serialising a report
 is byte-identical. Exit codes: 0 success, 1 a failed check (a verify FAIL
-or an internal ``RuntimeError``), 2 bad input.
+or an internal ``RuntimeError`` or ``ArithmeticError``), 2 bad input: any
+``ValueError``, argparse's usage errors included, is one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -23,14 +24,10 @@ from . import classify as cl
 from . import ehrhart as eh
 from . import sheaf as sh
 from . import verify as vf
-from .linalg import normalize_ring
+from .linalg import is_prime
 from .polytope import build_polytope, face_lattice
 
 SAFE_INT = 2**53
-
-
-class InputError(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +61,7 @@ def parse_rational(text: str) -> Fraction:
             return Fraction(int(num), int(den))
         return Fraction(int(text))
     except (ValueError, ZeroDivisionError):
-        raise InputError(f"bad rational {text!r}") from None
+        raise ValueError(f"bad rational {text!r}") from None
 
 
 def parse_point(text: str) -> tuple[Fraction, ...]:
@@ -77,20 +74,19 @@ def load_polytope(path: str):
             raw = fh.read()
         data = json.loads(raw)
     except OSError as err:
-        raise InputError(f"cannot read {path}: {err}") from None
-    except json.JSONDecodeError as err:
-        raise InputError(f"malformed JSON in {path}: {err}") from None
+        raise ValueError(f"cannot read {path}: {err}") from None
+    except (ValueError, RecursionError) as err:
+        # bad JSON, bytes that are not UTF-8, nesting past the recursion
+        # limit, an integer over Python's 4300-digit conversion limit
+        raise ValueError(f"malformed JSON in {path}: {err}") from None
     if not isinstance(data, dict) or "vertices" not in data:
-        raise InputError('input must be a JSON object with a "vertices" key')
+        raise ValueError('input must be a JSON object with a "vertices" key')
     vertices = data["vertices"]
     if not isinstance(vertices, list) or not all(isinstance(p, list) for p in vertices):
-        raise InputError(
+        raise ValueError(
             '"vertices" must be a list of coordinate lists, like [[0, 0], [1, 0], [0, 1]]'
         )
-    try:
-        poly = build_polytope(vertices)
-    except (ValueError, TypeError) as err:
-        raise InputError(str(err)) from None
+    poly = build_polytope(vertices)
     digest = hashlib.sha256(raw.encode("utf-8")).hexdigest()
     return poly, digest
 
@@ -113,13 +109,11 @@ def cmd_faces(args):
     if args.star is not None:
         point = parse_point(args.star)
         if any(c.denominator != 1 for c in point):
-            raise InputError(f"--star needs integer vertex coordinates, got {args.star!r}")
+            raise ValueError(f"--star needs integer vertex coordinates, got {args.star!r}")
         coords = tuple(int(c) for c in point)
-        try:
-            vid = poly.vertices.index(coords)
-        except ValueError:
-            raise InputError(f"{coords} is not a vertex of the polytope") from None
-        fid = lat.face_by_vertices(1 << vid)
+        if coords not in poly.vertices:
+            raise ValueError(f"{coords} is not a vertex of the polytope")
+        fid = lat.face_by_vertices(1 << poly.vertices.index(coords))
         table = {
             "star": bd.star(lat, fid),
             "closed_star": bd.closed_star(lat, fid),
@@ -143,10 +137,7 @@ def cmd_classify(args):
     lat = face_lattice(poly)
     kind = {"vis": "visibility", "frontback": "frontback", "lowup": "lowerupper"}[args.kind]
     x = parse_point(args.x)
-    try:
-        c = cl.classify(lat, kind, x)
-    except ValueError as err:
-        raise InputError(str(err)) from None
+    c = cl.classify(lat, kind, x)
     names = {
         "visibility": ("Inv", "Vis", "dInv"),
         "frontback": ("Front", "Back", "dFront"),
@@ -170,16 +161,13 @@ def cmd_classify(args):
 
 def cmd_ehrhart(args):
     if args.kmax is not None and args.kmax < 1:
-        raise InputError(f"--kmax must be at least 1, got {args.kmax}")
+        raise ValueError(f"--kmax must be at least 1, got {args.kmax}")
     poly, digest = load_polytope(args.input)
     kmax = args.kmax if args.kmax is not None else poly.dim + 2
-    try:
-        # the table checks its budget first, so nothing is swept over budget
-        rows = eh.reciprocity_table(poly, kmax)
-        ehr = eh.ehrhart_polynomial(poly)
-        index = eh.splitting_index(poly)
-    except ValueError as err:
-        raise InputError(str(err)) from None
+    # the table checks its budget first, so nothing is swept over budget
+    rows = eh.reciprocity_table(poly, kmax)
+    ehr = eh.ehrhart_polynomial(poly)
+    index = eh.splitting_index(poly)
     roots = ehr.integral_roots()
     recip = all(signed == interior for _, signed, interior in rows)
     lines = [
@@ -206,25 +194,22 @@ def cmd_ehrhart(args):
 
 
 def _parse_ring(tag: str) -> str:
-    """Ring of a ``--ring`` tag (Zp:<p> is Z/<p>); an error names the tag as given."""
+    """Ring of a ``--ring`` tag (Zp:<p> is Z/<p>), by ``linalg.normalize_ring``'s
+    rule for p; an error names the tag as given. No p of more than 4300
+    digits is read, Python's default limit for int()."""
+    p = tag[3:] if tag.startswith("Zp:") else ""
     if tag in ("Z", "Q"):
         return tag
-    try:
-        if tag.startswith("Zp:") and normalize_ring("Z/" + tag[3:]):
-            return "Z/" + tag[3:]
-    except ValueError:
-        pass
-    raise InputError(f"bad ring tag {tag!r} (expected Z, Q or Zp:<p>, p prime)")
+    if p.isascii() and p.isdigit() and p[0] != "0" and len(p) <= 4300 and is_prime(int(p)):
+        return "Z/" + p
+    raise ValueError(f"bad ring tag {tag!r} (expected Z, Q or Zp:<p>, p prime)")
 
 
 def cmd_cohomology(args):
     ring = _parse_ring(args.ring)
     poly, digest = load_polytope(args.input)
     lat = face_lattice(poly)
-    try:
-        g = sh.global_cohomology(lat, args.twist, ring)
-    except ValueError as err:
-        raise InputError(str(err)) from None
+    g = sh.global_cohomology(lat, args.twist, ring)
     lines = [f"H^*(X_P; F({args.twist})) over {ring}"]
     per_degree = []
     for d in range(poly.dim + 1):
@@ -252,10 +237,7 @@ def cmd_verify(args):
     poly, digest = load_polytope(args.input)
     lat = face_lattice(poly)
     started = time.monotonic()
-    try:
-        results = vf.run_suite(lat, args.suite, seed=args.seed)
-    except ValueError as err:
-        raise InputError(str(err)) from None
+    results = vf.run_suite(lat, args.suite, seed=args.seed)
     elapsed = time.monotonic() - started
     lines = []
     for r in results:
@@ -283,10 +265,17 @@ def cmd_verify(args):
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error is bad input, reported by ``main`` like any other."""
+        raise ValueError(message)
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    """Built on first use, then shared by every ``main`` call in the process."""
-    parser = argparse.ArgumentParser(
+    """Built on first use, then shared by every ``main`` call in the process;
+    its subcommand parsers are ``_Parser`` too."""
+    parser = _Parser(
         prog="polytoric",
         description="Exact combinatorics and sheaf cohomology of lattice polytopes",
     )
@@ -339,17 +328,19 @@ def _attach_point_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command. The one place a refusal is reported: a ``ValueError``
+    is bad input (exit 2), a ``RuntimeError`` or ``ArithmeticError`` a failed
+    internal check (exit 1), each on one ``error:`` line."""
+    argv = _attach_point_values(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(_attach_point_values(sys.argv[1:] if argv is None else argv))
-    except SystemExit as err:
-        return 2 if err.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         code, report, lines = args.func(args)
-    except InputError as err:
+    except SystemExit as err:  # --help
+        return 2 if err.code not in (0, None) else 0
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except RuntimeError as err:
+    except (RuntimeError, ArithmeticError) as err:
         print(f"error: internal check failed: {err}", file=sys.stderr)
         return 1
     if args.json:

@@ -83,6 +83,12 @@ def count_lattice_points(inequalities, box) -> int:
     return total
 
 
+def dilate_box(poly: LatticePolytope, k: int) -> tuple[tuple[int, int], ...]:
+    """Bounding box of the literal dilate kP, one inclusive (lo, hi) per
+    coordinate, any integer k."""
+    return tuple((min(k * lo, k * hi), max(k * lo, k * hi)) for lo, hi in poly.bounding_box())
+
+
 def _dilate_system(poly: LatticePolytope, k: int, strict: bool):
     """Inequalities and box of the literal dilate kP (strict: its interior).
 
@@ -93,7 +99,7 @@ def _dilate_system(poly: LatticePolytope, k: int, strict: bool):
     rows = [
         (tuple(sign * c for c in f.normal), sign * k * f.offset - int(strict)) for f in poly.facets
     ]
-    return rows, [sorted((k * lo, k * hi)) for lo, hi in poly.bounding_box()]
+    return rows, dilate_box(poly, k)
 
 
 def dilate_points(poly: LatticePolytope, k: int, strict: bool = False):
@@ -186,17 +192,16 @@ def check_reciprocity_budget(poly: LatticePolytope, kmax: int) -> None:
     ``MAX_RECIPROCITY_POINTS`` points in total, or whose largest sweep, the
     box of max(kmax, n)P that the table and the polynomial both reach, has
     more than ``MAX_SWEEP_LINES`` lines; counts nothing."""
-    widths = [hi - lo for lo, hi in poly.bounding_box()]
     total = 0
     for j in range(1, kmax + 1):
         # each box holds at least j points, so this ends within 15000 steps
-        total += prod(j * w + 1 for w in widths)
+        total += prod(hi - lo + 1 for lo, hi in dilate_box(poly, j))
         if total > MAX_RECIPROCITY_POINTS:
             raise ValueError(
                 f"reciprocity up to {kmax} scans more than the "
                 f"{MAX_RECIPROCITY_POINTS} box points allowed"
             )
-    _check_sweep_lines(_dilate_system(poly, max(kmax, poly.dim), False)[1])
+    _check_sweep_lines(dilate_box(poly, max(kmax, poly.dim)))
 
 
 def reciprocity_table(poly: LatticePolytope, kmax: int) -> list[tuple[int, int, int]]:

@@ -33,9 +33,9 @@ barrier-cone generators. ``membership_certificate`` proves the two equal for
 every x and k with one comparison per face: the dual rays of C_F must be the
 primitive normals of the facets through F, each tight at F's lex-min vertex.
 The oracle's dual-cone rays come from the same double-description kernel as
-the facets; the tests compare formula and oracle point by point and check
-both against Fourier-Motzkin feasibility (``lp.cone_contains``), which
-shares no code with either.
+the facets, run once per vertex cone; the tests compare formula and oracle
+point by point and check both against Fourier-Motzkin feasibility
+(``lp.cone_contains``), which shares no code with either.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from math import prod
 
 from .classify import classify_front_back, classify_lower_upper, classify_visibility
-from .ehrhart import dilate_points, line_spans
+from .ehrhart import dilate_box, dilate_points, line_spans
 from .homology import CohomologyResult, IntegerChainComplex, cohomology, face_set_complexes
 from .linalg import dot, primitive_vector, vec_neg, vec_sub
 from .lp import dual_cone_rays
@@ -95,16 +95,20 @@ class GlobalCohomology:
 
 
 def _barrier_cone_rays(lattice: FaceLattice, fid: int):
-    # p - f = (p - v0) + (v0 - f), so C_F = cone(P - v0) + lin(F - v0): |V| + |F|
-    # generators instead of the |V|·|F| differences p - f
-    rays = lattice._cache.setdefault("barrier_rays", {})
-    if fid not in rays:
+    # p - f = (p - v0) + (v0 - f), so C_F = C_v0 + lin(F - v0) with C_v0 =
+    # cone(P - v0), and Dual(C_F) is the face of Dual(C_v0) that F - v0 cuts
+    # out: the rays of the vertex cone orthogonal to every f - v0. Those pair
+    # non-negatively with each such ray, so it suffices that the ray is
+    # orthogonal to their sum. One double description per vertex v0, kept on
+    # the lattice, serves all its faces; v0 is F's lex-min vertex.
+    coords = lattice.vertex_coords(fid)
+    v0 = coords[0]
+    cones = lattice._cache.setdefault("vertex_cone_rays", {})
+    if v0 not in cones:
         poly = lattice.polytope
-        v0 = lattice.lex_min_vertex(fid)
-        gens = [vec_sub(p, v0) for p in poly.vertices]
-        gens += [vec_sub(v0, f) for f in lattice.vertex_coords(fid)]
-        rays[fid] = dual_cone_rays(gens, poly.dim)
-    return rays[fid]
+        cones[v0] = dual_cone_rays([vec_sub(p, v0) for p in poly.vertices], poly.dim)
+    total = [sum(c) - len(coords) * a for c, a in zip(zip(*coords), v0)]
+    return tuple(r for r in cones[v0] if not dot(total, r))
 
 
 def membership_oracle(lattice: FaceLattice, k: int, fid: int, x) -> bool:
@@ -203,20 +207,13 @@ def scan_box(poly, k: int) -> tuple[tuple[int, int], ...]:
     """Bounding box of kP (unit box around 0 for k = 0), inflated by ``MARGIN``."""
     if k == 0:
         return tuple((-1 - MARGIN, 1 + MARGIN) for _ in range(poly.dim))
-    out = []
-    for lo, hi in poly.bounding_box():
-        a, b = sorted((k * lo, k * hi))
-        out.append((a - MARGIN, b + MARGIN))
-    return tuple(out)
+    return tuple((lo - MARGIN, hi + MARGIN) for lo, hi in dilate_box(poly, k))
 
 
 def _check_box_budget(poly, k: int, what: str):
     """Twist k's ``"dilate"`` box (bounding kP) or ``"scan"`` box (``scan_box``),
     refused if it has more than ``MAX_SCAN_POINTS`` points."""
-    if what == "scan":
-        box = scan_box(poly, k)
-    else:
-        box = [sorted((k * lo, k * hi)) for lo, hi in poly.bounding_box()]
+    box = scan_box(poly, k) if what == "scan" else dilate_box(poly, k)
     size = prod(hi - lo + 1 for lo, hi in box)
     if size > MAX_SCAN_POINTS:
         raise ValueError(f"{what} box has {size} points, more than the {MAX_SCAN_POINTS} allowed")

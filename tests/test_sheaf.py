@@ -110,7 +110,8 @@ def test_membership_certificate_holds_on_corpus(lattices):
 
 
 def test_barrier_cone_rays_from_v_plus_f_generators_equal_all_differences(lattices):
-    # cone(P - F) is cone(P - v0) + lin(F - v0); the double description over
+    # cone(P - F) is cone(P - v0) + lin(F - v0), so its dual rays are those of
+    # the vertex cone at v0 orthogonal to F - v0; the double description over
     # all |V|·|F| differences p - f is the reference
     shapes = {name: lat.polytope for name, lat in lattices.items()}
     shapes.update((name, build_polytope(v)) for name, v in EXTENDED.items())
@@ -119,6 +120,49 @@ def test_barrier_cone_rays_from_v_plus_f_generators_equal_all_differences(lattic
         for fid in range(len(lat)):
             diffs = [vec_sub(p, f) for p in poly.vertices for f in lat.vertex_coords(fid)]
             assert sh._barrier_cone_rays(lat, fid) == dual_cone_rays(diffs, poly.dim), (name, fid)
+
+
+def test_membership_certificate_runs_one_double_description_per_vertex(monkeypatch):
+    lat = face_lattice(build_polytope(list(product((0, 1), repeat=5))))
+    calls = []
+    original = sh.dual_cone_rays
+
+    def counted(gens, dim):
+        calls.append(dim)
+        return original(gens, dim)
+
+    monkeypatch.setattr(sh, "dual_cone_rays", counted)
+    assert sh.membership_certificate(lat)
+    assert len(lat) == 243 and 0 < len(calls) <= len(lat.polytope.vertices) == 32
+
+
+@pytest.mark.parametrize("name", ["TRI", "SQ", "CUBE", "TRI2"])
+def test_membership_certificate_rejects_a_face_missing_a_facet(corpus, name):
+    # the rays of C_F stay those of the vertex cone; one facet dropped from
+    # one face's facet set leaves a ray with no facet normal to match it
+    poly = corpus[name]
+    for fid in range(len(FaceLattice(poly)) - 1):
+        lat = FaceLattice(poly)
+        on = lat.facet_masks[fid]
+        masks = list(lat.facet_masks)
+        masks[fid] = on & (on - 1)
+        lat.facet_masks = tuple(masks)
+        assert not sh.membership_certificate(lat), (name, fid)
+
+
+def test_scan_box_is_the_dilate_box_with_its_margin(lattices):
+    for name, lat in lattices.items():
+        poly = lat.polytope
+        for k in range(-4, 5):
+            expected = (
+                dilate_box(poly, k, sh.MARGIN)
+                if k
+                else tuple((-1 - sh.MARGIN, 1 + sh.MARGIN) for _ in range(poly.dim))
+            )
+            assert sh.scan_box(poly, k) == expected, (name, k)
+            # the bounding box of the dilated vertices k*v
+            coords = list(zip(*([k * c for c in v] for v in poly.vertices)))
+            assert eh.dilate_box(poly, k) == tuple(zip(map(min, coords), map(max, coords)))
 
 
 def corrupted(poly, i, facet):
