@@ -35,18 +35,17 @@ SAFE_INT = 2**53
 
 
 def canonical_value(obj):
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, bool) or obj is None:
-        return obj
-    if isinstance(obj, int):
+    if isinstance(obj, int):  # bools too, which lie inside the bounds
         return obj if -SAFE_INT < obj < SAFE_INT else str(obj)
-    if isinstance(obj, str):
+    if isinstance(obj, str) or obj is None:
         return obj
     if isinstance(obj, dict):
         return {str(k): canonical_value(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [canonical_value(v) for v in obj]
+    # last, as its isinstance check goes through the numbers ABC
+    if isinstance(obj, Fraction):
+        return f"{obj.numerator}/{obj.denominator}"
     raise TypeError(f"cannot serialise {type(obj).__name__}")
 
 
@@ -195,13 +194,18 @@ def cmd_ehrhart(args):
 
 def _parse_ring(tag: str) -> str:
     """Ring of a ``--ring`` tag (Zp:<p> is Z/<p>), by ``linalg.normalize_ring``'s
-    rule for p; an error names the tag as given. No p of more than 4300
-    digits is read, Python's default limit for int()."""
+    rule for p; an error names the tag as given, with ``is_prime``'s reason
+    when it refuses p. No p of more than 4300 digits is read, Python's
+    default limit for int()."""
     p = tag[3:] if tag.startswith("Zp:") else ""
     if tag in ("Z", "Q"):
         return tag
-    if p.isascii() and p.isdigit() and p[0] != "0" and len(p) <= 4300 and is_prime(int(p)):
-        return "Z/" + p
+    if p.isascii() and p.isdigit() and p[0] != "0" and len(p) <= 4300:
+        try:
+            if is_prime(int(p)):
+                return "Z/" + p
+        except ValueError as err:
+            raise ValueError(f"bad ring tag {tag!r} ({err})") from None
     raise ValueError(f"bad ring tag {tag!r} (expected Z, Q or Zp:<p>, p prime)")
 
 

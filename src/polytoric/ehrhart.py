@@ -1,36 +1,43 @@
 """Lattice-point counting, Ehrhart polynomials, reciprocity, splitting index.
 
-Every lattice-point question goes through one line kernel, ``line_spans``:
-the first n-1 coordinates run over a box, and each inequality holds on one
-exact interval of the last. Counts add up the lengths of those intervals
-and never enumerate. The counting function accepts any integer
-dilation factor, including negative ones, which is what reciprocity is
-about: (-1)^n E(-k) equals the number of interior lattice points of -kP,
-with the dilate taken literally.
+Every lattice-point question goes through one line kernel, ``line_values``:
+the first n-1 coordinates run over a box as an odometer that keeps each
+inequality's value at the current prefix, adding one column when a
+coordinate steps, and each inequality holds on one exact interval of the
+last coordinate, read off its value by floor division. Counts add up the
+lengths of those intervals and never enumerate. For a dilate kP, head
+coordinate j also stays in k*Q_j, where Q_j is the projection of P onto
+coordinates 0..j (its hull is built once per polytope), so the lines that
+miss kP are never visited; inequalities whose last nonzero coefficient is
+a head coordinate's bound that coordinate in the same way. ``line_spans``,
+the scan of ``sheaf`` and verify's irredundancy counts pass no projection.
+The counting function accepts any integer dilation factor, including
+negative ones, which is what reciprocity is about: (-1)^n E(-k) equals the
+number of interior lattice points of -kP, with the dilate taken literally.
 
 Each polytope's ``_cache`` is its one Ehrhart table: every dilate count under
-(|k|, strict), as x -> -x maps the interior of kP onto that of -kP, and the
-polynomial. Reciprocity and the splitting index read one interior column.
+(|k|, strict), as x -> -x maps the interior of kP onto that of -kP, the
+polynomial and the projections. Reciprocity and the splitting index read
+one interior column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import prod
-from operator import mul
+from operator import add
 
-from .polytope import LatticePolytope
+from .polytope import LatticePolytope, build_polytope
 
 # most dilate box points reciprocity_table may face; a 3D box of edge 460
 MAX_RECIPROCITY_POINTS = 10**8
-# most lines one line_spans sweep may visit, the size of the scan budget
+# most lines one line_values sweep may visit, the size of the scan budget
 MAX_SWEEP_LINES = 10**6
 
 
 def _check_sweep_lines(box) -> None:
-    """Refuse a ``line_spans`` sweep of the box over ``MAX_SWEEP_LINES`` lines."""
+    """Refuse a sweep of the box over ``MAX_SWEEP_LINES`` lines."""
     lines = prod(max(0, h - l + 1) for l, h in box[:-1])
     if lines > MAX_SWEEP_LINES:
         raise ValueError(
@@ -38,48 +45,156 @@ def _check_sweep_lines(box) -> None:
         )
 
 
-def line_spans(inequalities, box):
-    """``(prefix, spans)`` per line of the box, prefixes of the first n-1
-    coordinates in ``itertools.product`` order; ``box`` is one inclusive
-    (lo, hi) per coordinate. Row (a, b) holds on the span ``(first, last)``
-    of t in [lo, hi] with <prefix + (t,), a> + b >= 0, empty if first > last.
-    A sweep of more than ``MAX_SWEEP_LINES`` lines is refused before any
-    range is built, by ``_check_sweep_lines``.
+def _span(value: int, c: int, lo: int, hi: int) -> tuple[int, int]:
+    """The t in [lo, hi] with value + c*t >= 0, as (first, last), empty if
+    first > last."""
+    if c > 0:
+        return max(lo, -(value // c)), hi
+    if c < 0:
+        return lo, min(hi, value // -c)
+    return lo, hi if value >= 0 else lo - 1
+
+
+def line_values(inequalities, box, projected=()):
+    """``(prefix, values)`` per line of the box, prefixes of the first n-1
+    coordinates in lexicographic order; ``box`` is one inclusive (lo, hi) per
+    coordinate, and ``values[i]`` is <prefix, a_i[:-1]> + b_i for the i-th
+    row (a_i, b_i). ``projected`` holds rows (a, b) on fewer coordinates,
+    len(a) < n, that every prefix of a wanted point satisfies, such as the
+    facets of a projection of the set: each bounds the head coordinate of
+    its last nonzero coefficient, so lines whose prefix fails one are skipped.
+
+    An odometer: each depth keeps the values of the rows it still needs at
+    its prefix, adds one column when its coordinate steps and starts again
+    from the depth above when it wraps, so a line costs one pass over the
+    rows. A sweep whose box has more than ``MAX_SWEEP_LINES`` lines is
+    refused before any range is built, by ``_check_sweep_lines``.
     """
     _check_sweep_lines(box)
-    *head, (lo, hi) = box
-    rows = [(a[:-1], a[-1], b) for a, b in inequalities]
-    for prefix in product(*(range(l, h + 1) for l, h in head)):
-        spans = []
-        for a, c, b in rows:
-            # s + c*t >= 0 for the last coordinate t
-            s = sum(map(mul, prefix, a)) + b
-            if c > 0:
-                spans.append((max(lo, -(s // c)), hi))
-            elif c < 0:
-                spans.append((lo, min(hi, s // -c)))
-            else:
-                spans.append((lo, hi if s >= 0 else lo - 1))
-        yield prefix, spans
+    head = box[:-1]
+    m = len(head)
+    if not m:
+        yield (), [b for _, b in inequalities]
+        return
+    levels = [{} for _ in range(m)]  # dicts drop the rows two projections share
+    for a, b in projected:
+        j = max((i for i, c in enumerate(a) if c), default=0)
+        levels[j][tuple(a[: j + 1]), b] = None
+    levels.append(inequalities)
+    # depth j holds the rows of levels[j:]; its own level bounds coordinate j
+    # and the rest step by column j
+    lasts = [[a[-1] for a, _ in rows] for rows in levels]
+    cols = [[a[j] for rows in levels[j + 1 :] for a, _ in rows] for j in range(m)]
+    values = [[b for rows in levels for _, b in rows]] + [None] * m
+    x = [0] * m
+    tops = [0] * m
+    j = 0
+    while True:
+        # enter depth j: the range of coordinate j at the prefix x[:j]
+        first, last = head[j]
+        here = values[j]
+        for v, c in zip(here, lasts[j]):
+            first, last = _span(v, c, first, last)
+        if first <= last:
+            col = cols[j]
+            cur = [v + first * c for v, c in zip(here[len(lasts[j]) :], col)]
+            if j < m - 1:
+                x[j], tops[j], values[j + 1] = first, last, cur
+                j += 1
+                continue
+            prefix = tuple(x[:j])
+            yield prefix + (first,), cur
+            for t in range(first + 1, last + 1):
+                cur = list(map(add, cur, col))
+                yield prefix + (t,), cur
+        # step the deepest outer coordinate that has room; its deeper ones wrap
+        j -= 1
+        while j >= 0 and x[j] == tops[j]:
+            j -= 1
+        if j < 0:
+            return
+        x[j] += 1
+        values[j + 1] = list(map(add, values[j + 1], cols[j]))
+        j += 1
 
 
-def lattice_points(inequalities, box):
+def line_spans(inequalities, box):
+    """``(prefix, spans)`` per line of the box, in ``line_values`` order: row
+    (a, b) holds on the span ``(first, last)`` of t in the last coordinate's
+    [lo, hi] with <prefix + (t,), a> + b >= 0, empty if first > last."""
+    lo, hi = box[-1]
+    lasts = [a[-1] for a, _ in inequalities]
+    for prefix, values in line_values(inequalities, box):
+        yield prefix, [_span(v, c, lo, hi) for v, c in zip(values, lasts)]
+
+
+def sign_groups(inequalities):
+    """``(order, ups, downs)``: the row indices with a positive last
+    coefficient c first, then those with c < 0, then those with c = 0;
+    ``ups`` holds c for the first group and ``downs`` -c for the second.
+    On a line where row i has the value v at the prefix, it holds for
+    t >= -(v // c) in the first group, for t <= v // -c in the second and
+    on the whole line or nowhere, as v >= 0 or not, in the third. The
+    line sweeps that read ``line_values`` run one plain loop per group.
+    """
+    order, ups, downs, flats = [], [], [], []
+    for i, (a, _) in enumerate(inequalities):
+        c = a[-1]
+        if c > 0:
+            order.append(i)
+            ups.append(c)
+        elif c < 0:
+            downs.append((i, -c))
+        else:
+            flats.append(i)
+    order += [i for i, _ in downs] + flats
+    return order, ups, [c for _, c in downs]
+
+
+def _line_bounds(inequalities, box, projected=()):
+    """``(prefix, first, last)`` per line of ``line_values``: the t of the last
+    coordinate's [lo, hi] where every row holds, empty if first > last. A
+    row with last coefficient 0 depends on the prefix alone, so it joins the
+    projected rows and the lines where it fails are never visited.
+    """
+    lo, hi = box[-1]
+    order, ups, downs = sign_groups(inequalities)
+    p, q = len(ups), len(ups) + len(downs)
+    rows = [inequalities[i] for i in order]
+    if len(box) > 1:
+        projected = [*projected, *((a[:-1], b) for a, b in rows[q:])]
+        rows = rows[:q]
+    flat = len(rows) > q
+    for prefix, values in line_values(rows, box, projected):
+        first, last = lo, hi
+        for v, c in zip(values, ups):
+            t = -(v // c)
+            if t > first:
+                first = t
+        for v, c in zip(values[p:], downs):
+            t = v // c
+            if t < last:
+                last = t
+        if flat and min(values[q:]) < 0:
+            last = first - 1
+        yield prefix, first, last
+
+
+def lattice_points(inequalities, box, projected=()):
     """Integer points x of the box with <x, a> + b >= 0 for every (a, b), in
-    ``line_spans`` order: the spans of each line intersected. With no
-    inequalities the whole box is enumerated."""
-    for prefix, spans in line_spans(inequalities, box):
-        firsts, lasts = zip(box[-1], *spans)
-        for t in range(max(firsts), min(lasts) + 1):
+    ``line_values`` order. With no inequalities the whole box is enumerated."""
+    for prefix, first, last in _line_bounds(inequalities, box, projected):
+        for t in range(first, last + 1):
             yield prefix + (t,)
 
 
-def count_lattice_points(inequalities, box) -> int:
+def count_lattice_points(inequalities, box, projected=()) -> int:
     """How many points ``lattice_points`` yields, from the length of each
-    line's intersected span, without yielding them."""
+    line's span, without yielding them."""
     total = 0
-    for _, spans in line_spans(inequalities, box):
-        firsts, lasts = zip(box[-1], *spans)
-        total += max(0, min(lasts) - max(firsts) + 1)
+    for _, first, last in _line_bounds(inequalities, box, projected):
+        if first <= last:
+            total += last - first + 1
     return total
 
 
@@ -89,30 +204,52 @@ def dilate_box(poly: LatticePolytope, k: int) -> tuple[tuple[int, int], ...]:
     return tuple((min(k * lo, k * hi), max(k * lo, k * hi)) for lo, hi in poly.bounding_box())
 
 
-def _dilate_system(poly: LatticePolytope, k: int, strict: bool):
-    """Inequalities and box of the literal dilate kP (strict: its interior).
+def _dilate_rows(facets, k: int, strict: bool):
+    """Facet inequalities of the literal dilate k*Q (strict: its interior).
 
     Scaling by a negative k reverses every facet inequality. On integer
     points a facet value v > 0 is v - 1 >= 0, so the interior is exact too.
     """
     sign = 1 if k >= 0 else -1
-    rows = [
-        (tuple(sign * c for c in f.normal), sign * k * f.offset - int(strict)) for f in poly.facets
-    ]
-    return rows, dilate_box(poly, k)
+    return [(tuple(sign * c for c in f.normal), sign * k * f.offset - int(strict)) for f in facets]
+
+
+def _dilate_system(poly: LatticePolytope, k: int, strict: bool):
+    """Inequalities and box of the literal dilate kP (strict: its interior)."""
+    return _dilate_rows(poly.facets, k, strict), dilate_box(poly, k)
+
+
+def _projected_rows(poly: LatticePolytope, k: int, strict: bool):
+    """The facet rows of every k*Q_j (strict: its interior), where Q_j is the
+    projection of P onto coordinates 0..j. Every point of kP projects into
+    k*Q_j, and every interior point into its interior, as projection maps
+    open sets to open sets. Q_0 is the box's own range, and Q_{n-1} is P;
+    the facets of the hulls in between are found once per polytope."""
+    if "projections" not in poly._cache:
+        poly._cache["projections"] = tuple(
+            f
+            for j in range(1, poly.dim - 1)
+            for f in build_polytope({v[: j + 1] for v in poly.vertices}).facets
+        )
+    return _dilate_rows(poly._cache["projections"], k, strict)
 
 
 def dilate_points(poly: LatticePolytope, k: int, strict: bool = False):
-    """Lattice points of the literal dilate kP (strict: its interior), any integer k."""
-    return lattice_points(*_dilate_system(poly, k, strict))
+    """Lattice points of the literal dilate kP (strict: its interior), any
+    integer k, swept over the projected lines only."""
+    return lattice_points(*_dilate_system(poly, k, strict), _projected_rows(poly, k, strict))
 
 
 def dilate_count(poly: LatticePolytope, k: int, strict: bool = False) -> int:
     """Lattice points of the literal dilate kP, boundary included or not;
-    swept once per (|k|, strict) and then read from the polytope's table."""
+    swept once per (|k|, strict) over the projected lines and then read from
+    the polytope's table."""
     key = (abs(k), strict)
     if key not in poly._cache:
-        poly._cache[key] = count_lattice_points(*_dilate_system(poly, abs(k), strict))
+        k = abs(k)
+        poly._cache[key] = count_lattice_points(
+            *_dilate_system(poly, k, strict), _projected_rows(poly, k, strict)
+        )
     return poly._cache[key]
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -158,24 +159,46 @@ class IntMatrix:
 # ring tags
 
 
+# the first 13 primes: Miller-Rabin to these bases decides primality below
+# MAX_PRIME_MODULUS, the least strong pseudoprime to all of them (Sorenson and
+# Webster, Math. Comp. 86, 2017)
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_PRIME_MODULUS = 3317044064679887385961981
+
+
 def is_prime(p: int) -> bool:
+    """Whether p is prime, by deterministic Miller-Rabin; a p of at least
+    ``MAX_PRIME_MODULUS`` is refused with ``ValueError``."""
+    if p >= MAX_PRIME_MODULUS:
+        raise ValueError(
+            f"modulus {p} is too large: primality is decided below {MAX_PRIME_MODULUS}"
+        )
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for w in _WITNESSES:
+        if p % w == 0:
+            return p == w
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for w in _WITNESSES:
+        x = pow(w, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
 def normalize_ring(ring: str) -> tuple:
     """Parse a ring tag: ``"Z"``, ``"Q"`` or ``"Z/p"`` with p prime, written
-    in ASCII decimal digits with no leading zero."""
+    in ASCII decimal digits with no leading zero; ``is_prime`` refuses a p
+    from ``MAX_PRIME_MODULUS`` on."""
     if ring == "Z":
         return ("Z",)
     if ring == "Q":
@@ -210,9 +233,14 @@ def _eliminate(rows: Sequence[Sequence], ncols: int, p: int | None = None, reduc
     determinant over Q (0 unless the matrix is square and invertible).
     """
     if p is None:
-        rows = [
-            r if all(type(x) is int for x in r) else fractions_to_integer_vector(r) for r in rows
-        ]
+        # one type test per matrix; rows are converted only when it fails
+        if {*map(type, chain.from_iterable(rows))} <= {int}:
+            rows = list(rows)
+        else:
+            rows = [
+                r if all(type(x) is int for x in r) else fractions_to_integer_vector(r)
+                for r in rows
+            ]
     else:
         rows = [[x % p for x in row] for row in rows]
     nrows = len(rows)

@@ -16,12 +16,15 @@ interior point of -kP the top face. Classes with one remainder share one
 complex, and each distinct complex's cohomology over Z, Q and Z/p is
 computed once, from its Smith forms (``homology.cohomology``). The tests
 keep the full restriction as the oracle. The closed-form contributors and
-the scan both read ``ehrhart.line_spans``: on each line of the box every
-facet holds on one interval, so the scan cuts the line at the interval ends
-into at most F + 1 runs of one class (F facets), keyed by its facet bitmask
-(bit j set iff facet j holds). The new classes of a scan are coreduced in
-one bit-sliced batch, read straight off those bitmasks. Only
-runs of non-trivial classes are expanded into points. ``class_points`` reads
+the scan both read the odometer line kernel, ``ehrhart.line_values``: on
+each line of the box every facet holds on one interval, whose end the scan
+reads off the facet's value at the line's prefix, so it cuts the line at
+those ends into at most F + 1 runs of one class (F facets), keyed by its
+facet bitmask (bit j set iff facet j holds). The scan visits every line of
+the box, since the shell check needs them all; the contributors sweep only
+the lines of the projections of kP. The new classes of a scan are coreduced
+in one bit-sliced batch, read straight off those bitmasks. Only runs of
+non-trivial classes are expanded into points. ``class_points`` reads
 the first point of each realized class off the cached runs; ``verify`` runs
 its checks on those.
 
@@ -45,7 +48,7 @@ from dataclasses import dataclass
 from math import prod
 
 from .classify import classify_front_back, classify_lower_upper, classify_visibility
-from .ehrhart import dilate_box, dilate_points, line_spans
+from .ehrhart import dilate_box, dilate_points, line_values, sign_groups
 from .homology import CohomologyResult, IntegerChainComplex, cohomology, face_set_complexes
 from .linalg import dot, primitive_vector, vec_neg, vec_sub
 from .lp import dual_cone_rays
@@ -294,20 +297,39 @@ def _scan(lattice: FaceLattice, k: int):
     box = scan_box(poly, k)
     lo, hi = box[-1]
     rows = [(f.normal, k * f.offset) for f in poly.facets]
+    order, ups, downs = sign_groups(rows)
+    bits = [1 << i for i in order]
+    p = len(ups)
+    q = p + len(downs)
+    ups = list(zip(ups, bits))
+    downs = list(zip(downs, bits[p:]))
+    flats = bits[q:]
     classes: dict[int, int] = {}
     runs = []
-    for prefix, spans in line_spans(rows, box):
-        flips = {lo: 0}  # the facet bits that switch on or off at each cut
-        for i, (a, b) in enumerate(spans):
-            if a <= b:
-                flips[a] = flips.get(a, 0) ^ 1 << i
-                if b < hi:
-                    flips[b + 1] = flips.get(b + 1, 0) ^ 1 << i
-        cuts = sorted(flips)
-        sig = 0
-        for first, end in zip(cuts, cuts[1:] + [hi + 1]):
-            sig ^= flips[first]
-            runs.append((classes.setdefault(sig, len(classes)), prefix, first, end - 1))
+    for prefix, values in line_values([rows[i] for i in order], box):
+        sig = 0  # the facets that hold at lo
+        cuts = {}  # the facet bits that switch on or off at each t > lo
+        for v, (c, bit) in zip(values, ups):
+            t = -(v // c)  # the first t that holds
+            if t <= lo:
+                sig |= bit
+            elif t <= hi:
+                cuts[t] = cuts.get(t, 0) ^ bit
+        for v, (c, bit) in zip(values[p:q], downs):
+            t = v // c + 1  # the first t that fails
+            if t > lo:
+                sig |= bit
+                if t <= hi:
+                    cuts[t] = cuts.get(t, 0) ^ bit
+        for v, bit in zip(values[q:], flats):
+            if v >= 0:
+                sig |= bit
+        first = lo
+        for t in sorted(cuts):
+            runs.append((classes.setdefault(sig, len(classes)), prefix, first, t - 1))
+            sig ^= cuts[t]
+            first = t
+        runs.append((classes.setdefault(sig, len(classes)), prefix, first, hi))
     distant_ids = []
     for x in _distant_points(poly, k, box):
         distant_ids.append(classes.setdefault(poly.holds(x, k), len(classes)))

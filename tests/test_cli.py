@@ -1,7 +1,9 @@
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -200,10 +202,18 @@ def test_ehrhart_over_work_budget_exits_2(capsys, tri_file):
 def test_ehrhart_on_tri5_is_refused_before_any_sweep(capsys, tmp_path, monkeypatch):
     # the triangle of legs 10^5: its reciprocity table would face 10^10 box
     # points, and the budget is read before the polynomial is counted
+    sweeps = []
+    original = eh.line_values
+    monkeypatch.setattr(eh, "line_values", lambda *a: sweeps.append(a) or original(*a))
+    tri = tmp_path / "tri.json"
+    tri.write_text('{"vertices": [[0,0],[1,0],[0,1]]}')
+    assert run_main(capsys, "ehrhart", "--input", str(tri))[0] == 0
+    assert sweeps  # the wrapper sees the sweeps of an accepted input
+
     def no_sweep(*args):
         raise AssertionError("dilate swept despite the budget")
 
-    monkeypatch.setattr(eh, "line_spans", no_sweep)
+    monkeypatch.setattr(eh, "line_values", no_sweep)
     tri5 = tmp_path / "tri5.json"
     tri5.write_text('{"vertices": [[0,0],[100000,0],[0,100000]]}')
     code, out, err = run_main(capsys, "ehrhart", "--input", str(tri5))
@@ -255,11 +265,11 @@ def test_one_run_sweeps_each_dilate_once_and_builds_one_polynomial(
     swept = []
     original_count = eh.count_lattice_points
 
-    def counting(rows, box):
+    def counting(rows, box, projected=()):
         key = dilate.get((tuple(rows), tuple(map(tuple, box))))
         if key is not None:  # verify's irredundancy sweeps are not dilates
             swept.append(key)
-        return original_count(rows, box)
+        return original_count(rows, box, projected)
 
     builds = []
 
@@ -309,10 +319,16 @@ def test_cohomology_zp_ring(capsys, sq_file):
 def test_cohomology_over_work_budget_exits_2(capsys, tri_file, monkeypatch):
     # a twist of 100000 asks for a box of about 10^10 points; it must be
     # refused before a single point is enumerated
+    sweeps = []
+    original = sh.line_values
+    monkeypatch.setattr(sh, "line_values", lambda *a: sweeps.append(a) or original(*a))
+    assert run_main(capsys, "cohomology", "--input", tri_file, "--twist", "3")[0] == 0
+    assert len(sweeps) == 1  # the wrapper sees the scan of an accepted twist
+
     def no_enumeration(*args):
         raise AssertionError("box enumerated despite the budget")
 
-    monkeypatch.setattr(sh, "line_spans", no_enumeration)
+    monkeypatch.setattr(sh, "line_values", no_enumeration)
     monkeypatch.setattr(LatticePolytope, "holds", no_enumeration)
     code, out, err = run_main(capsys, "cohomology", "--input", tri_file, "--twist", "100000")
     assert code == 2 and out == ""
@@ -474,3 +490,66 @@ def test_parse_point_rationals():
 def test_big_integers_serialised_as_strings():
     assert json.loads(canonical_json({"v": 2**60})) == {"v": str(2**60)}
     assert json.loads(canonical_json({"v": 3})) == {"v": 3}
+
+
+def isinstance_canonical_value(obj):
+    """The writer's value mapping with the Fraction test first, kept as the
+    oracle for the order of ``cli.canonical_value``'s isinstance chain."""
+    if isinstance(obj, Fraction):
+        return f"{obj.numerator}/{obj.denominator}"
+    if isinstance(obj, bool) or obj is None:
+        return obj
+    if isinstance(obj, int):
+        return obj if -cli.SAFE_INT < obj < cli.SAFE_INT else str(obj)
+    if isinstance(obj, str):
+        return obj
+    if isinstance(obj, dict):
+        return {str(k): isinstance_canonical_value(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [isinstance_canonical_value(v) for v in obj]
+    raise TypeError(f"cannot serialise {type(obj).__name__}")
+
+
+def isinstance_json(obj):
+    return json.dumps(isinstance_canonical_value(obj), sort_keys=True, separators=(",", ":"))
+
+
+class Count(int):
+    pass
+
+
+def random_report(rng, depth=0):
+    leaves = [
+        lambda: rng.choice((2**53 - 1, 2**53, -(2**53) + 1, -(2**53), 2**53 + 1, -(2**60))),
+        lambda: rng.randint(-(10**6), 10**6),
+        lambda: rng.choice((True, False, None)),
+        lambda: Fraction(rng.randint(-50, 50), rng.randint(1, 9)),
+        lambda: rng.choice(("", "x", "Z/2", "ok  facet irredundancy")),
+        lambda: Count(rng.choice((3, 2**53, -(2**53) - 7))),
+    ]
+    if depth > 3 or rng.random() < 0.4:
+        return rng.choice(leaves)()
+    size = rng.randint(0, 4)
+    shape = rng.choice(("dict", "list", "tuple"))
+    if shape == "dict":
+        keys = ("k", "x", 1, 2**60, "degree")
+        return {rng.choice(keys): random_report(rng, depth + 1) for _ in range(size)}
+    items = [random_report(rng, depth + 1) for _ in range(size)]
+    return items if shape == "list" else tuple(items)
+
+
+def test_canonical_json_equals_the_isinstance_writer_on_seeded_reports():
+    rng = random.Random(28)
+    kinds = set()
+    for _ in range(400):
+        report = {"command": "cohomology", "body": random_report(rng)}
+        expected = isinstance_json(report)
+        assert canonical_json(report) == expected, report
+        kinds |= {type(v).__name__ for v in json.loads(expected).values()}
+    for obj in (True, False, None, Count(2**53), Fraction(-3, 4), (1, [2**53]), {3: "a"}):
+        assert canonical_json(obj) == isinstance_json(obj)
+    assert canonical_json(Count(5)) == "5" and canonical_json(True) == "true"
+    for bad in (1.5, {1, 2}, b"x", object(), {"v": [1.0]}):
+        with pytest.raises(TypeError, match="cannot serialise"):
+            canonical_json(bad)
+    assert kinds >= {"str", "dict", "list"}

@@ -290,3 +290,27 @@ def test_over_budget_input_is_refused_within_20_seconds(tmp_path, name, argv):
     )
     check_contract(proc.returncode, proc.stdout, proc.stderr)
     assert proc.returncode == 2 and "allowed" in proc.stderr, (proc.returncode, proc.stderr)
+
+
+@pytest.mark.parametrize(
+    ("modulus", "code"),
+    [("1000000000000000003", 0), ("3317044064679887385961981", 2), (HUGE, 2)],
+)
+def test_large_ring_modulus_is_decided_within_20_seconds(tmp_path, modulus, code):
+    # a prime near 10^18 once ran trial division for hours; primality is
+    # decided by Miller-Rabin, and a modulus it cannot decide is refused
+    path = write(tmp_path, {"vertices": [[0, 0], [1, 0], [0, 1]]})
+    argv = ["cohomology", "--twist", "1", "--ring", f"Zp:{modulus}", "--json", "--input", path]
+    proc = subprocess.run(
+        ["timeout", "20", sys.executable, "-m", "polytoric.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    check_contract(proc.returncode, proc.stdout, proc.stderr)
+    assert proc.returncode == code, (proc.returncode, proc.stderr)
+    if code == 0:
+        assert json.loads(proc.stdout)["ring"] == f"Z/{modulus}"
+    else:
+        assert proc.stderr.startswith(f"error: bad ring tag 'Zp:{modulus}'"), proc.stderr
+        assert "is too large" in proc.stderr, proc.stderr

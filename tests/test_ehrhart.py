@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
 
@@ -144,6 +145,196 @@ def test_lattice_points_match_box_filter():
     }
 
 
+# ---------------------------------------------------------------------------
+# the odometer line kernel against the box filter
+
+
+def projected_prefixes(head, projected):
+    """The prefixes of the head box, in lexicographic order, whose leading
+    coordinates satisfy every projected row (a, b)."""
+    return [x for x in box_scan(head) if all(dot(x[: len(a)], a) + b >= 0 for a, b in projected)]
+
+
+def random_rows(rng, n, count):
+    return [(tuple(rng.randint(-3, 3) for _ in range(n)), rng.randint(-6, 6)) for _ in range(count)]
+
+
+def test_line_values_are_the_dot_products_of_each_line():
+    rng = random.Random(28)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        widths = (6, 5, 3, 2, 2)[n - 1]
+        box = []
+        for _ in range(n):
+            lo = rng.randint(-3, 2)
+            box.append((lo, lo + rng.randint(0, widths)))
+        rows = random_rows(rng, n, rng.choice((0, 1, 3, 6)))
+        # rows on the first 1 .. n-1 coordinates, zero coefficients included
+        projected = [
+            row
+            for j in range(rng.randint(0, n - 1))
+            for row in random_rows(rng, j + 1, rng.choice((0, 0, 1, 2)))
+        ]
+        lines = list(eh.line_values(rows, box, projected))
+        prefixes = projected_prefixes(box[:-1], projected)
+        assert [prefix for prefix, _ in lines] == prefixes, (rows, box, projected)
+        for prefix, values in lines:
+            assert values == [dot(prefix, a[:-1]) + b for a, b in rows], (prefix, rows)
+        if not projected:
+            assert len(lines) == prod(hi - lo + 1 for lo, hi in box[:-1])
+        wraps = [len({prefix[j] for prefix in prefixes}) for j in range(n - 1)]
+        seen.add(("dim", n))
+        seen.add("no lines" if not lines else "lines")
+        if n >= 3 and min(wraps[:-1], default=0) >= 2 and len(prefixes) > 4:
+            seen.add("head coordinates wrap")
+        if projected:
+            seen.add("projected rows")
+    assert seen >= {("dim", n) for n in range(1, 6)} | {
+        "no lines", "lines", "head coordinates wrap", "projected rows"
+    }
+
+
+def test_line_values_wrap_head_coordinates_in_3_to_5_dimensions():
+    for box in (
+        [(-1, 2), (0, 3), (5, 5)],
+        [(0, 2), (-2, 0), (-1, 1), (0, 1)],
+        [(1, 2), (-1, 1), (0, 2), (-1, 0), (3, 4)],
+    ):
+        n = len(box)
+        rows = [(tuple(range(1, n + 1)), -1), (tuple(-c for c in range(n, 0, -1)), 7)]
+        lines = list(eh.line_values(rows, box))
+        assert [prefix for prefix, _ in lines] == list(box_scan(box[:-1]))
+        for prefix, values in lines:
+            assert values == [dot(prefix, a[:-1]) + b for a, b in rows]
+        assert list(eh.lattice_points(rows, box)) == box_filter(rows, box)
+        assert eh.count_lattice_points(rows, box) == len(box_filter(rows, box))
+
+
+@pytest.mark.parametrize("depth", ["outer", "inner"])
+def test_an_empty_head_range_skips_its_lines(depth):
+    box = [(0, 3), (-2, 2), (0, 4)]
+    if depth == "outer":
+        # x0 >= 10 leaves coordinate 0 no value in the box
+        projected = [((1,), -10)]
+        expected = []
+    else:
+        # x0 >= 1; then x0 - 1 <= x1 <= 3 - x0 leaves coordinate 1 no value at
+        # x0 = 3, and the zero row x0 <= 2 fails there too
+        projected = [((1,), -1), ((-1, 1), 1), ((-1, -1), 3), ((-1, 0), 2)]
+        expected = [(1, 0), (1, 1), (1, 2), (2, 1)]
+        assert projected_prefixes(box[:-1], projected) == expected
+    rows = [((0, 1, 1), 0), ((1, 1, -1), 1)]
+    lines = list(eh.line_values(rows, box, projected))
+    assert [prefix for prefix, _ in lines] == expected
+    for prefix, values in lines:
+        assert values == [dot(prefix, a[:-1]) + b for a, b in rows]
+    assert list(eh.lattice_points(rows, box, projected)) == [
+        x for x in box_filter(rows, box) if x[:-1] in expected
+    ]
+
+
+def test_line_values_in_one_dimension_and_on_one_point_boxes():
+    rows = [((2,), -1), ((-1,), 3), ((0,), 0)]
+    assert list(eh.line_values(rows, [(-5, 5)])) == [((), [-1, 3, 0])]
+    assert list(eh.lattice_points(rows, [(-5, 5)])) == [(1,), (2,), (3,)]
+    assert eh.count_lattice_points([((0,), -1)], [(-5, 5)]) == 0
+    for box in ([(2, 2)], [(1, 1), (-1, -1)], [(0, 0), (3, 3), (-2, -2), (1, 1)]):
+        rows = [(tuple(range(1, len(box) + 1)), 1)]
+        (line,) = eh.line_values(rows, box)
+        assert line == (tuple(lo for lo, _ in box[:-1]), [dot(line[0], rows[0][0]) + 1])
+        assert list(eh.lattice_points(rows, box)) == box_filter(rows, box)
+
+
+def test_sign_groups_order_the_rows_and_read_where_each_holds():
+    rows = [((1, 0), 0), ((0, -2), 5), ((3, 0), -1), ((1, 3), 2), ((-1, -1), 4), ((2, 2), 0)]
+    order, ups, downs = eh.sign_groups(rows)
+    assert (order, ups, downs) == ([3, 5, 1, 4, 0, 2], [3, 2], [2, 1])
+    p, q = len(ups), len(ups) + len(downs)
+    line = range(-9, 10)
+    for v in range(-7, 8):  # a row's value at the prefix
+        for c in ups:
+            assert [t for t in line if v + c * t >= 0] == [t for t in line if t >= -(v // c)]
+        for c in downs:
+            assert [t for t in line if v - c * t >= 0] == [t for t in line if t <= v // c]
+    assert [rows[i][0][-1] for i in order[q:]] == [0, 0] and p == 2
+    assert eh.sign_groups([]) == ([], [], [])
+
+
+def test_rows_with_zero_last_coefficient_skip_the_lines_where_they_fail(monkeypatch):
+    visited = []
+    original = eh.line_values
+
+    def counting(*args):
+        for line in original(*args):
+            visited.append(line[0])
+            yield line
+
+    monkeypatch.setattr(eh, "line_values", counting)
+    rows = [((1, 0), -2), ((0, 1), 0)]  # x >= 2 bounds the head, y >= 0 the line
+    assert eh.count_lattice_points(rows, [(0, 5), (-1, 1)]) == 4 * 2
+    assert visited == [(2,), (3,), (4,), (5,)]
+    visited.clear()
+    assert eh.count_lattice_points([((0,), -1)], [(-5, 5)]) == 0  # n = 1: one empty line
+    assert visited == [()]
+
+
+def random_polytope(rng, n):
+    span = (6, 4, 2, 1, 1)[n - 1]
+    count = n + 1 + rng.randint(0, 4)
+    points = [[rng.randint(-span // 2, span) for _ in range(n)] for _ in range(count)]
+    if rng.random() < 0.3:
+        # a prism over a face: every facet along the last axis has a zero last coefficient
+        points += [p[:-1] + [p[-1] + 1] for p in points]
+    return build_polytope(points)
+
+
+def test_projected_dilates_equal_the_box_filter_in_order():
+    rng = random.Random(2028)
+    seen = set()
+    for _ in range(160):
+        n = rng.randint(1, 5)
+        try:
+            poly = random_polytope(rng, n)
+        except ValueError:
+            continue
+        k = rng.randint(-3, 3) if n < 5 else rng.choice((-2, -1, 1, 2))
+        strict = rng.random() < 0.5
+        rows, box = eh._dilate_system(poly, k, strict)
+        expected = box_filter(rows, box)
+        assert list(eh.dilate_points(poly, k, strict)) == expected, (poly.vertices, k, strict)
+        fresh = build_polytope(poly.vertices)  # an empty count table
+        assert eh.dilate_count(fresh, k, strict) == len(expected), (poly.vertices, k, strict)
+        seen |= {("dim", n), ("k", (k > 0) - (k < 0)), ("strict", strict)}
+        if any(not f.normal[-1] for f in poly.facets):
+            seen.add("zero last coefficient")
+        seen.add("empty" if not expected else "points")
+    assert seen >= {("dim", n) for n in range(1, 6)} | {("k", s) for s in (-1, 0, 1)} | {
+        ("strict", True), ("strict", False), "zero last coefficient", "empty", "points"
+    }
+
+
+def test_projected_sweep_of_a_simplex_visits_fewer_lines_than_its_box(monkeypatch):
+    # 5 * the unit 3-simplex: its box has 6 * 6 head lines, its projection
+    # onto the first two coordinates, the triangle 5 * TRI, has 21 points
+    simplex = build_polytope([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    visited = []
+    original = eh.line_values
+
+    def counting(*args):
+        for line in original(*args):
+            visited.append(line[0])
+            yield line
+
+    monkeypatch.setattr(eh, "line_values", counting)
+    assert eh.dilate_count(simplex, 5) == 56
+    assert len(visited) == 21 < 6 * 6
+    assert visited == [(x, y) for x in range(6) for y in range(6) if x + y <= 5]
+    visited.clear()
+    assert len(list(eh.dilate_points(simplex, -5, strict=True))) == 4
+    assert len(visited) < 6 * 6
+
+
 def test_count_points_examples(corpus):
     assert eh.count_points(corpus["TRI"], 2) == 6
     assert eh.count_points(corpus["SQ"], 3) == 16
@@ -234,16 +425,23 @@ def test_reciprocity_over_budget_is_refused_before_counting(corpus, monkeypatch)
 def test_sweep_over_line_budget_is_refused_before_any_range(monkeypatch):
     # 2*TRI sweeps 3 lines, one per first coordinate 0..2
     tri = build_polytope([[0, 0], [1, 0], [0, 1]])
+    lines = []
+    original = eh.line_values
+
+    def counting(*args):
+        for line in original(*args):
+            lines.append(line[0])
+            yield line
+
+    monkeypatch.setattr(eh, "line_values", counting)
     monkeypatch.setattr(eh, "MAX_SWEEP_LINES", 3)
     assert eh.count_lattice_points(*eh._dilate_system(tri, 2, False)) == 6
+    assert lines == [(0,), (1,), (2,)]  # the wrapper sees an accepted sweep
+    lines.clear()
     monkeypatch.setattr(eh, "MAX_SWEEP_LINES", 2)
-
-    def no_ranges(*args):
-        raise AssertionError("range built despite the budget")
-
-    monkeypatch.setattr(eh, "product", no_ranges)
     with pytest.raises(ValueError, match="a sweep of 3 lines is more than the 2 lines allowed"):
         eh.dilate_count(tri, 2)
+    assert lines == []
 
 
 def test_reciprocity_reads_the_line_budget_of_its_largest_sweep(monkeypatch):
@@ -255,8 +453,8 @@ def test_reciprocity_reads_the_line_budget_of_its_largest_sweep(monkeypatch):
     tri = build_polytope([[0, 0], [1, 0], [0, 1]])  # an empty count table
     monkeypatch.setattr(eh, "MAX_SWEEP_LINES", 3)
     sweeps = []
-    original = eh.line_spans
-    monkeypatch.setattr(eh, "line_spans", lambda *a: sweeps.append(a) or original(*a))
+    original = eh.line_values
+    monkeypatch.setattr(eh, "line_values", lambda *a: sweeps.append(a) or original(*a))
     with pytest.raises(ValueError, match="a sweep of 4 lines is more than the 3 lines allowed"):
         eh.reciprocity_table(tri, 3)
     assert sweeps == []
@@ -264,6 +462,10 @@ def test_reciprocity_reads_the_line_budget_of_its_largest_sweep(monkeypatch):
     with pytest.raises(ValueError, match="a sweep of 3 lines is more than the 2 lines allowed"):
         eh.reciprocity_table(tri, 1)
     assert sweeps == []
+    # the wrapper sees the sweeps of an accepted table
+    monkeypatch.setattr(eh, "MAX_SWEEP_LINES", 4)
+    assert eh.reciprocity_check(tri, 3)
+    assert len(sweeps) >= 3
 
 
 def test_huge_coordinate_is_refused_by_the_line_budget():
@@ -291,9 +493,9 @@ def test_count_table_sweeps_each_dilate_once_per_polytope(monkeypatch):
     sweeps = []
     original = eh.count_lattice_points
 
-    def counting(rows, box):
+    def counting(rows, box, projected=()):
         sweeps.append((rows, box))
-        return original(rows, box)
+        return original(rows, box, projected)
 
     monkeypatch.setattr(eh, "count_lattice_points", counting)
     assert eh.dilate_count(poly, -3, strict=True) == eh.dilate_count(poly, 3, strict=True)
@@ -306,8 +508,12 @@ def test_count_table_sweeps_each_dilate_once_per_polytope(monkeypatch):
     # of 1P, 2P and 4P for the splitting index and reciprocity
     assert len(sweeps) == 2 + 3 + 3
     assert set(poly._cache) == {
-        "ehrhart_polynomial", *((k, False) for k in range(4)), *((j, True) for j in range(1, 5))
+        "ehrhart_polynomial",
+        "projections",
+        *((k, False) for k in range(4)),
+        *((j, True) for j in range(1, 5)),
     }
+    assert poly._cache["projections"] == ()  # a 2D polytope projects to its box
 
 
 def test_splitting_indices(corpus):

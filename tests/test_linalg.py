@@ -1,15 +1,19 @@
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
 from polytoric.linalg import (
+    MAX_PRIME_MODULUS,
     IntMatrix,
     coordinates_in_basis,
     det_sign,
     dot,
+    is_prime,
     kernel_line,
+    normalize_ring,
     rank_over_field,
     rank_rational,
     smith_normal_form,
@@ -163,6 +167,48 @@ def test_rank_rejects_bad_rings():
         rank_over_field(m, "Z/1")
     with pytest.raises(ValueError):
         rank_over_field(m, "Z")
+
+
+def trial_division_is_prime(p):
+    return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
+
+
+def test_is_prime_agrees_with_trial_division_below_2e5():
+    assert [p for p in range(200_000) if is_prime(p)] == [
+        p for p in range(200_000) if trial_division_is_prime(p)
+    ]
+
+
+def test_is_prime_decides_large_moduli_at_once():
+    start = time.perf_counter()
+    assert is_prime(10**18 + 3)
+    assert is_prime(2**61 - 1)  # a Mersenne prime
+    assert normalize_ring("Z/1000000000000000003") == ("Zp", 10**18 + 3)
+    # strong pseudoprimes to the first 4 and the first 9 prime bases
+    assert not is_prime(3215031751) and not is_prime(3825123056546413051)
+    assert not is_prime(3317044064679887385961979)  # 17 * 1709 * ...
+    assert not is_prime(10**18 + 1) and not is_prime((2**13 - 1) * (2**61 - 1))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_is_prime_refuses_moduli_it_cannot_decide():
+    # the bound is the least strong pseudoprime to all 13 bases, which the
+    # test would call prime
+    assert MAX_PRIME_MODULUS == 1287836182261 * 2575672364521
+    for p in (MAX_PRIME_MODULUS, MAX_PRIME_MODULUS + 2, 10**30):
+        with pytest.raises(ValueError, match="too large"):
+            is_prime(p)
+        with pytest.raises(ValueError, match="too large"):
+            normalize_ring(f"Z/{p}")
+
+
+def test_eliminate_keeps_the_callers_rows():
+    rows = [[2, 4], [1, 3]]
+    assert rank_rational(rows) == 2 and det_sign(rows) == 1
+    assert rows == [[2, 4], [1, 3]]
+    mixed = [[Fraction(1, 2), 1], [1, 2]]
+    assert rank_rational(mixed) == 1 and det_sign(mixed) == 0
+    assert mixed == [[Fraction(1, 2), 1], [1, 2]]
 
 
 def test_rank_mod_p_differs_from_q_exactly_on_torsion():

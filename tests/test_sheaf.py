@@ -581,15 +581,20 @@ def test_shell_check_refuses_a_box_tight_on_one_side(name, k, tight, monkeypatch
 
 def test_scan_box_over_budget_is_refused_before_enumeration(sq, monkeypatch):
     # SQ at k = 1 scans the 6 x 6 box [-2, 3]^2
+    sweeps = []
+    original = sh.line_values
+    monkeypatch.setattr(sh, "line_values", lambda *a: sweeps.append(a) or original(*a))
     monkeypatch.setattr(sh, "MAX_SCAN_POINTS", 36)
-    assert sh.global_cohomology(sq, 1, "Z").free == (4, 0, 0)
+    cold = face_lattice(build_polytope(CORPUS_VERTICES["SQ"]))
+    assert sh.global_cohomology(cold, 1, "Z").free == (4, 0, 0)
+    assert len(sweeps) == 1  # the wrapper sees the scan of an accepted box
     monkeypatch.setattr(sh, "MAX_SCAN_POINTS", 35)
     sq = face_lattice(build_polytope(CORPUS_VERTICES["SQ"]))  # a cold scan cache
 
     def no_enumeration(*args):
         raise AssertionError("box enumerated despite the budget")
 
-    monkeypatch.setattr(sh, "line_spans", no_enumeration)
+    monkeypatch.setattr(sh, "line_values", no_enumeration)
     monkeypatch.setattr(LatticePolytope, "holds", no_enumeration)
     with pytest.raises(ValueError, match="36 points"):
         sh.global_cohomology(sq, 1, "Z")
@@ -617,8 +622,8 @@ def test_class_complexes_are_shared_by_rings_and_twists(monkeypatch):
 
 def test_rings_at_one_twist_share_one_signature_sweep(monkeypatch):
     calls = []
-    original = sh.line_spans
-    monkeypatch.setattr(sh, "line_spans", lambda *a: calls.append(a) or original(*a))
+    original = sh.line_values
+    monkeypatch.setattr(sh, "line_values", lambda *a: calls.append(a) or original(*a))
     warm = face_lattice(build_polytope(CORPUS_VERTICES["CUBE"]))
     sh.global_cohomology(warm, -2, "Z")
     assert len(calls) == 1

@@ -29,16 +29,21 @@ def test_verify_builds_no_face_view():
 def test_all_suites_refuse_tri5_before_any_sweep(monkeypatch):
     # the triangle of legs 10^5: the Ehrhart suite's reciprocity budget is
     # read before the combinatorics suite counts its irredundancy box
-    lat = face_lattice(build_polytope([[0, 0], [100000, 0], [0, 100000]]))
     sweeps = []
-    original = eh.line_spans
+    original = eh.line_values
 
     def counting(*args):
         sweeps.append(args)
         return original(*args)
 
-    monkeypatch.setattr(eh, "line_spans", counting)
-    monkeypatch.setattr(sh, "line_spans", counting)
+    monkeypatch.setattr(eh, "line_values", counting)
+    monkeypatch.setattr(sh, "line_values", counting)
+    # the wrapper sees the counts and scans of an accepted triangle
+    tri = face_lattice(build_polytope([[0, 0], [1, 0], [0, 1]]))
+    assert all(r.passed for r in vf.run_suite(tri, "all"))
+    assert sweeps
+    sweeps.clear()
+    lat = face_lattice(build_polytope([[0, 0], [100000, 0], [0, 100000]]))
     with pytest.raises(ValueError, match="reciprocity up to 4 scans more than the 100000000"):
         vf.run_suite(lat, "all")
     assert sweeps == []
@@ -50,19 +55,22 @@ def test_cross6_is_refused_before_the_first_sweep(monkeypatch):
     cross6 = [[s * (i == j) for j in range(6)] for i in range(6) for s in (1, -1)]
     lat = face_lattice(build_polytope(cross6))
     sweeps = []
-    original = eh.line_spans
+    original = eh.line_values
 
     def counting(*args):
         sweeps.append(args)
         return original(*args)
 
-    monkeypatch.setattr(eh, "line_spans", counting)
+    monkeypatch.setattr(eh, "line_values", counting)
     refusal = "^a sweep of 1419857 lines is more than the 1000000 lines allowed$"
     with pytest.raises(ValueError, match=refusal):
         eh.reciprocity_table(lat.polytope, 8)
     with pytest.raises(ValueError, match=refusal):
         vf.run_suite(lat, "ehrhart")
     assert sweeps == []
+    # the wrapper sees the sweeps of an accepted table on the same polytope
+    eh.reciprocity_table(lat.polytope, 1)
+    assert sweeps
     # up to 7 the largest sweep, 15^5 lines, is within the budget
     eh.check_reciprocity_budget(lat.polytope, 7)
 
