@@ -45,7 +45,6 @@ from .polytope import (
     LatticePolytope,
     build_polytope,
     face_lattice,
-    negate_polytope,
 )
 from .sheaf import (
     GlobalCohomology,
@@ -96,7 +95,6 @@ __all__ = [
     "link",
     "lp_feasible",
     "membership_oracle",
-    "negate_polytope",
     "nerve",
     "open_antistar",
     "rank_over_field",

@@ -163,7 +163,7 @@ def cmd_ehrhart(args):
         raise ValueError(f"--kmax must be at least 1, got {args.kmax}")
     poly, digest = load_polytope(args.input)
     kmax = args.kmax if args.kmax is not None else poly.dim + 2
-    # the table checks its budget first, so nothing is swept over budget
+    # the table checks the command's whole plan first, so nothing is swept over budget
     rows = eh.reciprocity_table(poly, kmax)
     ehr = eh.ehrhart_polynomial(poly)
     index = eh.splitting_index(poly)

@@ -9,8 +9,8 @@ lengths of those intervals and never enumerate. For a dilate kP, head
 coordinate j also stays in k*Q_j, where Q_j is the projection of P onto
 coordinates 0..j (its hull is built once per polytope), so the lines that
 miss kP are never visited; inequalities whose last nonzero coefficient is
-a head coordinate's bound that coordinate in the same way. ``line_spans``,
-the scan of ``sheaf`` and verify's irredundancy counts pass no projection.
+a head coordinate's bound that coordinate in the same way. The scan of
+``sheaf`` and verify's irredundancy counts pass no projection.
 The counting function accepts any integer dilation factor, including
 negative ones, which is what reciprocity is about: (-1)^n E(-k) equals the
 number of interior lattice points of -kP, with the dilate taken literally.
@@ -30,19 +30,47 @@ from operator import add
 
 from .polytope import LatticePolytope, build_polytope
 
-# most dilate box points reciprocity_table may face; a 3D box of edge 460
+# most dilate box points a reciprocity table may face; a 3D box of edge 460
 MAX_RECIPROCITY_POINTS = 10**8
-# most lines one line_values sweep may visit, the size of the scan budget
+# most lines one sweep may visit, the size of the scan budget
 MAX_SWEEP_LINES = 10**6
+# most points a listed box may hold; a 3D box of edge 100 fits
+MAX_SCAN_POINTS = 10**6
 
 
-def _check_sweep_lines(box) -> None:
-    """Refuse a sweep of the box over ``MAX_SWEEP_LINES`` lines."""
-    lines = prod(max(0, h - l + 1) for l, h in box[:-1])
-    if lines > MAX_SWEEP_LINES:
-        raise ValueError(
-            f"a sweep of {lines} lines is more than the {MAX_SWEEP_LINES} lines allowed"
-        )
+def check_plan(sweep=None, listed=(), table=None) -> None:
+    """Refuse a command's work plan before anything is counted, with a
+    one-line ``ValueError``; the one reader of the budgets, and of box sizes
+    only. Refused are a reciprocity ``table`` (P, kmax) whose dilate boxes of
+    P .. kmax*P hold more than ``MAX_RECIPROCITY_POINTS`` points in all; a
+    ``sweep`` box, of the largest dilate the command counts or of one
+    ``line_values`` sweep, of more than ``MAX_SWEEP_LINES`` lines; and a box
+    of the ``listed`` (name, box) pairs, whose points the command lists, of
+    more than ``MAX_SCAN_POINTS`` points."""
+    if table is not None:
+        poly, kmax = table
+        unit = poly.bounding_box()
+        total = 0
+        for j in range(1, kmax + 1):
+            # the box of jP holds at least j points, so this ends within 15000 steps
+            total += prod(j * (hi - lo) + 1 for lo, hi in unit)
+            if total > MAX_RECIPROCITY_POINTS:
+                raise ValueError(
+                    f"reciprocity up to {kmax} scans more than the "
+                    f"{MAX_RECIPROCITY_POINTS} box points allowed"
+                )
+    if sweep is not None:
+        lines = prod(max(0, hi - lo + 1) for lo, hi in sweep[:-1])
+        if lines > MAX_SWEEP_LINES:
+            raise ValueError(
+                f"a sweep of {lines} lines is more than the {MAX_SWEEP_LINES} lines allowed"
+            )
+    for name, box in listed:
+        size = prod(hi - lo + 1 for lo, hi in box)
+        if size > MAX_SCAN_POINTS:
+            raise ValueError(
+                f"{name} box has {size} points, more than the {MAX_SCAN_POINTS} allowed"
+            )
 
 
 def _span(value: int, c: int, lo: int, hi: int) -> tuple[int, int]:
@@ -68,9 +96,9 @@ def line_values(inequalities, box, projected=()):
     its prefix, adds one column when its coordinate steps and starts again
     from the depth above when it wraps, so a line costs one pass over the
     rows. A sweep whose box has more than ``MAX_SWEEP_LINES`` lines is
-    refused before any range is built, by ``_check_sweep_lines``.
+    refused before any range is built, by ``check_plan``.
     """
-    _check_sweep_lines(box)
+    check_plan(box)
     head = box[:-1]
     m = len(head)
     if not m:
@@ -116,16 +144,6 @@ def line_values(inequalities, box, projected=()):
         x[j] += 1
         values[j + 1] = list(map(add, values[j + 1], cols[j]))
         j += 1
-
-
-def line_spans(inequalities, box):
-    """``(prefix, spans)`` per line of the box, in ``line_values`` order: row
-    (a, b) holds on the span ``(first, last)`` of t in the last coordinate's
-    [lo, hi] with <prefix + (t,), a> + b >= 0, empty if first > last."""
-    lo, hi = box[-1]
-    lasts = [a[-1] for a, _ in inequalities]
-    for prefix, values in line_values(inequalities, box):
-        yield prefix, [_span(v, c, lo, hi) for v, c in zip(values, lasts)]
 
 
 def sign_groups(inequalities):
@@ -301,6 +319,7 @@ def ehrhart_polynomial(poly: LatticePolytope) -> EhrhartPolynomial:
     if "ehrhart_polynomial" in poly._cache:
         return poly._cache["ehrhart_polynomial"]
     n = poly.dim
+    check_plan(dilate_box(poly, n))
     counts = [count_points(poly, k) for k in range(n + 1)]
     coeffs = [Fraction(0)] * (n + 1)
     for k, y in enumerate(counts):
@@ -324,29 +343,13 @@ def ehrhart_polynomial(poly: LatticePolytope) -> EhrhartPolynomial:
     return ehr
 
 
-def check_reciprocity_budget(poly: LatticePolytope, kmax: int) -> None:
-    """Refuse a reciprocity table up to kmax whose dilate boxes hold more than
-    ``MAX_RECIPROCITY_POINTS`` points in total, or whose largest sweep, the
-    box of max(kmax, n)P that the table and the polynomial both reach, has
-    more than ``MAX_SWEEP_LINES`` lines; counts nothing."""
-    total = 0
-    for j in range(1, kmax + 1):
-        # each box holds at least j points, so this ends within 15000 steps
-        total += prod(hi - lo + 1 for lo, hi in dilate_box(poly, j))
-        if total > MAX_RECIPROCITY_POINTS:
-            raise ValueError(
-                f"reciprocity up to {kmax} scans more than the "
-                f"{MAX_RECIPROCITY_POINTS} box points allowed"
-            )
-    _check_sweep_lines(dilate_box(poly, max(kmax, poly.dim)))
-
-
 def reciprocity_table(poly: LatticePolytope, kmax: int) -> list[tuple[int, int, int]]:
-    """Rows (k, (-1)^n E(k), interior lattice points of kP) for k = -1 .. -kmax,
-    refused before any counting by ``check_reciprocity_budget``."""
+    """Rows (k, (-1)^n E(k), interior lattice points of kP) for k = -1 .. -kmax.
+    Before any count, ``check_plan`` reads the ``ehrhart`` command's plan:
+    this table, and sweeps up to max(kmax, n+1)P, the splitting index's too."""
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
-    check_reciprocity_budget(poly, kmax)
+    check_plan(dilate_box(poly, max(kmax, poly.dim + 1)), table=(poly, kmax))
     ehr = ehrhart_polynomial(poly)
     sign = (-1) ** poly.dim
     return [
@@ -366,9 +369,11 @@ def splitting_index(poly: LatticePolytope) -> int:
 
     Computed twice and asserted equal: as the count of integral roots (which
     must form the consecutive block -1 .. -k), and as the least j >= 0 such
-    that (j+1)P has an interior lattice point.
+    that (j+1)P has an interior lattice point. Its sweeps, up to (n+1)P,
+    are checked against the line budget before the polynomial is counted.
     """
     n = poly.dim
+    check_plan(dilate_box(poly, n + 1))
     ehr = ehrhart_polynomial(poly)
     roots = ehr.integral_roots()
     if ehr(-(n + 2)) == 0:

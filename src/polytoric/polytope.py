@@ -18,7 +18,7 @@ from functools import cached_property, reduce
 from operator import and_, mul, or_
 from typing import Iterable, Iterator, Sequence
 
-from .linalg import dot, rank_rational, vec_neg, vec_sub
+from .linalg import dot, rank_rational, vec_sub
 from .lp import dual_cone_rays
 
 
@@ -148,11 +148,6 @@ def _validate(poly: LatticePolytope, values: Sequence[Sequence[int]]) -> None:
         pts = [poly.vertices[i] for i in iter_bits(on)]
         if rank_rational([vec_sub(p, pts[0]) for p in pts[1:]]) != poly.dim - 1:
             raise ValueError("supporting hyperplane does not span a facet")
-
-
-def negate_polytope(poly: LatticePolytope) -> LatticePolytope:
-    """The reflection -P through the origin."""
-    return build_polytope([vec_neg(v) for v in poly.vertices])
 
 
 # ---------------------------------------------------------------------------

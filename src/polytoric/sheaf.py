@@ -45,10 +45,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import prod
 
 from .classify import classify_front_back, classify_lower_upper, classify_visibility
-from .ehrhart import dilate_box, dilate_points, line_values, sign_groups
+from .ehrhart import check_plan, dilate_box, dilate_points, line_values, sign_groups
 from .homology import CohomologyResult, IntegerChainComplex, cohomology, face_set_complexes
 from .linalg import dot, primitive_vector, vec_neg, vec_sub
 from .lp import dual_cone_rays
@@ -57,8 +56,6 @@ from .polytope import FaceLattice, iter_bits, union_over
 MARGIN = 2  # scan box reach beyond kP; reports carry the box, so it is fixed
 DISTANT_POINT_COUNT = 32
 DISTANT_COORD_BOUND = 50
-# most points global_cohomology enumerates; a 3D box of edge 100 fits
-MAX_SCAN_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -213,16 +210,6 @@ def scan_box(poly, k: int) -> tuple[tuple[int, int], ...]:
     return tuple((lo - MARGIN, hi + MARGIN) for lo, hi in dilate_box(poly, k))
 
 
-def _check_box_budget(poly, k: int, what: str):
-    """Twist k's ``"dilate"`` box (bounding kP) or ``"scan"`` box (``scan_box``),
-    refused if it has more than ``MAX_SCAN_POINTS`` points."""
-    box = scan_box(poly, k) if what == "scan" else dilate_box(poly, k)
-    size = prod(hi - lo + 1 for lo, hi in box)
-    if size > MAX_SCAN_POINTS:
-        raise ValueError(f"{what} box has {size} points, more than the {MAX_SCAN_POINTS} allowed")
-    return box
-
-
 def _class_face_set(lattice: FaceLattice, sig: int) -> int:
     """Face-id bitmask (bit f for face f) of the faces on no facet that fails
     in the class's signature, a ``holds`` mask; bit j of ~sig is set iff
@@ -356,12 +343,13 @@ def global_cohomology(lattice: FaceLattice, k: int, ring: str = "Z") -> GlobalCo
     passed; it is not a proof that nothing outside the box contributes.
     Sampled: a fixed set of ``DISTANT_POINT_COUNT`` pseudo-random points
     outside the box must be acyclic too, a spot check and not a proof. A box
-    of more than ``MAX_SCAN_POINTS`` points is refused before it is swept.
+    over ``ehrhart.check_plan``'s listing budget is refused before it is swept.
     The facet-sign runs of the box are computed once per twist and shared
     by every ring.
     """
     n = lattice.polytope.dim
-    box = _check_box_budget(lattice.polytope, k, "scan")
+    box = scan_box(lattice.polytope, k)
+    check_plan(listed=[("scan", box)])
     sigs, runs, distant_ids = _scan(lattice, k)
     complexes = _class_complexes(lattice, sigs)
     # one cohomology per distinct complex; most classes share the empty one
@@ -404,9 +392,9 @@ def global_cohomology(lattice: FaceLattice, k: int, ring: str = "Z") -> GlobalCo
 
 def expected_contributors(lattice: FaceLattice, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Contributors the closed form predicts: kP points in degree 0 for k >= 0,
-    interior points of kP in degree n for k < 0. A dilate box of more than
-    ``MAX_SCAN_POINTS`` points is refused before it is enumerated."""
+    interior points of kP in degree n for k < 0. A dilate box over
+    ``ehrhart.check_plan``'s listing budget is refused before it is enumerated."""
     poly = lattice.polytope
-    _check_box_budget(poly, k, "dilate")
+    check_plan(listed=[("dilate", dilate_box(poly, k))])
     degree = 0 if k >= 0 else poly.dim
     return tuple(sorted((x, degree) for x in dilate_points(poly, k, k < 0)))

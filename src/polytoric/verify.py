@@ -1,13 +1,13 @@
 """Named invariant suites over a single polytope, used by the CLI.
 
 Each check returns a CheckResult; a suite is a list of them. Everything is
-deterministic for a fixed seed. ``run_suite`` reads every budget of the
-selected suites before the first one runs, so an input over one is refused
-before any work. The cohomology suite runs its twist face set checks once
-per facet-sign class realized on the scan box, read off the scan cache, not
-once per point. Ball and sphere sets go through
-``homology.face_set_complexes``, the route of the sheaf's sign classes, and
-share its complexes.
+deterministic for a fixed seed. ``run_suite`` hands the work plan of the
+selected suites to ``ehrhart.check_plan`` before the first one runs, so an
+input over a budget is refused before any work. The cohomology suite runs
+its twist face set checks once per facet-sign class realized on the scan
+box, read off the scan cache, not once per point. Ball and sphere sets go
+through ``homology.face_set_complexes``, the route of the sheaf's sign
+classes, and share its complexes.
 """
 
 from __future__ import annotations
@@ -309,24 +309,20 @@ def cohomology_suite(lattice: FaceLattice) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def check_budgets(lattice: FaceLattice, suite: str) -> None:
-    """Refuse an input over a budget of the selected suites with the message
-    the work itself would give: the reciprocity table up to n+2 of the
-    Ehrhart suite, then the dilate and scan boxes of each twist of the
-    cohomology suite. Counts nothing."""
-    poly = lattice.polytope
-    if suite in ("all", "ehrhart"):
-        eh.check_reciprocity_budget(poly, poly.dim + 2)
-    if suite in ("all", "cohomology"):
-        for k in TWISTS:
-            sh._check_box_budget(poly, k, "dilate")
-            sh._check_box_budget(poly, k, "scan")
-
-
 def run_suite(lattice: FaceLattice, suite: str, seed: int = 0) -> list[CheckResult]:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
-    check_budgets(lattice, suite)
+    # the Ehrhart suite counts up to (n+2)P; the cohomology suite up to nP, and
+    # it lists the scan box of each twist, which holds the twist's dilate box
+    poly = lattice.polytope
+    ehrhart = suite in ("all", "ehrhart")
+    cohomology = suite in ("all", "cohomology")
+    if ehrhart or cohomology:
+        eh.check_plan(
+            eh.dilate_box(poly, poly.dim + 2 if ehrhart else poly.dim),
+            listed=[("scan", sh.scan_box(poly, k)) for k in TWISTS] if cohomology else (),
+            table=(poly, poly.dim + 2) if ehrhart else None,
+        )
     out: list[CheckResult] = []
     if suite in ("all", "combinatorics"):
         out.extend(combinatorics_suite(lattice))

@@ -7,7 +7,7 @@ from polytoric import classify as cl
 from polytoric import homology as hm
 from polytoric import sheaf as sh
 from polytoric.linalg import vec_neg
-from polytoric.polytope import iter_bits, negate_polytope
+from polytoric.polytope import iter_bits
 
 CORPUS_VERTICES = {
     "SEG": [[0], [1]],
@@ -103,6 +103,11 @@ def graded_piece(lattice, k, x):
     base = sh.twist_face_set(lattice, k, x)
     ambient = hm.face_cochain_complex(lattice)
     return GradedPiece(base, hm.restrict_cochain_complex(ambient, base.mask))
+
+
+def negate_polytope(poly):
+    """The reflection -P through the origin."""
+    return build_polytope([vec_neg(v) for v in poly.vertices])
 
 
 def negated_lattice(lattice):

@@ -9,8 +9,7 @@ from polytoric import classify as cl
 from polytoric import ehrhart as eh
 from polytoric import homology as hm
 from polytoric import sheaf as sh
-from polytoric.polytope import negate_polytope
-from conftest import has_sphere_homology, is_reduced_acyclic
+from conftest import has_sphere_homology, is_reduced_acyclic, negate_polytope
 from test_boundary import join_formulas
 
 RINGS = ("Z", "Q", "Z/2", "Z/3")

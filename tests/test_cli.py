@@ -40,6 +40,16 @@ def run_main(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def forbid_sweeps(monkeypatch):
+    """Fail the test at the first line sweep of ``ehrhart`` or ``sheaf``."""
+
+    def no_sweep(*args):
+        raise AssertionError("swept despite the budget")
+
+    monkeypatch.setattr(eh, "line_values", no_sweep)
+    monkeypatch.setattr(sh, "line_values", no_sweep)
+
+
 def test_faces_listing(capsys, sq_file):
     code, out, _ = run_main(capsys, "faces", "--input", sq_file)
     assert code == 0
@@ -209,11 +219,7 @@ def test_ehrhart_on_tri5_is_refused_before_any_sweep(capsys, tmp_path, monkeypat
     tri.write_text('{"vertices": [[0,0],[1,0],[0,1]]}')
     assert run_main(capsys, "ehrhart", "--input", str(tri))[0] == 0
     assert sweeps  # the wrapper sees the sweeps of an accepted input
-
-    def no_sweep(*args):
-        raise AssertionError("dilate swept despite the budget")
-
-    monkeypatch.setattr(eh, "line_values", no_sweep)
+    forbid_sweeps(monkeypatch)
     tri5 = tmp_path / "tri5.json"
     tri5.write_text('{"vertices": [[0,0],[100000,0],[0,100000]]}')
     code, out, err = run_main(capsys, "ehrhart", "--input", str(tri5))
@@ -222,22 +228,50 @@ def test_ehrhart_on_tri5_is_refused_before_any_sweep(capsys, tmp_path, monkeypat
 
 
 def test_verify_cohomology_on_tri5_is_refused_before_any_count(capsys, tmp_path, monkeypatch):
-    # the suite reads every box budget of its twist loop before it builds the
-    # Ehrhart polynomial or runs the membership certificate
+    # the suite reads the scan box of every twist of its loop, each holding
+    # the twist's dilate box, before it builds the Ehrhart polynomial or runs
+    # the membership certificate
     def no_work(*args):
         raise AssertionError("counted despite the budget")
 
     monkeypatch.setattr(eh, "count_lattice_points", no_work)
     monkeypatch.setattr(sh, "membership_certificate", no_work)
+    forbid_sweeps(monkeypatch)
     tri5 = tmp_path / "tri5.json"
     tri5.write_text('{"vertices": [[0,0],[100000,0],[0,100000]]}')
     code, out, err = run_main(capsys, "verify", "--input", str(tri5), "--suite", "cohomology")
     assert code == 2 and out == ""
-    assert err == "error: dilate box has 90000600001 points, more than the 1000000 allowed\n"
+    assert err == "error: scan box has 90003000025 points, more than the 1000000 allowed\n"
+
+
+TRI5 = [[0, 0], [10**5, 0], [0, 10**5]]
+REFUSALS = [
+    # the splitting index sweeps 3P, 1200001 lines, beyond the table's 1P
+    ([[0, 0], [1, 0], [400000, 1]], ("ehrhart", "--kmax", "1"), "a sweep of 1200001 lines"),
+    (TRI5, ("cohomology", "--twist", "1"), "scan box has 10001000025 points"),
+    (TRI5, ("verify", "--suite", "all"), "100000000 box points"),
+    (TRI5, ("verify", "--suite", "ehrhart"), "100000000 box points"),
+]
+
+
+@pytest.mark.parametrize(
+    ("vertices", "argv", "message"),
+    REFUSALS,
+    ids=["thin ehrhart --kmax 1", "TRI5 cohomology", "TRI5 verify all", "TRI5 verify ehrhart"],
+)
+def test_refused_input_is_never_swept(capsys, tmp_path, monkeypatch, vertices, argv, message):
+    # each command hands its whole plan to one budget check before it counts
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps({"vertices": vertices}))
+    forbid_sweeps(monkeypatch)
+    code, out, err = run_main(capsys, argv[0], "--input", str(path), *argv[1:])
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err, err
 
 
 @pytest.mark.parametrize("argv", [("ehrhart",), ("verify", "--suite", "all")])
-def test_huge_coordinate_exits_2_on_one_line(capsys, tmp_path, argv):
+def test_huge_coordinate_exits_2_on_one_line(capsys, tmp_path, monkeypatch, argv):
+    forbid_sweeps(monkeypatch)
     wide = tmp_path / "wide.json"
     wide.write_text(json.dumps({"vertices": [[0, 0], [10**30, 0], [0, 1]]}))
     code, out, err = run_main(capsys, argv[0], "--input", str(wide), *argv[1:])

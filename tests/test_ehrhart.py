@@ -40,11 +40,22 @@ def box_filter(rows, box):
     return [x for x in box_scan(box) if all(dot(x, a) + b >= 0 for a, b in rows)]
 
 
+def line_spans(inequalities, box):
+    """``(prefix, spans)`` per line of the box, in ``line_values`` order: row
+    (a, b) holds on the span ``(first, last)`` of t in the last coordinate's
+    [lo, hi] with <prefix + (t,), a> + b >= 0, empty if first > last; the
+    per-row span oracle."""
+    lo, hi = box[-1]
+    lasts = [a[-1] for a, _ in inequalities]
+    for prefix, values in eh.line_values(inequalities, box):
+        yield prefix, [eh._span(v, c, lo, hi) for v, c in zip(values, lasts)]
+
+
 def check_line_spans(rows, box):
     """Every span of every line of ``line_spans`` against the per-row box
     filter of that line; returns the kinds of span seen."""
     *head, (lo, hi) = box
-    lines = list(eh.line_spans(rows, box))
+    lines = list(line_spans(rows, box))
     assert [prefix for prefix, _ in lines] == list(box_scan(head)), box
     seen = set()
     for prefix, spans in lines:
@@ -77,7 +88,7 @@ def test_span_count_equals_enumeration():
         ]
         expected = sum(1 for _ in eh.lattice_points(rows, box))
         assert eh.count_lattice_points(rows, box) == expected, (rows, box)
-        empty_span = any(f > l for _, spans in eh.line_spans(rows, box) for f, l in spans)
+        empty_span = any(f > l for _, spans in line_spans(rows, box) for f, l in spans)
         kinds |= {"no rows" if not rows else "rows", "empty" if not expected else "points"}
         kinds.add("an empty span" if empty_span else "no empty span")
     assert kinds == {"no rows", "rows", "empty", "points", "an empty span", "no empty span"}
@@ -445,8 +456,9 @@ def test_sweep_over_line_budget_is_refused_before_any_range(monkeypatch):
 
 
 def test_reciprocity_reads_the_line_budget_of_its_largest_sweep(monkeypatch):
-    # TRI's table up to 3 sweeps 3P last, 4 lines; up to 1 the polynomial's
-    # 2P is the largest, 3 lines
+    # TRI's table up to 3 sweeps 3P last, 4 lines; up to 1 the splitting
+    # index's 3P is the largest, as the ehrhart command runs it next, and the
+    # polynomial's 2P has 3 lines
     tri = build_polytope([[0, 0], [1, 0], [0, 1]])
     monkeypatch.setattr(eh, "MAX_SWEEP_LINES", 4)
     assert eh.reciprocity_check(tri, 3)
@@ -457,10 +469,17 @@ def test_reciprocity_reads_the_line_budget_of_its_largest_sweep(monkeypatch):
     monkeypatch.setattr(eh, "line_values", lambda *a: sweeps.append(a) or original(*a))
     with pytest.raises(ValueError, match="a sweep of 4 lines is more than the 3 lines allowed"):
         eh.reciprocity_table(tri, 3)
+    with pytest.raises(ValueError, match="a sweep of 4 lines is more than the 3 lines allowed"):
+        eh.reciprocity_table(tri, 1)
+    with pytest.raises(ValueError, match="a sweep of 4 lines is more than the 3 lines allowed"):
+        eh.splitting_index(tri)
     assert sweeps == []
+    # the polynomial alone sweeps up to 2P, 3 lines
+    assert eh.ehrhart_polynomial(tri).coefficients == (1, Fraction(3, 2), Fraction(1, 2))
+    sweeps.clear()
     monkeypatch.setattr(eh, "MAX_SWEEP_LINES", 2)
     with pytest.raises(ValueError, match="a sweep of 3 lines is more than the 2 lines allowed"):
-        eh.reciprocity_table(tri, 1)
+        eh.ehrhart_polynomial(build_polytope([[0, 0], [1, 0], [0, 1]]))
     assert sweeps == []
     # the wrapper sees the sweeps of an accepted table
     monkeypatch.setattr(eh, "MAX_SWEEP_LINES", 4)

@@ -12,7 +12,7 @@ from polytoric import build_polytope, face_lattice
 from polytoric import sheaf as sh
 from polytoric import verify as vf
 from polytoric.linalg import primitive_vector, vec_neg, vec_sub
-from polytoric.polytope import Facet, FaceLattice, LatticePolytope, negate_polytope
+from polytoric.polytope import Facet, FaceLattice, LatticePolytope
 from polytoric.lp import cone_contains, dual_cone_rays
 from conftest import (
     CORPUS_VERTICES,
@@ -22,6 +22,7 @@ from conftest import (
     face_mask,
     graded_piece,
     minus_p_crosscheck,
+    negate_polytope,
     negated_lattice,
 )
 from test_ehrhart import dilate_contains
@@ -535,10 +536,10 @@ def test_cohomology_suite_runs_one_twist_face_set_per_k1_class(name, monkeypatch
 
 def test_expected_contributors_over_budget_is_refused_before_enumeration(sq, monkeypatch):
     # SQ at k = -3 spans the 4 x 4 dilate box [-3, 0]^2
-    monkeypatch.setattr(sh, "MAX_SCAN_POINTS", 16)
+    monkeypatch.setattr(eh, "MAX_SCAN_POINTS", 16)
     interior = ((-2, -2), (-2, -1), (-1, -2), (-1, -1))
     assert sh.expected_contributors(sq, -3) == tuple((x, 2) for x in interior)
-    monkeypatch.setattr(sh, "MAX_SCAN_POINTS", 15)
+    monkeypatch.setattr(eh, "MAX_SCAN_POINTS", 15)
 
     def no_enumeration(*args):
         raise AssertionError("dilate box enumerated despite the budget")
@@ -584,11 +585,11 @@ def test_scan_box_over_budget_is_refused_before_enumeration(sq, monkeypatch):
     sweeps = []
     original = sh.line_values
     monkeypatch.setattr(sh, "line_values", lambda *a: sweeps.append(a) or original(*a))
-    monkeypatch.setattr(sh, "MAX_SCAN_POINTS", 36)
+    monkeypatch.setattr(eh, "MAX_SCAN_POINTS", 36)
     cold = face_lattice(build_polytope(CORPUS_VERTICES["SQ"]))
     assert sh.global_cohomology(cold, 1, "Z").free == (4, 0, 0)
     assert len(sweeps) == 1  # the wrapper sees the scan of an accepted box
-    monkeypatch.setattr(sh, "MAX_SCAN_POINTS", 35)
+    monkeypatch.setattr(eh, "MAX_SCAN_POINTS", 35)
     sq = face_lattice(build_polytope(CORPUS_VERTICES["SQ"]))  # a cold scan cache
 
     def no_enumeration(*args):

@@ -62,17 +62,22 @@ def test_cross6_is_refused_before_the_first_sweep(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(eh, "line_values", counting)
+    monkeypatch.setattr(sh, "line_values", counting)
     refusal = "^a sweep of 1419857 lines is more than the 1000000 lines allowed$"
     with pytest.raises(ValueError, match=refusal):
         eh.reciprocity_table(lat.polytope, 8)
-    with pytest.raises(ValueError, match=refusal):
-        vf.run_suite(lat, "ehrhart")
+    for suite in ("ehrhart", "all"):
+        with pytest.raises(ValueError, match=refusal):
+            vf.run_suite(lat, suite)
+    # the scan box of -3P, [-5, 5]^6
+    with pytest.raises(ValueError, match="^scan box has 1771561 points, more than the 1000000"):
+        vf.run_suite(lat, "cohomology")
     assert sweeps == []
     # the wrapper sees the sweeps of an accepted table on the same polytope
     eh.reciprocity_table(lat.polytope, 1)
     assert sweeps
     # up to 7 the largest sweep, 15^5 lines, is within the budget
-    eh.check_reciprocity_budget(lat.polytope, 7)
+    eh.check_plan(eh.dilate_box(lat.polytope, 7), table=(lat.polytope, 7))
 
 
 def test_ball_sphere_sets_and_sign_classes_share_one_complex_per_remainder(monkeypatch):
