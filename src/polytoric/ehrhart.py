@@ -23,11 +23,12 @@ one interior column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 from operator import add
 
+from .linalg import scale_to_integers
 from .polytope import LatticePolytope, build_polytope
 
 # most dilate box points a reciprocity table may face; a 3D box of edge 460
@@ -285,22 +286,30 @@ class EhrhartPolynomial:
     """E(T) = sum(c_i T^i) with exact rational coefficients, degree = dim P."""
 
     coefficients: tuple[Fraction, ...]
+    _numerators: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.coefficients or self.coefficients[-1] <= 0:
             raise ValueError("leading coefficient must be positive")
         if self.coefficients[0] != 1:
             raise ValueError("constant term must be 1")
+        object.__setattr__(self, "_numerators", scale_to_integers(self.coefficients))
 
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
     def __call__(self, k) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * k + c
-        return acc
+        """E(p/q) for an int or a Fraction: Horner's rule, homogenized in (p, q),
+        on the integer numerators a_i of c_i = a_i/d, then one division."""
+        if not isinstance(k, (int, Fraction)):
+            raise ValueError(f"E({k!r}): the argument must be an int or a Fraction")
+        nums, den = self._numerators
+        p, q = k.numerator, k.denominator
+        acc = 0
+        for i, a in enumerate(reversed(nums)):
+            acc = acc * p + a * q**i
+        return Fraction(acc, den * q**self.degree)
 
     def value_at_integer(self, k: int) -> int:
         v = self(k)

@@ -18,7 +18,7 @@ from functools import cached_property, reduce
 from operator import and_, mul, or_
 from typing import Iterable, Iterator, Sequence
 
-from .linalg import dot, rank_rational, vec_sub
+from .linalg import dot, rank_rational, scale_to_integers, vec_sub
 from .lp import dual_cone_rays
 
 
@@ -48,6 +48,7 @@ class LatticePolytope:
     # passes it in from its values pass, any other construction computes it
     incidence: tuple[int, ...] = field(init=False, compare=False, repr=False)
     hull_incidence: InitVar[tuple[int, ...] | None] = None
+    _box: tuple[tuple[int, int], ...] = field(init=False, compare=False, repr=False)
     # results computed from the polytope alone, such as the Ehrhart table
     _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
@@ -55,13 +56,20 @@ class LatticePolytope:
         if hull_incidence is None:
             hull_incidence = _zero_masks([[f.value(v) for v in self.vertices] for f in self.facets])
         object.__setattr__(self, "incidence", hull_incidence)
+        object.__setattr__(self, "_box", tuple((min(c), max(c)) for c in zip(*self.vertices)))
 
     def holds(self, x: Sequence, k: int = 1, strict: bool = False) -> int:
         """Bitmask of the facets whose twisted inequality holds at x: bit i is
         set iff <x, n_i> + k*c_i >= 0 (> 0 if strict). Every facet-sign
-        question of ``classify`` and ``sheaf`` is read off it."""
+        question of ``classify`` and ``sheaf`` is read off it. A rational x =
+        y/b, b > 0, is decided in integers by <y, n_i> + k*b*c_i."""
         if len(x) != self.dim:
             raise ValueError("point has wrong dimension")
+        if any(type(c) is not int for c in x):
+            if not all(isinstance(c, (int, Fraction)) for c in x):
+                raise ValueError(f"coordinates of {tuple(x)} must be ints or Fractions")
+            x, b = scale_to_integers(x)
+            k *= b
         mask = 0
         for i, f in enumerate(self.facets):
             v = sum(map(mul, x, f.normal)) + k * f.offset
@@ -74,10 +82,7 @@ class LatticePolytope:
         return self.holds(x, 1, strict).bit_count() == len(self.facets)
 
     def bounding_box(self) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            (min(v[i] for v in self.vertices), max(v[i] for v in self.vertices))
-            for i in range(self.dim)
-        )
+        return self._box
 
 
 def _check_integer_point(p: Sequence, dim: int | None) -> tuple[int, ...]:

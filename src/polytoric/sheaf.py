@@ -3,41 +3,37 @@ cohomology on the toric variety of a polytope.
 
 For a twist k and a lattice point x, the faces F with x in C_F + kF (barrier
 cone translated by the dilated face) select a subcomplex of the face cochain
-complex. Its cohomology is the x-graded piece of H^*(X; F(k)); summing over a
-box of lattice points, whose outer shell is checked acyclic, gives the
+complex. Its cohomology is the x-graded piece of H^*(X; F(k)); summing over
+a box of lattice points, whose outer shell is checked acyclic, gives the
 global answer (``global_cohomology`` says what is checked and what is
 sampled). The subcomplex depends only on the signs of the facet functionals
-at x, so one complex is kept per facet-sign class, for every twist and
-ring: the restriction to what free-pair coreduction leaves of the class's
-face set, which has the same cohomology (``homology.face_set_complexes``,
-the route verify's ball and sphere sets take too). On every input the tests
-cover, an acyclic class leaves nothing, a point of kP one vertex and an
-interior point of -kP the top face. Classes with one remainder share one
-complex, and each distinct complex's cohomology over Z, Q and Z/p is
-computed once, from its Smith forms (``homology.cohomology``). The tests
-keep the full restriction as the oracle. The closed-form contributors and
-the scan both read the odometer line kernel, ``ehrhart.line_values``: on
-each line of the box every facet holds on one interval, whose end the scan
-reads off the facet's value at the line's prefix, so it cuts the line at
-those ends into at most F + 1 runs of one class (F facets), keyed by its
-facet bitmask (bit j set iff facet j holds). The scan visits every line of
-the box, since the shell check needs them all; the contributors sweep only
-the lines of the projections of kP. The new classes of a scan are coreduced
-in one bit-sliced batch, read straight off those bitmasks. Only runs of
-non-trivial classes are expanded into points. ``class_points`` reads
-the first point of each realized class off the cached runs; ``verify`` runs
-its checks on those.
+at x, a ``LatticePolytope.holds`` mask decided in integers, so one complex
+is kept per facet-sign class, for every twist and ring: the restriction to
+what free-pair coreduction leaves of the class's face set, which has the
+same cohomology (``homology.face_set_complexes``, the route of verify's ball
+and sphere sets too). On every input the tests cover, an acyclic class
+leaves nothing, a point of kP one vertex and an interior point of -kP the
+top face; the tests keep the full restriction as the oracle. The scan reads
+the odometer line kernel, ``ehrhart.line_values``, over every line of the
+box (the shell check needs them all; the closed-form contributors sweep only
+the lines of kP's projections): a facet holds on one interval of a line, so
+the line splits at the interval ends into at most F + 1 runs of one class (F
+facets), keyed by its facet bitmask (bit j set iff facet j holds); the new
+classes are coreduced in one bit-sliced batch. The ring only enters when
+Smith forms are read, so each twist keeps one ring-free record (``_twist``):
+its box, its classes grouped by the complex they share, and the points of
+the classes whose complex has a cell. A ring then computes one cohomology
+per distinct complex and touches only the non-trivial ones. ``class_points``
+reads the first point of each realized class off the cached runs, for
+``verify``'s checks.
 
-Every facet-sign question at a point, the signature of a class, the members
-of a twist face set and the sides of the classifications, is one
-``LatticePolytope.holds`` mask. Membership is decided two ways: by the facet
-inequalities (the fast formula, ``twist_members``) and by an oracle on the
-barrier-cone generators. ``membership_certificate`` proves the two equal for
+Membership is decided two ways: by the facet inequalities (the fast formula,
+``twist_members``) and by an oracle on the barrier-cone generators, whose
+dual-cone rays come from the double description kernel of the facets, run
+once per vertex cone. ``membership_certificate`` proves the two equal for
 every x and k with one comparison per face: the dual rays of C_F must be the
 primitive normals of the facets through F, each tight at F's lex-min vertex.
-The oracle's dual-cone rays come from the same double-description kernel as
-the facets, run once per vertex cone; the tests compare formula and oracle
-point by point and check both against Fourier-Motzkin feasibility
+The tests also compare both with Fourier-Motzkin feasibility
 (``lp.cone_contains``), which shares no code with either.
 """
 
@@ -45,6 +41,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice
+from operator import le, mul
 
 from .classify import classify_front_back, classify_lower_upper, classify_visibility
 from .ehrhart import check_plan, dilate_box, dilate_points, line_values, sign_groups
@@ -260,22 +259,27 @@ def _distant_points(poly, k: int, box) -> list[tuple[int, ...]]:
     if all(lo <= -bound and hi >= bound for lo, hi in box):
         bound += max(max(-lo, hi) for lo, hi in box)
     rng = random.Random(f"distant:{k}:{poly.vertices}")
-    draw, width = rng.randrange, 2 * bound + 1  # randint(-bound, bound), with less call overhead
+    # randint(-bound, bound) is -bound + randrange(width), which draws
+    # getrandbits of the width's bit length until it is below the width
+    width = 2 * bound + 1
+    bits = iter(partial(rng.getrandbits, width.bit_length()), -1)
+    draws = (r - bound for r in bits if r < width)
+    los, his = zip(*box)
     distant = []
     while len(distant) < DISTANT_POINT_COUNT:
-        x = tuple(draw(width) - bound for _ in range(poly.dim))
-        if not all(lo <= xi <= hi for xi, (lo, hi) in zip(x, box)):
+        x = tuple(islice(draws, poly.dim))
+        if not (all(map(le, los, x)) and all(map(le, x, his))):
             distant.append(x)
     return distant
 
 
 def _scan(lattice: FaceLattice, k: int):
-    """Ring-free part of ``global_cohomology``, kept on the lattice per twist:
-    the signature of each class, the runs ``(class id, prefix, first, last)``
-    of one class each that tile ``scan_box(P, k)``, and the class id of every
-    distant point. A line is cut where a facet span starts or ends, so its
-    runs tile it in order and neighbours differ. Classes are numbered by
-    first appearance, box before distant points.
+    """The facet-sign scan, kept on the lattice per twist: the signature of
+    each class, the runs ``(class id, prefix, first, last)`` of one class
+    each that tile ``scan_box(P, k)``, and the class id of every distant
+    point. A line is cut where a facet span starts or ends, so its runs tile
+    it in order and neighbours differ. Classes are numbered by first
+    appearance, box before distant points.
     """
     cache = lattice._cache.setdefault("scans", {})
     if k in cache:
@@ -319,7 +323,8 @@ def _scan(lattice: FaceLattice, k: int):
         runs.append((classes.setdefault(sig, len(classes)), prefix, first, hi))
     distant_ids = []
     for x in _distant_points(poly, k, box):
-        distant_ids.append(classes.setdefault(poly.holds(x, k), len(classes)))
+        sig = sum(1 << i for i, (a, b) in enumerate(rows) if sum(map(mul, x, a)) + b >= 0)
+        distant_ids.append(classes.setdefault(sig, len(classes)))
     cache[k] = (list(classes), runs, distant_ids)
     return cache[k]
 
@@ -333,6 +338,36 @@ def class_points(lattice: FaceLattice, k: int) -> list[tuple]:
     return [(sigs[c], first[c]) for c in range(len(first))]
 
 
+def _twist(lattice: FaceLattice, k: int):
+    """Ring-free part of ``global_cohomology``, kept on the lattice per twist:
+    the scan box, checked by ``ehrhart.check_plan`` before it is swept, and
+    per distinct class complex ``[complex, points, on_shell, distant]``:
+    whether a distant point is in one of its classes and, for a complex with
+    a cell (the only kind a ring can find non-trivial), its classes' box
+    points in scan order and whether one of them is on the box's outer shell."""
+    cache = lattice._cache.setdefault("twists", {})
+    if k in cache:
+        return cache[k]
+    box = scan_box(lattice.polytope, k)
+    check_plan(listed=[("scan", box)])
+    sigs, runs, distant_ids = _scan(lattice, k)
+    groups: dict[int, list] = {}
+    of_class = []
+    distant = set(distant_ids)
+    for c, cx in enumerate(_class_complexes(lattice, sigs)):
+        group = groups.setdefault(id(cx), [cx, [], False, False])
+        group[3] |= c in distant
+        of_class.append(group if any(cx.basis_labels) else None)
+    lo, hi = box[-1]
+    for c, prefix, first, last in runs:
+        group = of_class[c]
+        if group:
+            group[2] |= first == lo or last == hi or any(xi in b for xi, b in zip(prefix, box))
+            group[1].extend(prefix + (t,) for t in range(first, last + 1))
+    cache[k] = box, list(groups.values())
+    return cache[k]
+
+
 def global_cohomology(lattice: FaceLattice, k: int, ring: str = "Z") -> GlobalCohomology:
     """Degreewise sum of the graded cohomology over all lattice points.
 
@@ -344,50 +379,30 @@ def global_cohomology(lattice: FaceLattice, k: int, ring: str = "Z") -> GlobalCo
     Sampled: a fixed set of ``DISTANT_POINT_COUNT`` pseudo-random points
     outside the box must be acyclic too, a spot check and not a proof. A box
     over ``ehrhart.check_plan``'s listing budget is refused before it is swept.
-    The facet-sign runs of the box are computed once per twist and shared
-    by every ring.
+    Each ring folds the twist's ring-free record (``_twist``): one cohomology
+    per distinct complex, and the points of the non-trivial ones.
     """
     n = lattice.polytope.dim
-    box = scan_box(lattice.polytope, k)
-    check_plan(listed=[("scan", box)])
-    sigs, runs, distant_ids = _scan(lattice, k)
-    complexes = _class_complexes(lattice, sigs)
-    # one cohomology per distinct complex; most classes share the empty one
-    distinct = {id(c): c for c in complexes}
-    computed = {key: cohomology(c, ring) for key, c in distinct.items()}
-    results = [computed[id(c)] for c in complexes]
-
+    box, groups = _twist(lattice, k)
+    live = [(cohomology(c, ring), *rest) for c, *rest in groups]
+    live = [group for group in live if not group[0].is_trivial()]
+    if any(on_shell for _, _, on_shell, _ in live):
+        raise RuntimeError("scan shell is not acyclic")
+    if any(distant for *_, distant in live):
+        raise RuntimeError("distant lattice point is not acyclic")
     free = [0] * (n + 1)
     torsion: list[list[int]] = [[] for _ in range(n + 1)]
     contributors = []
-    trivial = [res.is_trivial() for res in results]
-    lo, hi = box[-1]
-    # only the runs of non-trivial classes are expanded into points
-    for c, prefix, first, last in runs:
-        if trivial[c]:
-            continue
-        if first == lo or last == hi or any(xi in b for xi, b in zip(prefix, box)):
-            raise RuntimeError("scan shell is not acyclic")
-        res = results[c]
-        length = last - first + 1
+    for res, points, _, _ in live:
         for d in range(n + 1):
             fr = res.free_rank(d)
             tor = res.torsion_at(d)
             if fr or tor:
-                free[d] += fr * length
-                torsion[d].extend(tor * length)
-                contributors.extend((prefix + (t,), d) for t in range(first, last + 1))
-    if not all(trivial[i] for i in distant_ids):
-        raise RuntimeError("distant lattice point is not acyclic")
-    return GlobalCohomology(
-        k,
-        ring,
-        tuple(free),
-        tuple(tuple(sorted(t)) for t in torsion),
-        tuple(sorted(contributors)),
-        box,
-        True,
-    )
+                free[d] += fr * len(points)
+                torsion[d].extend(tor * len(points))
+                contributors.extend((x, d) for x in points)
+    tors = tuple(tuple(sorted(t)) for t in torsion)
+    return GlobalCohomology(k, ring, tuple(free), tors, tuple(sorted(contributors)), box, True)
 
 
 def expected_contributors(lattice: FaceLattice, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:

@@ -73,20 +73,30 @@ def partition_checks(c: cl.Classification) -> tuple[bool, bool]:
     duality in the (n-1)-sphere, H^i(∂P, K) = H_(n-1-i)(|∂P| - |K|), makes
     Δ(F) acyclic iff that restriction is Z in degree n-1 only.
     """
-    lattice = c.filter_side.lattice
-    filt, cplx = c.filter_side.mask, c.complex_side.mask
-    closed = bd.closure(c.filter_side)
-    structure = bool(
-        filt and cplx and not filt & cplx and filt | cplx == lattice.proper_mask
-        and bd.is_order_filter(c.filter_side) and bd.is_subcomplex(c.complex_side)
-        and c.boundary.mask == closed.mask & cplx
-    )
-    if not structure:
-        return False, False
-    n = lattice.polytope.dim
-    sets = [c.complex_side, closed, c.filter_side] + [c.boundary] * (n > 1)
-    expected = [(0,), (0,), (n - 1,)] + [(0, n - 2)] * (n > 1)
-    return True, face_set_cohomology(*sets) == expected
+    return batch_partition_checks([c])[0]
+
+
+def batch_partition_checks(cs: list[cl.Classification]) -> list[tuple[bool, bool]]:
+    """``partition_checks`` of classifications of one lattice, with the ball
+    and sphere sets of all of them in one ``face_set_cohomology`` batch; a
+    set's remainder does not depend on its batch (``homology.coreduce``)."""
+    plans = []
+    for c in cs:
+        lattice = c.filter_side.lattice
+        filt, cplx = c.filter_side.mask, c.complex_side.mask
+        closed = bd.closure(c.filter_side)
+        structure = bool(
+            filt and cplx and not filt & cplx and filt | cplx == lattice.proper_mask
+            and bd.is_order_filter(c.filter_side) and bd.is_subcomplex(c.complex_side)
+            and c.boundary.mask == closed.mask & cplx
+        )
+        n = lattice.polytope.dim
+        sets = [c.complex_side, closed, c.filter_side] + [c.boundary] * (n > 1)
+        expected = [(0,), (0,), (n - 1,)] + [(0, n - 2)] * (n > 1)
+        plans.append((sets, expected) if structure else None)
+    batch = [s for plan in plans if plan for s in plan[0]]
+    got = iter(face_set_cohomology(*batch) if batch else ())
+    return [(True, [next(got) for _ in p[0]] == p[1]) if p else (False, False) for p in plans]
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +224,12 @@ def classify_suite(lattice: FaceLattice, seed: int = 0) -> list[CheckResult]:
     out: list[CheckResult] = []
     poly = lattice.polytope
     facets = [(lattice.face_by_vertices(on), f) for on, f in zip(poly.incidence, poly.facets)]
-    for kind in cl.KINDS:
-        # one classification per viewpoint, read by every check
-        views = cl.sample_viewpoints(poly, kind, VIEWPOINTS, seed)
-        cs = [cl.classify(lattice, kind, x) for x in views]
-        checks = [partition_checks(c) for c in cs]
+    # one classification per viewpoint, read by every check; one ball/sphere batch
+    views = {kind: cl.sample_viewpoints(poly, kind, VIEWPOINTS, seed) for kind in cl.KINDS}
+    by_kind = {kind: [cl.classify(lattice, kind, x) for x in xs] for kind, xs in views.items()}
+    verdicts = iter(batch_partition_checks([c for cs in by_kind.values() for c in cs]))
+    for kind, cs in by_kind.items():
+        checks = [next(verdicts) for _ in cs]
         rays = [cl.definitional_check(c) for c in cs]
         _check(out, f"{kind}: partition structure", all(p for p, _ in checks))
         _check(out, f"{kind}: ball/sphere homology of nerves", all(h for _, h in checks))
@@ -241,30 +252,19 @@ def cohomology_suite(lattice: FaceLattice) -> list[CheckResult]:
     ehr = eh.ehrhart_polynomial(poly)
 
     # proved for every x and k, not only on a grid, by one certificate per face
-    _check(
-        out,
-        "twist membership formula equals LP oracle on the grid",
-        sh.membership_certificate(lattice),
-    )
+    certified = sh.membership_certificate(lattice)
+    _check(out, "twist membership formula equals LP oracle on the grid", certified)
 
-    closed_form = True
-    contributors_ok = True
+    closed_form = contributors_ok = True
     for k in TWISTS:
-        expect_rank = abs(ehr.value_at_integer(k))
-        expect_deg = 0 if k >= 0 else n
+        # |E(k)| in degree 0 for k >= 0, in degree n for k < 0, nothing else
+        rank = abs(ehr.value_at_integer(k))
+        expected = tuple(rank if d == (0 if k >= 0 else n) else 0 for d in range(n + 1))
         expected_contrib = sh.expected_contributors(lattice, k)
         for ring in ("Z", "Q", "Z/2", "Z/3"):
             g = sh.global_cohomology(lattice, k, ring)
-            concentrated = all(
-                g.free_rank(d) == 0 for d in range(n + 1) if d != expect_deg
-            )
-            closed_form = (
-                closed_form
-                and g.shell_certified
-                and not g.has_torsion()
-                and concentrated
-                and g.free_rank(expect_deg) == expect_rank
-            )
+            ok = g.shell_certified and not g.has_torsion() and g.free == expected
+            closed_form = closed_form and ok
             if ring == "Z":
                 contributors_ok = contributors_ok and g.contributors == expected_contrib
     _check(out, "global cohomology matches |E(k)| in one degree, torsion-free", closed_form)
@@ -295,8 +295,7 @@ def cohomology_suite(lattice: FaceLattice) -> list[CheckResult]:
     # scan filed it under, decides both identities for the whole box. The
     # members are read unchecked (twist_face_set raises on a set that is not
     # upward closed), so a broken set is reported as a FAIL.
-    dedup_ok = True
-    monotone_ok = True
+    dedup_ok = monotone_ok = True
     for sig, x in classes[1]:
         members = sh.twist_members(lattice, 1, x)
         dedup_ok = dedup_ok and members == sh._class_face_set(lattice, sig)

@@ -149,3 +149,45 @@ def test_boundary_sphere_of_a_segment_is_two_points():
     assert vf.face_set_cohomology(bd.boundary_complex(seg)) == [(0, 0)]
     checks = {r.name: r.passed for r in vf.combinatorics_suite(seg)}
     assert checks["boundary nerve has sphere homology"]
+
+
+def _moved_top_face(c):
+    """``c`` with the highest face of its complex side moved to the filter
+    side. That face is maximal in the complex side, so the sides stay a
+    subcomplex and an order filter, but the complex side loses one cell of
+    top dimension and with it its Euler characteristic 1."""
+    lat = c.filter_side.lattice
+    top = c.complex_side.mask.bit_length() - 1
+    cplx = bd.FaceSubset(lat, c.complex_side.mask & ~(1 << top))
+    filt = cplx.complement()
+    boundary = bd.closure(filt).intersection(cplx)
+    return replace(c, filter_side=filt, complex_side=cplx, boundary=boundary)
+
+
+def test_one_batch_gives_each_classification_its_own_verdict():
+    checked = 0
+    for name, lat in _lattices():
+        cs = [
+            cl.classify(lat, kind, x)
+            for kind in cl.KINDS
+            for x in cl.sample_viewpoints(lat.polytope, kind, count=vf.VIEWPOINTS, seed=0)
+        ]
+        verdicts = vf.batch_partition_checks(cs)
+        assert verdicts == [vf.partition_checks(c) for c in cs] == [(True, True)] * len(cs), name
+        for i in range(0, len(cs), 5):
+            moved = vf.batch_partition_checks(cs[:i] + [_moved_top_face(cs[i])] + cs[i + 1 :])
+            assert moved[i] != (True, True), (name, i)
+            assert moved[:i] + moved[i + 1 :] == verdicts[:i] + verdicts[i + 1 :], (name, i)
+            checked += 1
+    assert checked > 60
+    assert vf.batch_partition_checks([]) == []
+
+
+def test_the_classify_suite_makes_one_ball_sphere_batch(monkeypatch):
+    cube = face_lattice(build_polytope(SHAPES["CUBE4"]))
+    batches = []
+    original = vf.hm.face_set_complexes
+    monkeypatch.setattr(vf.hm, "face_set_complexes", lambda *a: batches.append(a) or original(*a))
+    assert all(r.passed for r in vf.classify_suite(cube, seed=0))
+    # four sets (complex side, closure of the filter, filter, boundary) per classification
+    assert [count for _, _, count in batches] == [4 * len(cl.KINDS) * vf.VIEWPOINTS]

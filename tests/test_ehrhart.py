@@ -573,3 +573,39 @@ def test_polynomial_invariants_are_enforced():
         eh.EhrhartPolynomial((Fraction(2), Fraction(1)))  # constant term must be 1
     with pytest.raises(ValueError):
         eh.EhrhartPolynomial((Fraction(1), Fraction(-1)))  # negative leading
+
+
+def fraction_horner(ehr, k):
+    """E(k) by Horner's rule in ``Fraction`` arithmetic, the reference for the
+    integer evaluation of ``EhrhartPolynomial.__call__``."""
+    acc = Fraction(0)
+    for c in reversed(ehr.coefficients):
+        acc = acc * k + c
+    return acc
+
+
+def test_integer_evaluation_matches_fraction_horner(corpus):
+    # seeded polynomials (constant term 1, positive leading coefficient) and
+    # the corpus polynomials, at integers and at rationals of either sign
+    rng = random.Random(31)
+    polys = [eh.ehrhart_polynomial(poly) for poly in corpus.values()]
+    for _ in range(60):
+        degree = rng.randint(1, 6)
+        middle = [Fraction(rng.randint(-40, 40), rng.randint(1, 30)) for _ in range(degree - 1)]
+        leading = Fraction(rng.randint(1, 40), rng.randint(1, 30))
+        polys.append(eh.EhrhartPolynomial((Fraction(1), *middle, leading)))
+    args = list(range(-8, 9)) + [10**12, -(10**12)]
+    args += [Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in range(20)]
+    for ehr in polys:
+        for k in args:
+            value = ehr(k)
+            assert type(value) is Fraction and value == fraction_horner(ehr, k), (ehr, k)
+        assert ehr(Fraction(3)) == ehr(3)
+    # value_at_integer reads the same value and refuses a non-integral one
+    half = eh.EhrhartPolynomial((Fraction(1), Fraction(1, 2)))
+    assert half.value_at_integer(4) == 3
+    with pytest.raises(ValueError, match="is not an integer"):
+        half.value_at_integer(1)
+    # a float is refused, not evaluated in floating point
+    with pytest.raises(ValueError, match="must be an int or a Fraction$"):
+        half(0.5)

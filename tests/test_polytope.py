@@ -530,3 +530,42 @@ def test_face_label_builds_no_face_view():
     ]
     with pytest.raises(ValueError):
         lat.face_label(len(lat))
+
+
+def test_holds_refuses_a_coordinate_that_is_not_an_int_or_a_fraction():
+    # a float is never decided in floating point, nor is any other number type
+    from decimal import Decimal
+
+    tri = build_polytope([[0, 0], [1, 0], [0, 1]])
+    for x in ((0.1, 0.2), (0, 1.0), (Decimal(1), 0), ("0", 0), (Fraction(1, 2), 0.5)):
+        with pytest.raises(ValueError, match="must be ints or Fractions$"):
+            tri.holds(x)
+        with pytest.raises(ValueError, match="must be ints or Fractions$"):
+            tri.contains(x)
+
+
+def test_a_rational_point_is_decided_as_its_integer_multiple():
+    # x = y/b holds at twist k iff y holds at twist k*b, for b > 0
+    rng = random.Random(33)
+    for vertices in (CORPUS_VERTICES["CUBE"], PENTAGON, OCTA):
+        poly = build_polytope(vertices)
+        for _ in range(60):
+            b = rng.randint(1, 7)
+            y = tuple(rng.randint(-12, 12) for _ in range(poly.dim))
+            x = tuple(Fraction(c, b) for c in y)
+            for k in (-2, 0, 1, 3):
+                for strict in (False, True):
+                    assert poly.holds(x, k, strict) == poly.holds(y, k * b, strict), (x, k)
+        # mixed int and Fraction coordinates, and a Fraction that is an integer
+        zero = (0,) * (poly.dim - 1)
+        assert poly.holds((Fraction(2), *zero)) == poly.holds((2, *zero))
+
+
+def test_bounding_box_is_computed_once(corpus):
+    for poly in [*corpus.values(), build_polytope(PENTAGON), build_polytope(OCTA)]:
+        box = poly.bounding_box()
+        assert box is poly.bounding_box()
+        assert box == tuple(
+            (min(v[i] for v in poly.vertices), max(v[i] for v in poly.vertices))
+            for i in range(poly.dim)
+        )

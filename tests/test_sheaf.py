@@ -810,3 +810,85 @@ def test_scan_box_covering_the_distant_cube_does_not_hang():
     box = sh.scan_box(sq.polytope, 48)
     assert box == ((-50, 50), (-50, 50))
     assert all(max(map(abs, x)) > 50 for x in sh._distant_points(sq.polytope, 48, box))
+
+
+RECORD_SHAPES = {
+    "CUBE3": CORPUS_VERTICES["CUBE"],
+    "OCTA": EXTENDED["OCTA"],
+    "PENTAGON": [[0, 0], [2, 0], [3, 2], [1, 3], [-1, 2]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_SHAPES))
+def test_rings_after_z_fold_the_twist_record_without_a_sweep_or_draw(name, monkeypatch):
+    # the Z call builds the twist's ring-free record; Q, Z/2 and Z/3 read it
+    # and sweep no line and draw no distant point, with a cold lattice's answers
+    calls = []
+    for fn in ("line_values", "_distant_points"):
+        original = getattr(sh, fn)
+        monkeypatch.setattr(sh, fn, lambda *a, fn=fn, f=original: calls.append(fn) or f(*a))
+    warm = face_lattice(build_polytope(RECORD_SHAPES[name]))
+    for k in range(-3, 4):
+        calls.clear()
+        sh.global_cohomology(warm, k, "Z")
+        assert sorted(calls) == ["_distant_points", "line_values"], k
+        for ring in ("Q", "Z/2", "Z/3"):
+            calls.clear()
+            got = sh.global_cohomology(warm, k, ring)
+            assert calls == [], (k, ring)
+            cold = face_lattice(build_polytope(RECORD_SHAPES[name]))
+            assert got == sh.global_cohomology(cold, k, ring), (k, ring)
+
+
+RINGS = ("Z", "Q", "Z/2", "Z/3")
+
+
+def test_a_non_trivial_class_on_the_shell_is_refused_by_every_ring(monkeypatch):
+    # the class of the scan box's corner gets the face cochain complex, whose
+    # cohomology is Z in degree 0 over every ring
+    cube = face_lattice(build_polytope(CORPUS_VERTICES["CUBE"]))  # a cold cache
+    poly = cube.polytope
+    corner = poly.holds(tuple(lo for lo, _ in sh.scan_box(poly, 1)), 1)
+    point = hm.face_cochain_complex(cube)
+    original = sh._class_complexes
+
+    def patched(lattice, sigs):
+        return [point if s == corner else c for s, c in zip(sigs, original(lattice, sigs))]
+
+    monkeypatch.setattr(sh, "_class_complexes", patched)
+    for ring in RINGS:
+        with pytest.raises(RuntimeError, match="^scan shell is not acyclic$"):
+            sh.global_cohomology(cube, 1, ring)
+
+
+def test_a_non_trivial_distant_point_is_refused_by_every_ring(monkeypatch):
+    # the distant points are replaced by the centre of 2P, whose class (every
+    # facet holds) leaves one vertex: Z in degree 0 over every ring, and no
+    # point of that class lies on the shell
+    cube = face_lattice(build_polytope(CORPUS_VERTICES["CUBE"]))  # a cold cache
+    monkeypatch.setattr(sh, "_distant_points", lambda *a: [(1, 1, 1)] * sh.DISTANT_POINT_COUNT)
+    for ring in RINGS:
+        with pytest.raises(RuntimeError, match="^distant lattice point is not acyclic$"):
+            sh.global_cohomology(cube, 2, ring)
+    # with the draw restored, a cold lattice answers
+    monkeypatch.undo()
+    cold = face_lattice(build_polytope(CORPUS_VERTICES["CUBE"]))
+    assert sh.global_cohomology(cold, 2, "Z").free == (27, 0, 0, 0)
+
+
+@pytest.mark.parametrize("end", ["low", "high"])
+def test_shell_check_refuses_a_box_tight_at_one_end_of_the_last_axis(end, monkeypatch):
+    # only the runs' first or last point then lies on the shell: the lines
+    # through kP start or end on it, their prefixes do not
+    original = sh.scan_box
+
+    def box(poly, k):
+        wide, bare = original(poly, k), dilate_box(poly, k, 0)
+        (lo, hi), (tight_lo, tight_hi) = wide[-1], bare[-1]
+        return wide[:-1] + (((tight_lo, hi) if end == "low" else (lo, tight_hi)),)
+
+    monkeypatch.setattr(sh, "scan_box", box)
+    cube = face_lattice(build_polytope(CORPUS_VERTICES["CUBE"]))  # a cold cache
+    for ring in RINGS:
+        with pytest.raises(RuntimeError, match="^scan shell is not acyclic$"):
+            sh.global_cohomology(cube, 1, ring)
