@@ -18,14 +18,14 @@ the odometer line kernel, ``ehrhart.line_values``, over every line of the
 box (the shell check needs them all; the closed-form contributors sweep only
 the lines of kP's projections): a facet holds on one interval of a line, so
 the line splits at the interval ends into at most F + 1 runs of one class (F
-facets), keyed by its facet bitmask (bit j set iff facet j holds); the new
-classes are coreduced in one bit-sliced batch. The ring only enters when
-Smith forms are read, so each twist keeps one ring-free record (``_twist``):
-its box, its classes grouped by the complex they share, and the points of
-the classes whose complex has a cell. A ring then computes one cohomology
-per distinct complex and touches only the non-trivial ones. ``class_points``
-reads the first point of each realized class off the cached runs, for
-``verify``'s checks.
+facets). The ring only enters when Smith forms are read, so each twist keeps
+one ring-free record (``_twist``): its box, its runs filed under their class's
+signature (the facet bitmask, bit j set iff facet j holds), the distant
+points' signatures, and the box points of the classes whose complex has a
+cell, grouped by that complex. New classes are coreduced in one bit-sliced
+batch. A ring computes one cohomology per distinct complex with a cell, since
+a complex without one is trivial over every ring. ``class_points`` reads the
+first run of each signature, for ``verify``'s checks.
 
 Membership is decided two ways: by the facet inequalities (the fast formula,
 ``twist_members``) and by an oracle on the barrier-cone generators, whose
@@ -43,7 +43,7 @@ import random
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
-from operator import le, mul
+from operator import le
 
 from .classify import classify_front_back, classify_lower_upper, classify_visibility
 from .ehrhart import check_plan, dilate_box, dilate_points, line_values, sign_groups
@@ -273,19 +273,24 @@ def _distant_points(poly, k: int, box) -> list[tuple[int, ...]]:
     return distant
 
 
-def _scan(lattice: FaceLattice, k: int):
-    """The facet-sign scan, kept on the lattice per twist: the signature of
-    each class, the runs ``(class id, prefix, first, last)`` of one class
-    each that tile ``scan_box(P, k)``, and the class id of every distant
-    point. A line is cut where a facet span starts or ends, so its runs tile
-    it in order and neighbours differ. Classes are numbered by first
-    appearance, box before distant points.
-    """
-    cache = lattice._cache.setdefault("scans", {})
+def _twist(lattice: FaceLattice, k: int):
+    """The ring-free record of twist k, kept on the lattice: ``(box, runs,
+    distant, groups)``. ``box`` is ``scan_box(P, k)``, checked by
+    ``ehrhart.check_plan`` before it is swept. ``runs`` maps each signature
+    realized in the box, in order of first appearance, to its runs ``(prefix,
+    first, last)`` in scan order; a line is cut where a facet span starts or
+    ends, so its runs tile it in order and neighbours differ. ``distant`` is
+    the ``holds`` mask of each distant point. ``groups`` holds, per distinct
+    class complex with a cell (the only kind a ring can find non-trivial),
+    ``[complex, points, on_shell, distant]``: its classes' box points, read
+    off their runs alone, whether one is on the box's outer shell, and
+    whether a distant point is in one of its classes."""
+    cache = lattice._cache.setdefault("twists", {})
     if k in cache:
         return cache[k]
     poly = lattice.polytope
     box = scan_box(poly, k)
+    check_plan(listed=[("scan", box)])
     lo, hi = box[-1]
     rows = [(f.normal, k * f.offset) for f in poly.facets]
     order, ups, downs = sign_groups(rows)
@@ -295,8 +300,7 @@ def _scan(lattice: FaceLattice, k: int):
     ups = list(zip(ups, bits))
     downs = list(zip(downs, bits[p:]))
     flats = bits[q:]
-    classes: dict[int, int] = {}
-    runs = []
+    runs: dict[int, list] = {}
     for prefix, values in line_values([rows[i] for i in order], box):
         sig = 0  # the facets that hold at lo
         cuts = {}  # the facet bits that switch on or off at each t > lo
@@ -317,55 +321,30 @@ def _scan(lattice: FaceLattice, k: int):
                 sig |= bit
         first = lo
         for t in sorted(cuts):
-            runs.append((classes.setdefault(sig, len(classes)), prefix, first, t - 1))
+            runs.setdefault(sig, []).append((prefix, first, t - 1))
             sig ^= cuts[t]
             first = t
-        runs.append((classes.setdefault(sig, len(classes)), prefix, first, hi))
-    distant_ids = []
-    for x in _distant_points(poly, k, box):
-        sig = sum(1 << i for i, (a, b) in enumerate(rows) if sum(map(mul, x, a)) + b >= 0)
-        distant_ids.append(classes.setdefault(sig, len(classes)))
-    cache[k] = (list(classes), runs, distant_ids)
+        runs.setdefault(sig, []).append((prefix, first, hi))
+    distant = [poly.holds(x, k) for x in _distant_points(poly, k, box)]
+    sigs = list(dict.fromkeys([*runs, *distant]))
+    groups: dict[int, list] = {}
+    for sig, cx in zip(sigs, _class_complexes(lattice, sigs)):
+        if any(cx.basis_labels):
+            group = groups.setdefault(id(cx), [cx, [], False, False])
+            group[3] |= sig in distant
+            for prefix, first, last in runs.get(sig, ()):
+                group[2] |= first == lo or last == hi or any(xi in b for xi, b in zip(prefix, box))
+                group[1].extend(prefix + (t,) for t in range(first, last + 1))
+    cache[k] = box, runs, distant, list(groups.values())
     return cache[k]
 
 
 def class_points(lattice: FaceLattice, k: int) -> list[tuple]:
     """(signature, first box point) of each class realized in the scan box, in
-    scan order, read off the first run of each class in ``_scan``."""
-    sigs, runs, _ = _scan(lattice, k)
-    # walking backwards, the last run written for a class is its first
-    first = {c: prefix + (t,) for c, prefix, t, _ in reversed(runs)}
-    return [(sigs[c], first[c]) for c in range(len(first))]
-
-
-def _twist(lattice: FaceLattice, k: int):
-    """Ring-free part of ``global_cohomology``, kept on the lattice per twist:
-    the scan box, checked by ``ehrhart.check_plan`` before it is swept, and
-    per distinct class complex ``[complex, points, on_shell, distant]``:
-    whether a distant point is in one of its classes and, for a complex with
-    a cell (the only kind a ring can find non-trivial), its classes' box
-    points in scan order and whether one of them is on the box's outer shell."""
-    cache = lattice._cache.setdefault("twists", {})
-    if k in cache:
-        return cache[k]
-    box = scan_box(lattice.polytope, k)
-    check_plan(listed=[("scan", box)])
-    sigs, runs, distant_ids = _scan(lattice, k)
-    groups: dict[int, list] = {}
-    of_class = []
-    distant = set(distant_ids)
-    for c, cx in enumerate(_class_complexes(lattice, sigs)):
-        group = groups.setdefault(id(cx), [cx, [], False, False])
-        group[3] |= c in distant
-        of_class.append(group if any(cx.basis_labels) else None)
-    lo, hi = box[-1]
-    for c, prefix, first, last in runs:
-        group = of_class[c]
-        if group:
-            group[2] |= first == lo or last == hi or any(xi in b for xi, b in zip(prefix, box))
-            group[1].extend(prefix + (t,) for t in range(first, last + 1))
-    cache[k] = box, list(groups.values())
-    return cache[k]
+    order of first appearance, read off the first run of each signature in
+    the twist's record (``_twist``)."""
+    runs = _twist(lattice, k)[1]
+    return [(sig, prefix + (t,)) for sig, rs in runs.items() for prefix, t, _ in rs[:1]]
 
 
 def global_cohomology(lattice: FaceLattice, k: int, ring: str = "Z") -> GlobalCohomology:
@@ -380,10 +359,10 @@ def global_cohomology(lattice: FaceLattice, k: int, ring: str = "Z") -> GlobalCo
     outside the box must be acyclic too, a spot check and not a proof. A box
     over ``ehrhart.check_plan``'s listing budget is refused before it is swept.
     Each ring folds the twist's ring-free record (``_twist``): one cohomology
-    per distinct complex, and the points of the non-trivial ones.
+    per distinct complex with a cell, and the points of the non-trivial ones.
     """
     n = lattice.polytope.dim
-    box, groups = _twist(lattice, k)
+    box, _, _, groups = _twist(lattice, k)
     live = [(cohomology(c, ring), *rest) for c, *rest in groups]
     live = [group for group in live if not group[0].is_trivial()]
     if any(on_shell for _, _, on_shell, _ in live):

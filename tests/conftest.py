@@ -81,6 +81,20 @@ def coreduce_masks(complex_, masks):
     return [sum((out[i] >> s & 1) << i for i in range(cells)) for s in range(len(masks))]
 
 
+def twist_signatures(lattice, k):
+    """Signatures of the twist-k record (``sheaf._twist``) in order of first
+    appearance: the scan box's, then those only distant points realize."""
+    _, runs, distant, _ = sh._twist(lattice, k)
+    return list(dict.fromkeys([*runs, *distant]))
+
+
+def scan_runs(lattice, k):
+    """Runs of the twist-k record as ``(signature, prefix, first, last)``,
+    the runs filed under every signature merged back into box order."""
+    runs = sh._twist(lattice, k)[1]
+    return sorted(((sig, *run) for sig, rs in runs.items() for run in rs), key=lambda r: r[1:3])
+
+
 def dilate_box(poly, k, margin):
     """Bounding box of kP inflated by margin, for tests that walk a box
     other than ``sheaf.scan_box``."""

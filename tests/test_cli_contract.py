@@ -2,12 +2,14 @@
 over-budget inputs and option values: every run exits 0, 1 or 2 and never
 shows a traceback, and a refusal (exit 2) prints nothing on stdout and
 exactly one stderr line, starting ``error:``. ``main`` runs in process,
-except for the over-budget inputs, which run under ``timeout 20`` so that a
+each case under a ``CASE_SECONDS`` wall-time cap, except for the over-budget
+inputs and large ring moduli, which run under ``timeout 20``; either way a
 missing budget fails instead of hanging."""
 
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 
@@ -17,6 +19,9 @@ from polytoric import ehrhart as eh
 from polytoric.cli import main
 
 SEED = 27
+# The slowest in-process case takes about 0.08 s on a 2-vCPU machine, so a
+# refusal that starts sweeping fails in seconds instead of hanging the run.
+CASE_SECONDS = 1.0
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 HUGE = str(10**30)
 SQ = [[0, 0], [1, 0], [0, 1], [1, 1]]
@@ -29,6 +34,26 @@ COMMANDS = [
     ("cohomology", "--twist", "1"),
     ("verify",),
 ]
+
+
+@pytest.fixture(autouse=True)
+def wall_time_cap(request):
+    """Fail an in-process case (one that runs ``main`` under ``capsys``) that
+    takes longer than ``CASE_SECONDS``, by a real-time interval timer."""
+    if "capsys" not in request.fixturenames:
+        yield
+        return
+
+    def expire(signum, frame):
+        pytest.fail(f"in-process case ran longer than {CASE_SECONDS} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, CASE_SECONDS)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def check_contract(code, out, err):

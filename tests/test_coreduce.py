@@ -20,9 +20,10 @@ from polytoric import build_polytope, face_lattice
 from polytoric import classify as cl
 from polytoric import homology as hm
 from polytoric import sheaf as sh
+from polytoric import verify as vf
 from polytoric.linalg import IntMatrix
 from polytoric.polytope import Facet, FaceLattice, LatticePolytope
-from conftest import CORPUS_VERTICES, coreduce_masks, face_ids
+from conftest import CORPUS_VERTICES, coreduce_masks, face_ids, twist_signatures
 from test_extended import EXTENDED
 from test_homology import _projective_plane_nerve
 
@@ -48,15 +49,15 @@ def _random_polytopes(count=40, seed=7):
 
 
 def _signatures(lat):
-    """Signature of every facet-sign class the scans of k in -3..3 meet."""
+    """Signature of every facet-sign class the records of k in -3..3 meet."""
     sigs = set()
     for k in TWISTS:
-        sigs.update(sh._scan(lat, k)[0])
+        sigs.update(twist_signatures(lat, k))
     return sorted(sigs)
 
 
 def _classes(lat):
-    """Face set of every facet-sign class the scans of k in -3..3 meet."""
+    """Face set of every facet-sign class the records of k in -3..3 meet."""
     sets = {face_ids(sh._class_face_set(lat, sig)) for sig in _signatures(lat)}
     return sorted(sets, key=sorted)
 
@@ -195,15 +196,33 @@ def test_class_complexes_are_coreduced_and_share_the_empty_one():
 
 
 def test_global_cohomology_reads_each_distinct_complex_once(monkeypatch):
+    # 2P's classes share two complexes: the empty one, trivial over every
+    # ring and never read, and the one vertex of the points of 2P
     cube = face_lattice(build_polytope(CORPUS_VERTICES["CUBE"]))  # a cold cache
     seen = []
     original = sh.cohomology
     monkeypatch.setattr(sh, "cohomology", lambda c, ring: seen.append(c) or original(c, ring))
     g = sh.global_cohomology(cube, 2, "Q")
     assert g.free == (27, 0, 0, 0)
-    sigs, _, _ = sh._scan(cube, 2)
-    distinct = {id(c) for c in sh._class_complexes(cube, sigs)}
-    assert len(seen) == len({id(c) for c in seen}) == len(distinct) == 2
+    complexes = {id(c): c for c in sh._class_complexes(cube, twist_signatures(cube, 2))}
+    with_a_cell = [c for c in complexes.values() if any(c.basis_labels)]
+    assert len(complexes) == 2
+    assert len(seen) == len({id(c) for c in seen}) == len(with_a_cell) == 1
+    assert seen[0] is with_a_cell[0]
+
+
+def test_cohomology_suite_never_reads_a_complex_without_a_cell(monkeypatch):
+    # a complex without a cell is trivial over every ring, so no twist or
+    # ring of the suite may hand one to ``homology.cohomology``
+    seen = []
+    original = sh.cohomology
+    monkeypatch.setattr(sh, "cohomology", lambda c, ring: seen.append(c) or original(c, ring))
+    for name, vertices in CORPUS_VERTICES.items():
+        lat = face_lattice(build_polytope(vertices))  # a cold cache
+        seen.clear()
+        assert all(r.passed for r in vf.cohomology_suite(lat)), name
+        assert seen, name
+        assert all(any(c.basis_labels) for c in seen), name
 
 
 def _is_convex(lat, ids):

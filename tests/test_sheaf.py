@@ -24,6 +24,7 @@ from conftest import (
     minus_p_crosscheck,
     negate_polytope,
     negated_lattice,
+    scan_runs,
 )
 from test_ehrhart import dilate_contains
 from test_extended import EXTENDED
@@ -491,16 +492,17 @@ def test_twist_face_set_is_constant_on_each_k1_scan_class(lattices, shape):
     if shape == "extended":
         lattices = {name: face_lattice(build_polytope(v)) for name, v in EXTENDED.items()}
     for name, lat in lattices.items():
-        sigs, runs, _ = sh._scan(lat, 1)
         by_class = {}
-        for i, prefix, first, last in runs:
+        first_point = {}
+        for sig, prefix, first, last in scan_runs(lat, 1):
+            first_point.setdefault(sig, prefix + (first,))
             for t in range(first, last + 1):
                 members = sh.twist_face_set(lat, 1, prefix + (t,)).members
-                assert by_class.setdefault(i, members) == members, (name, prefix, t)
-        assert sorted(by_class) == list(range(len(by_class)))
-        for i, members in by_class.items():
-            assert members == face_ids(sh._class_face_set(lat, sigs[i])), (name, i)
-        assert [sig for sig, _ in sh.class_points(lat, 1)] == sigs[: len(by_class)]
+                assert by_class.setdefault(sig, members) == members, (name, prefix, t)
+        assert list(by_class) == list(sh._twist(lat, 1)[1])  # first appearance
+        for sig, members in by_class.items():
+            assert members == face_ids(sh._class_face_set(lat, sig)), (name, sig)
+        assert sh.class_points(lat, 1) == list(first_point.items())
 
 
 @pytest.mark.parametrize("name", ["SQ", "CUBE", "TRI2"])
@@ -776,8 +778,8 @@ def test_distant_points_unchanged_while_the_box_leaves_room(lattices):
 
 
 def test_distant_points_and_classes_match_the_randint_oracle(lattices):
-    # randrange(2B + 1) - B draws what randint(-B, B) draws, and the scan's
-    # facet rows file each distant point under the class its holds mask names
+    # randrange(2B + 1) - B draws what randint(-B, B) draws, and the twist's
+    # record keeps the holds mask of each distant point in draw order
     seg = face_lattice(build_polytope([[-1], [1]]))
     cases = [(lat, k) for lat in lattices.values() for k in range(-3, 4)] + [(seg, 60)]
     for lat, k in cases:
@@ -788,8 +790,7 @@ def test_distant_points_and_classes_match_the_randint_oracle(lattices):
             bound += max(max(-lo, hi) for lo, hi in box)
         distant = sh._distant_points(poly, k, box)
         assert distant == _rejection_draw(poly, k, box, bound), (poly.vertices, k)
-        sigs, _, ids = sh._scan(lat, k)
-        assert [sigs[c] for c in ids] == [poly.holds(x, k) for x in distant]
+        assert sh._twist(lat, k)[2] == [poly.holds(x, k) for x in distant]
     assert bound == sh.DISTANT_COORD_BOUND + 62  # the segment's box [-62, 62] covers the cube
 
 

@@ -3,7 +3,9 @@
 Each fast path is compared with the dense or per-point route it replaced:
 the sparse product with a dense triple loop, the sparse restriction with a
 dense submatrix copy, the simplicial coboundaries with dense rows, and the
-facet-sign runs of ``sheaf._scan`` with one ``LatticePolytope.holds`` per point.
+facet-sign runs of the twist record ``sheaf._twist`` with one
+``LatticePolytope.holds`` per point, and its groups with one class complex
+and one shell test per point.
 The face cochain complex, whose signs come from the face lattice alone, is
 compared with one built from the full F x F order relation and geometric
 incidence signs (the determinant route: an integer basis of each face's
@@ -33,7 +35,7 @@ from polytoric.linalg import (
     vec_sub,
 )
 
-from conftest import coreduce_masks, face_id, face_ids, face_mask
+from conftest import coreduce_masks, face_id, face_ids, face_mask, scan_runs, twist_signatures
 from test_extended import EXTENDED
 
 
@@ -107,11 +109,11 @@ def _dense_restriction(complex_, keep):
 
 
 def _upward_closed_sets(lattice, rng, count):
-    """The face sets of the scan's classes, seeded random upward closures and
-    the whole lattice."""
+    """The face sets of the twist records' classes, seeded random upward
+    closures and the whole lattice."""
     sets = {frozenset(range(len(lattice.faces)))}
     for k in (-1, 2):
-        sigs = sh._scan(lattice, k)[0]
+        sigs = twist_signatures(lattice, k)
         sets.update(face_ids(sh._class_face_set(lattice, sig)) for sig in sigs)
     for _ in range(count):
         seeds = rng.sample(range(len(lattice.faces)), rng.randint(1, 3))
@@ -347,13 +349,13 @@ def _label_restriction(complex_, keep):
 
 
 def test_mask_restriction_matches_label_restriction(shapes):
-    # every class face set of the scans at k in -2..2 and its coreduced
+    # every class face set of the records at k in -2..2 and its coreduced
     # remainder, restricted by cell bitmask and by face-id labels
     checked = set()
     for name, lat in shapes.items():
         ambient = hm.face_cochain_complex(lat)
         for k in range(-2, 3):
-            for sig in sh._scan(lat, k)[0]:
+            for sig in twist_signatures(lat, k):
                 mask = sh._class_face_set(lat, sig)
                 for keep in (mask, *coreduce_masks(ambient, [mask])):
                     got = hm.restrict_cochain_complex(ambient, keep)
@@ -388,30 +390,67 @@ def test_simplicial_rows_match_dense_rows(shapes):
 
 
 def test_scan_runs_match_per_point_signatures(shapes):
-    # the runs tile the box in order, at most F + 1 to a line with neighbours
-    # of different classes, and every point of a run has the run's signature
+    # merged back into box order, the runs tile the box, at most F + 1 to a
+    # line with neighbours of different classes, and every point of a run has
+    # the signature the run is filed under
     zero_last = 0
     for name, lat in shapes.items():
         poly = lat.polytope
         zero_last += sum(f.normal[-1] == 0 for f in poly.facets)
         for k in range(-3, 4):
             box = sh.scan_box(poly, k)
-            sigs, runs, distant_ids = sh._scan(lat, k)
-            points = [p + (t,) for _, p, first, last in runs for t in range(first, last + 1)]
+            record_box, runs, distant_sigs, _ = sh._twist(lat, k)
+            assert record_box == box, (name, k)
+            merged = scan_runs(lat, k)
+            points = [p + (t,) for _, p, first, last in merged for t in range(first, last + 1)]
             assert points == list(product(*(range(lo, hi + 1) for lo, hi in box))), (name, k)
             lines = {}
-            for c, prefix, first, last in runs:
+            for sig, prefix, first, last in merged:
                 assert first <= last, (name, k, prefix)
-                lines.setdefault(prefix, []).append(c)
-            for prefix, ids in lines.items():
-                assert len(ids) <= len(poly.facets) + 1, (name, k, prefix)
-                assert all(a != b for a, b in zip(ids, ids[1:])), (name, k, prefix)
-            ids = [c for c, _, first, last in runs for _ in range(first, last + 1)]
-            for x, c in zip(points, ids):
-                assert sigs[c] == poly.holds(x, k), (name, k, x)
+                lines.setdefault(prefix, []).append(sig)
+            for prefix, sigs in lines.items():
+                assert len(sigs) <= len(poly.facets) + 1, (name, k, prefix)
+                assert all(a != b for a, b in zip(sigs, sigs[1:])), (name, k, prefix)
+            labels = [sig for sig, _, first, last in merged for _ in range(first, last + 1)]
+            for x, sig in zip(points, labels):
+                assert sig == poly.holds(x, k), (name, k, x)
             distant = sh._distant_points(poly, k, box)
-            assert [sigs[i] for i in distant_ids] == [poly.holds(x, k) for x in distant]
-            # classes are numbered by first appearance, box before distant
-            assert list(dict.fromkeys(ids + distant_ids)) == list(range(len(sigs)))
-            assert len(set(sigs)) == len(sigs)
+            assert distant_sigs == [poly.holds(x, k) for x in distant]
+            # signatures are keyed by first appearance in the box, each with
+            # its runs in box order, and the distant-only ones come last
+            assert list(runs) == list(dict.fromkeys(labels)), (name, k)
+            assert all(rs == sorted(rs) for rs in runs.values()), (name, k)
+            assert twist_signatures(lat, k) == list(dict.fromkeys(labels + distant_sigs))
     assert zero_last >= 10
+
+
+def test_twist_groups_hold_exactly_the_box_points_whose_complex_has_a_cell(shapes):
+    # per box point: its class complex, read alone, and whether a coordinate
+    # sits at either end of its axis; the record must group exactly the points
+    # whose complex has a cell, by that complex, with the same shell verdict,
+    # and flag the complexes of the distant points' classes
+    grouped = 0
+    for name, lat in shapes.items():
+        poly = lat.polytope
+        for k in range(-3, 4):
+            box, _, distant, groups = sh._twist(lat, k)
+            expected = {}
+            for x in product(*(range(lo, hi + 1) for lo, hi in box)):
+                (cx,) = sh._class_complexes(lat, [poly.holds(x, k)])
+                if any(cx.basis_labels):
+                    entry = expected.setdefault(id(cx), [[], False])
+                    entry[0].append(x)
+                    entry[1] |= any(xi == lo or xi == hi for xi, (lo, hi) in zip(x, box))
+            far = {id(cx) for cx in sh._class_complexes(lat, distant)}
+            assert len(groups) == len({id(cx) for cx, *_ in groups}), (name, k)
+            got = {}
+            for cx, points, on_shell, has_distant in groups:
+                assert any(cx.basis_labels), (name, k)
+                assert has_distant == (id(cx) in far), (name, k)
+                assert points or has_distant, (name, k)
+                got[id(cx)] = [sorted(points), on_shell]
+                grouped += len(points)
+            for entry in expected.values():
+                entry[0].sort()
+            assert {c: g for c, g in got.items() if g[0]} == expected, (name, k)
+    assert grouped > 1000
